@@ -44,6 +44,7 @@ from .vmf import KAPPA_CAP, VmfParams, log_density, mle_fit, sample  # noqa: F40
 from .special import (  # noqa: F401
     bessel_ratio,
     invert_bessel_ratio,
+    kappa_from_rho,
     log_bessel_i,
     log_vmf_normalizer,
 )

@@ -11,15 +11,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__, dataset, em, metrics, selection, skmeans, viz
-from .em import FitOptions, FitStatus
+from .em import FitOptions
 from .errors import SparseVmfError
-from .path import PathOptions, follow_path, save_path
-from .selection import CRITERIA, Criterion, information_criterion
+from .path import PathOptions, follow_path, path_to_dict, save_path
+from .selection import CRITERIA, make_ic_fn
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -54,7 +53,8 @@ def _apply_config_file(parser, args, argv):
     are rejected."""
     if not getattr(args, "config", None):
         return args
-    text = open(args.config).read()
+    with open(args.config) as fh:
+        text = fh.read()
     try:
         values = json.loads(text)
         if not isinstance(values, dict):
@@ -97,10 +97,7 @@ def cmd_simulate(args) -> int:
     )
     ds, truth = dataset.simulate_mixture(cfg)
     dataset.save_matrix(ds.X, args.out, format=args.format)
-    dataset.save_ground_truth(truth, args.truth_out)
-    # Append run metadata next to the ground truth for reproducibility.
-    with open(args.truth_out) as fh:
-        doc = json.load(fh)
+    doc = dataset.ground_truth_to_dict(truth)
     doc["run"] = _run_meta(args)
     _write_json(args.truth_out, doc)
     return 0
@@ -133,19 +130,15 @@ def _path_options(args) -> PathOptions:
 
 def cmd_path(args) -> int:
     X = _load_dataset(args)
-    N, d = X.shape
     path_opts = _path_options(args)
     dense = selection.best_of_restarts(X, args.k, args.restarts,
                                        path_opts.fit_options, seed=args.seed)
-    crits = {kind: Criterion(kind) for kind in CRITERIA}
-    ic_fn = lambda fit: {k: information_criterion(fit, N, d, c)  # noqa: E731
-                         for k, c in crits.items()}
-    result = follow_path(X, args.k, path_opts, dense, ic_fn=ic_fn)
-    save_path(result, json_path=args.out, csv_path=args.csv_out)
-    with open(args.out) as fh:
-        doc = json.load(fh)
+    result = follow_path(X, args.k, path_opts, dense, ic_fn=make_ic_fn(*X.shape))
+    doc = path_to_dict(result)
     doc["run"] = _run_meta(args)
     _write_json(args.out, doc)
+    if args.csv_out:
+        save_path(result, csv_path=args.csv_out)
     return 0
 
 
@@ -181,10 +174,7 @@ def cmd_skmeans(args) -> int:
     doc = {
         "run": _run_meta(args),
         "K": args.k,
-        "prototypes": [
-            [[int(j), float(v)] for j, v in enumerate(row) if v != 0.0]
-            for row in result.prototypes
-        ],
+        "prototypes": em.means_to_sparse(result.prototypes),
         "labels": result.labels.tolist(),
         "coherence": result.coherence,
         "n_iters": result.n_iters,
@@ -205,8 +195,7 @@ def cmd_viz(args) -> int:
     if args.input and args.data_out:
         X = _load_dataset(args)
         labels = em.hard_assign(em.e_step(X, fit.params))
-        comp_order = viz.order_rows(fit.params)
-        data_perm = viz.data_row_order(labels, comp_order)
+        data_perm = viz.data_row_order(labels, row_perm)
         viz.render_pixel_map(X, ordering, data_perm, args.data_out,
                              mode="data", scale=args.scale)
     return 0
@@ -347,10 +336,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
-    args = _apply_config_file(parser, args, argv)
-    if args.command == "simulate" and (args.overlap is None) == (args.base_kappa is None):
-        parser.error("exactly one of --overlap / --base-kappa is required")
     try:
+        args = _apply_config_file(parser, args, argv)
+        if args.command == "simulate" and (args.overlap is None) == (args.base_kappa is None):
+            parser.error("exactly one of --overlap / --base-kappa is required")
         return args.func(args)
     except (SparseVmfError, OSError) as err:
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)

@@ -4,13 +4,15 @@ simulation of sparse vMF mixtures."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import vmf
-from .em import MixtureParams, e_step, hard_assign
+from .em import MixtureParams, means_from_sparse, means_to_sparse
 from .errors import CannotSparsifyError, NotBracketedError, ParseError, ZeroRowError
+from .metrics import estimate_overlap
 
 __all__ = [
     "Dataset",
@@ -23,6 +25,7 @@ __all__ = [
     "simulate_mixture",
     "calibrate_overlap",
     "sample_mixture",
+    "ground_truth_to_dict",
     "save_ground_truth",
     "load_ground_truth",
 ]
@@ -34,7 +37,6 @@ class Dataset:
 
     X: np.ndarray
     row_norms_applied: bool = False
-    row_ids: list | None = None
 
     @property
     def N(self) -> int:
@@ -43,10 +45,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def density(self) -> float:
-        return float(np.count_nonzero(self.X)) / self.X.size
 
 
 @dataclass
@@ -101,6 +99,7 @@ class GroundTruth:
 
 def _parse_dense_csv(path):
     rows = []
+    linenos = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -114,13 +113,18 @@ def _parse_dense_csv(path):
                     continue  # header line
                 raise ParseError(f"non-numeric value in {line!r}", line=lineno)
             rows.append(row)
+            linenos.append(lineno)
     if not rows:
         raise ParseError("empty file")
     d = len(rows[0])
-    for i, row in enumerate(rows):
+    for lineno, row in zip(linenos, rows):
         if len(row) != d:
-            raise ParseError(f"expected {d} columns, got {len(row)}", line=i + 1)
-    return np.array(rows)
+            raise ParseError(f"expected {d} columns, got {len(row)}", line=lineno)
+    X = np.array(rows)
+    bad = np.nonzero(~np.isfinite(X).all(axis=1))[0]
+    if bad.size:
+        raise ParseError("non-finite value", line=linenos[bad[0]])
+    return X
 
 
 def _parse_sparse_triplet(path):
@@ -134,28 +138,38 @@ def _parse_sparse_triplet(path):
             if line.startswith("#"):
                 parts = line[1:].split()
                 if parts and parts[0] == "shape":
-                    shape = (int(parts[1]), int(parts[2]))
+                    try:
+                        shape = (int(parts[1]), int(parts[2]))
+                    except (IndexError, ValueError):
+                        raise ParseError(f"malformed shape comment {line!r}", line=lineno)
                 continue
             parts = line.split()
             if len(parts) != 3:
                 raise ParseError(f"expected 'row col value', got {line!r}", line=lineno)
             try:
-                entries.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                entries.append((lineno, int(parts[0]), int(parts[1]), float(parts[2])))
             except ValueError:
                 raise ParseError(f"malformed triplet {line!r}", line=lineno)
     if not entries and shape is None:
         raise ParseError("empty file")
     if shape is None:
-        shape = (max(e[0] for e in entries) + 1, max(e[1] for e in entries) + 1)
+        shape = (max(e[1] for e in entries) + 1, max(e[2] for e in entries) + 1)
     X = np.zeros(shape)
-    for i, j, v in entries:
+    for lineno, i, j, v in entries:
+        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+            raise ParseError(f"index ({i}, {j}) outside shape {shape}", line=lineno)
+        if not math.isfinite(v):
+            raise ParseError("non-finite value", line=lineno)
         X[i, j] = v
     return X
 
 
 def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> Dataset:
     """Load a dense CSV or sparse triplet matrix; optionally normalise rows
-    to unit norm (zero rows are rejected with their indices)."""
+    to unit norm (zero rows are rejected with their indices).
+
+    Malformed content, including nan or inf values and triplet indices
+    outside the matrix, raises ParseError with the file line number."""
     if format == "dense-csv":
         X = _parse_dense_csv(path)
     elif format == "sparse-triplet":
@@ -290,9 +304,7 @@ def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
 
     def error_at(base_kappa):
         params = _build_truth_params(means, base_kappa, alpha, rng, jitter_sd_frac=0.0)
-        X, labels = sample_mixture(params, n_samples, rng)
-        pred = hard_assign(e_step(X, params))
-        return float(np.mean(pred != labels))
+        return estimate_overlap(params, n_samples, rng)
 
     lo, hi = 0.01, 1e4
     err_lo = error_at(lo)
@@ -341,34 +353,28 @@ def simulate_mixture(cfg: SimulationConfig,
     return Dataset(X=X, row_norms_applied=True), truth
 
 
-def save_ground_truth(truth: GroundTruth, path) -> None:
+def ground_truth_to_dict(truth: GroundTruth) -> dict:
     p = truth.params
-    mu_sparse = []
-    for row in p.means:
-        nz = np.nonzero(row)[0]
-        mu_sparse.append([[int(j), float(row[j])] for j in nz])
-    doc = {
+    return {
         "alpha": [float(a) for a in p.alpha],
         "kappa": [float(v) for v in p.kappas],
-        "mu": mu_sparse,
+        "mu": means_to_sparse(p.means),
         "d": p.d,
         "labels": [int(v) for v in truth.labels],
         "seed": None if truth.config is None else truth.config.seed,
         "config": None if truth.config is None else truth.config.to_dict(),
     }
+
+
+def save_ground_truth(truth: GroundTruth, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(ground_truth_to_dict(truth), fh, indent=1)
 
 
 def load_ground_truth(path) -> GroundTruth:
     with open(path) as fh:
         doc = json.load(fh)
-    d = doc["d"]
-    K = len(doc["alpha"])
-    means = np.zeros((K, d))
-    for k, row in enumerate(doc["mu"]):
-        for j, v in row:
-            means[k, j] = v
+    means = means_from_sparse(doc["mu"], doc["d"])
     params = MixtureParams(
         alpha=np.array(doc["alpha"]),
         means=means,

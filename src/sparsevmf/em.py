@@ -20,7 +20,7 @@ from .errors import (
     InitFailureError,
     ZeroMeanError,
 )
-from .special import log_vmf_normalizer
+from .special import kappa_from_rho, log_vmf_normalizer
 from .vmf import KAPPA_CAP
 
 __all__ = [
@@ -38,6 +38,8 @@ __all__ = [
     "hard_assign",
     "save_model",
     "load_model",
+    "means_to_sparse",
+    "means_from_sparse",
 ]
 
 
@@ -150,8 +152,6 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     Raises InitFailureError when a crisp cluster is empty or a resultant is
     degenerate; callers retry with fresh draws.
     """
-    from .special import invert_bessel_ratio
-
     n, d = X.shape
     if n < K:
         raise ValueError("need at least K observations")
@@ -165,26 +165,11 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     alpha = counts / n
     resultants = np.zeros((K, d))
     np.add.at(resultants, labels, X)
-    if kappa_mode == "shared":
-        # Pooled estimate: rho = (1/N) sum_k <mu_k, r_k>.
-        rho = float(np.einsum("kj,kj->", means, resultants)) / n
-        if rho <= 0:
-            raise InitFailureError("nonpositive pooled resultant during initialisation")
-        if rho >= 1.0 - 1e-12:
-            kappa = kappa_cap
-        else:
-            kappa = min(invert_bessel_ratio(d, rho), kappa_cap)
-        kappas = np.full(K, kappa)
-    else:
-        kappas = np.empty(K)
-        for k in range(K):
-            rho = float(means[k] @ resultants[k]) / counts[k]
-            if rho <= 0:
-                raise InitFailureError(f"nonpositive resultant for cluster {k}")
-            if rho >= 1.0 - 1e-12:
-                kappas[k] = kappa_cap
-            else:
-                kappas[k] = min(invert_bessel_ratio(d, rho), kappa_cap)
+    try:
+        kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode,
+                                         kappa_cap, refine=False)
+    except DegenerateUniformError as err:
+        raise InitFailureError(f"initialisation: {err}") from err
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
 
@@ -218,17 +203,24 @@ def soft_threshold_mu(r_k: np.ndarray, kappa: float, beta: float) -> np.ndarray:
     return np.sign(r_k) * shrunk / norm
 
 
-def _kappa_from_rho(rho: float, d: int, kappa_cap: float) -> float:
-    if rho <= 0.0:
-        raise DegenerateUniformError(f"rho = {rho:g} <= 0: component drifting to uniform")
-    if rho >= 1.0 - 1e-12:
-        return kappa_cap
-    from .special import invert_bessel_ratio
+def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarray,
+                            n: int, kappa_mode: str, kappa_cap: float,
+                            refine: bool) -> np.ndarray:
+    """Concentrations from the K x d resultants r: rho_k = <mu_k, r_k> / w_k
+    per component, or the pooled rho = sum_k <mu_k, r_k> / n in shared mode,
+    each solved under the cap.
 
-    # Newton-refined solve of the stationarity equation A_d(kappa) = rho; the
-    # closed-form estimate alone leaves enough bias to break the monotone
-    # ascent of the penalized log-likelihood.
-    return min(invert_bessel_ratio(d, rho, refine=True), kappa_cap)
+    Raises DegenerateUniformError when a rho is <= 0."""
+    K, d = means.shape
+
+    def solve(rho):
+        if rho <= 0.0:
+            raise DegenerateUniformError(f"rho = {rho:g} <= 0: component drifting to uniform")
+        return kappa_from_rho(d, rho, kappa_cap, refine=refine)
+
+    if kappa_mode == "shared":
+        return np.full(K, solve(float(np.einsum("kj,kj->", means, r)) / n))
+    return np.array([solve(float(means[k] @ r[k]) / weights[k]) for k in range(K)])
 
 
 def m_step(X: np.ndarray, resp: Responsibilities, beta: float, kappa_mode: str,
@@ -237,7 +229,7 @@ def m_step(X: np.ndarray, resp: Responsibilities, beta: float, kappa_mode: str,
     updates the means (soft-thresholding) and then the kappas, seeded with the
     previous kappas."""
     tau = resp.tau
-    n, d = X.shape
+    n = X.shape[0]
     K = tau.shape[1]
     col_sums = tau.sum(axis=0)
     if np.any(col_sums < 1e-12):
@@ -250,14 +242,11 @@ def m_step(X: np.ndarray, resp: Responsibilities, beta: float, kappa_mode: str,
         new_means = np.empty_like(means)
         for k in range(K):
             new_means[k] = soft_threshold_mu(r[k], kappas[k], beta)
-        if kappa_mode == "shared":
-            rho = float(np.einsum("kj,kj->", new_means, r)) / n
-            new_kappas = np.full(K, _kappa_from_rho(rho, d, opts.kappa_cap))
-        else:
-            new_kappas = np.empty(K)
-            for k in range(K):
-                rho = float(new_means[k] @ r[k]) / col_sums[k]
-                new_kappas[k] = _kappa_from_rho(rho, d, opts.kappa_cap)
+        # Newton-refined solve of the stationarity equation A_d(kappa) = rho; the
+        # closed-form estimate alone leaves enough bias to break the monotone
+        # ascent of the penalized log-likelihood.
+        new_kappas = _kappas_from_resultants(new_means, r, col_sums, n, kappa_mode,
+                                             opts.kappa_cap, refine=True)
         dk = np.max(np.abs(new_kappas - kappas) / np.maximum(kappas, 1e-300))
         dm = np.max(np.abs(new_means - means))
         means, kappas = new_means, new_kappas
@@ -353,7 +342,8 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     )
 
 
-def _means_to_sparse(means: np.ndarray) -> list:
+def means_to_sparse(means: np.ndarray) -> list:
+    """Per mean, the [index, value] pairs of its nonzero coordinates."""
     out = []
     for row in means:
         nz = np.nonzero(row)[0]
@@ -361,7 +351,8 @@ def _means_to_sparse(means: np.ndarray) -> list:
     return out
 
 
-def _means_from_sparse(entries: list, d: int) -> np.ndarray:
+def means_from_sparse(entries: list, d: int) -> np.ndarray:
+    """Inverse of means_to_sparse: a dense len(entries) x d matrix."""
     means = np.zeros((len(entries), d))
     for k, row in enumerate(entries):
         for j, v in row:
@@ -378,7 +369,7 @@ def fit_result_to_dict(fit: FitResult, seed=None) -> dict:
         "kappa_mode": p.kappa_mode,
         "alpha": [float(a) for a in p.alpha],
         "kappa": kappa,
-        "means": _means_to_sparse(p.means),
+        "means": means_to_sparse(p.means),
         "beta": fit.beta,
         "log_likelihood": fit.log_likelihood,
         "penalized_log_likelihood": fit.penalized_log_likelihood,
@@ -394,7 +385,7 @@ def fit_result_from_dict(doc: dict) -> FitResult:
     kappas = np.full(doc["K"], kappa) if np.isscalar(kappa) else np.array(kappa)
     params = MixtureParams(
         alpha=np.array(doc["alpha"]),
-        means=_means_from_sparse(doc["means"], d),
+        means=means_from_sparse(doc["means"], d),
         kappas=kappas,
         kappa_mode=doc["kappa_mode"],
     )

@@ -11,6 +11,7 @@ import numpy as np
 
 from .em import FitOptions, FitResult, FitStatus, MixtureParams, e_step, fit_em
 from .errors import NoIncrementAvailableError
+from .metrics import sparsity
 
 __all__ = [
     "PathOptions",
@@ -18,6 +19,7 @@ __all__ = [
     "PathResult",
     "next_beta",
     "follow_path",
+    "path_to_dict",
     "save_path",
 ]
 
@@ -59,10 +61,6 @@ class PathResult:
     termination_reason: str  # MaxSteps | MaxSparsity | EmFailure | NoIncrementAvailable
 
 
-def _mean_sparsity(params: MixtureParams) -> float:
-    return float(np.mean(params.means == 0.0))
-
-
 def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float,
               min_rel_increase: float = 0.0) -> float:
     """Smallest beta > beta_prev guaranteed to zero at least one currently
@@ -91,18 +89,10 @@ def _truncate_means(fit: FitResult, X: np.ndarray, epsilon: float) -> FitResult:
     means[small] = 0.0
     # A unit-norm row cannot fall entirely below epsilon for any realistic d.
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    params = MixtureParams(fit.params.alpha.copy(), means, fit.params.kappas.copy(),
-                           fit.params.kappa_mode)
+    params = replace(fit.params, means=means)
     ll = e_step(X, params).log_likelihood
-    return FitResult(
-        params=params,
-        beta=fit.beta,
-        log_likelihood=ll,
-        penalized_log_likelihood=ll - fit.beta * float(np.abs(means).sum()),
-        trace=fit.trace,
-        n_iters=fit.n_iters,
-        status=fit.status,
-    )
+    return replace(fit, params=params, log_likelihood=ll,
+                   penalized_log_likelihood=ll - fit.beta * float(np.abs(means).sum()))
 
 
 def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
@@ -119,7 +109,7 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
 
     def make_step(beta, fit):
         ic = {} if ic_fn is None else ic_fn(fit)
-        return PathStep(beta=beta, fit=fit, sparsity=_mean_sparsity(fit.params), ic_values=ic)
+        return PathStep(beta=beta, fit=fit, sparsity=sparsity(fit.params), ic_values=ic)
 
     steps = [make_step(0.0, initial)]
     reason = "MaxSteps"
@@ -150,9 +140,8 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
     return PathResult(steps=steps, termination_reason=reason)
 
 
-def save_path(result: PathResult, json_path=None, csv_path=None) -> None:
-    """Persist a path as a JSON array of step records and/or a one-row-per-step
-    CSV summary."""
+def path_to_dict(result: PathResult) -> dict:
+    """The termination reason and one summary record per step."""
     records = []
     for i, step in enumerate(result.steps):
         rec = {
@@ -166,10 +155,17 @@ def save_path(result: PathResult, json_path=None, csv_path=None) -> None:
         }
         rec.update(step.ic_values)
         records.append(rec)
+    return {"termination_reason": result.termination_reason, "steps": records}
+
+
+def save_path(result: PathResult, json_path=None, csv_path=None) -> None:
+    """Persist a path as a JSON array of step records and/or a one-row-per-step
+    CSV summary."""
+    doc = path_to_dict(result)
+    records = doc["steps"]
     if json_path is not None:
         with open(json_path, "w") as fh:
-            json.dump({"termination_reason": result.termination_reason, "steps": records},
-                      fh, indent=1)
+            json.dump(doc, fh, indent=1)
     if csv_path is not None:
         fields = list(records[0].keys()) if records else []
         with open(csv_path, "w", newline="") as fh:

@@ -4,13 +4,13 @@ model selection protocol (K from dense fits, beta along the path at fixed K)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .em import FitOptions, FitResult, MixtureParams, fit_em, FitStatus
 from .errors import InitFailureError
-from .path import PathOptions, PathResult, follow_path
+from .path import PathOptions, follow_path
 
 __all__ = [
     "CRITERIA",
@@ -18,6 +18,7 @@ __all__ = [
     "SelectionReport",
     "count_free_params",
     "information_criterion",
+    "make_ic_fn",
     "best_of_restarts",
     "select_model",
 ]
@@ -68,6 +69,13 @@ def count_free_params(params: MixtureParams) -> int:
 def information_criterion(fit: FitResult, N: int, d: int, c: Criterion) -> float:
     """phi(n, d) * C - 2 * logL, using the unpenalized log-likelihood."""
     return c.phi(N, d) * count_free_params(fit.params) - 2.0 * fit.log_likelihood
+
+
+def make_ic_fn(N: int, d: int, criteria: tuple = CRITERIA, ebic_gamma: float = 0.5):
+    """Function mapping a FitResult to {criterion kind: value} for N
+    observations in d dimensions."""
+    crits = {kind: Criterion(kind, ebic_gamma) for kind in criteria}
+    return lambda fit: {kind: information_criterion(fit, N, d, c) for kind, c in crits.items()}
 
 
 @dataclass
@@ -123,12 +131,7 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
         raise ValueError("K_candidates must be nonempty")
     if path_opts is None:
         path_opts = PathOptions()
-    N, d = X.shape
-    crits = {kind: Criterion(kind, ebic_gamma) for kind in criteria}
-
-    def ic_fn(fit):
-        return {kind: information_criterion(fit, N, d, c) for kind, c in crits.items()}
-
+    ic_fn = make_ic_fn(*X.shape, criteria, ebic_gamma)
     dense_ic, dense_fits, paths, best_steps, skipped = {}, {}, {}, {}, {}
     for K in K_candidates:
         try:

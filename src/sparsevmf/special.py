@@ -18,6 +18,7 @@ __all__ = [
     "bessel_ratio",
     "log_vmf_normalizer",
     "invert_bessel_ratio",
+    "kappa_from_rho",
 ]
 
 # Below this value the exponentially scaled I_nu(x)*exp(-x) from scipy is at
@@ -144,3 +145,15 @@ def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
             break
         kappa = new
     return kappa
+
+
+def kappa_from_rho(d: int, rho: float, kappa_cap: float, refine: bool = False) -> float:
+    """Concentration solving A_d(kappa) = rho, clamped to kappa_cap.
+
+    rho >= 1 - 1e-12 means all mass sits on one point and returns kappa_cap;
+    otherwise the invert_bessel_ratio estimate (Newton-polished when refine
+    is true) is capped at kappa_cap.
+    """
+    if rho >= 1.0 - 1e-12:
+        return kappa_cap
+    return min(invert_bessel_ratio(d, rho, refine=refine), kappa_cap)

@@ -37,23 +37,14 @@ class DimensionOrdering:
     n: np.ndarray          # support count per position
 
 
-def order_rows(params_or_labels, alpha=None) -> np.ndarray:
-    """Component order by alpha descending, ties by index.
-
-    With a label vector (and the matching alpha), returns the data row
-    permutation instead: rows grouped by cluster in that component order,
-    original index order within a cluster."""
-    arr = np.asarray(params_or_labels)
-    if isinstance(params_or_labels, MixtureParams):
-        alpha = params_or_labels.alpha
-        return np.argsort(-alpha, kind="stable")
-    if alpha is None:
-        raise ValueError("labels require the matching alpha vector")
-    comp_order = np.argsort(-np.asarray(alpha), kind="stable")
-    return data_row_order(arr, comp_order)
+def order_rows(params: MixtureParams) -> np.ndarray:
+    """Component order by alpha descending, ties by index."""
+    return np.argsort(-params.alpha, kind="stable")
 
 
 def data_row_order(labels: np.ndarray, comp_order: np.ndarray) -> np.ndarray:
+    """Data row permutation: rows grouped by cluster in comp_order, original
+    index order within a cluster."""
     rows = []
     for k in comp_order:
         rows.extend(np.nonzero(labels == k)[0].tolist())

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroResultantError
-from .special import invert_bessel_ratio, log_vmf_normalizer
+from .special import kappa_from_rho, log_vmf_normalizer
 
 __all__ = ["KAPPA_CAP", "VmfParams", "log_density", "mle_fit", "sample"]
 
@@ -79,10 +79,7 @@ def mle_fit(X: np.ndarray, weights: np.ndarray | None = None) -> VmfParams:
     rbar = norm / wsum
     if rbar >= 1.0 - 1e-12:
         warnings.warn("degenerate concentration: rbar >= 1 - 1e-12, capping kappa")
-        kappa = KAPPA_CAP
-    else:
-        kappa = min(invert_bessel_ratio(d, rbar), KAPPA_CAP)
-    return VmfParams(mu=mu, kappa=kappa)
+    return VmfParams(mu=mu, kappa=kappa_from_rho(d, rbar, KAPPA_CAP))
 
 
 def _sample_tangent_weights(kappa: float, d: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -105,6 +105,14 @@ class TestFit:
                   "--out", str(tmp_path / "m.json"), "--seed", "1"])
         assert rc == 1
 
+    def test_malformed_input_exits_one(self, tmp_path, capsys):
+        data = tmp_path / "d.txt"
+        data.write_text("#shape 2 2\n0 0 1.0\n2 1 1.0\n")
+        rc = run(["fit", "--input", str(data), "--format", "sparse-triplet",
+                  "--k", "2", "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
     def test_missing_input_exits_one(self, tmp_path):
         rc = run(["fit", "--input", str(tmp_path / "nope.csv"), "--k", "2",
                   "--out", str(tmp_path / "m.json")])
@@ -241,6 +249,21 @@ class TestConfigFile:
                  "--truth-out", str(tmp_path / "t.json"),
                  "--config", str(cfg)])
         assert ex.value.code == 2
+
+    def test_missing_config_exits_one(self, tmp_path, capsys):
+        rc = run(["fit", "--input", str(tmp_path / "d.csv"), "--k", "2",
+                  "--out", str(tmp_path / "m.json"),
+                  "--config", str(tmp_path / "missing.json")])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+
+    def test_non_object_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        rc = run(["fit", "--input", str(tmp_path / "d.csv"), "--k", "2",
+                  "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
 class TestUsageErrors:

@@ -64,6 +64,41 @@ class TestLoadMatrix:
             load_matrix(p)
         assert err.value.line == 2
 
+    def test_column_count_error_has_file_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_text("a,b,c\n1,0,0\n0,1\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(p)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize("bad", ["-1 1 1.0", "3 0 1.0", "0 4 1.0"])
+    def test_triplet_index_outside_shape(self, tmp_path, bad):
+        p = tmp_path / "m.txt"
+        p.write_text(f"#shape 3 4\n0 0 1.0\n{bad}\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(p, format="sparse-triplet")
+        assert err.value.line == 3
+
+    def test_malformed_shape_comment(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("#shape 3\n0 0 1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(p, format="sparse-triplet")
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("fmt,text,line", [
+        ("dense-csv", "1,0\n0,1\nnan,1\n", 3),
+        ("dense-csv", "a,b\n1,inf\n", 2),
+        ("sparse-triplet", "0 0 1.0\n1 1 nan\n", 2),
+        ("sparse-triplet", "0 0 -inf\n1 1 1.0\n", 1),
+    ])
+    def test_non_finite_rejected(self, tmp_path, fmt, text, line):
+        p = tmp_path / "m.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError) as err:
+            load_matrix(p, format=fmt)
+        assert err.value.line == line
+
     def test_round_trip_both_formats(self, tmp_path):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((5, 4))

@@ -74,6 +74,17 @@ class TestInitRandom:
                 pass
         assert ok >= 1
 
+    def test_nonpositive_resultant_fails(self):
+        # Means at rows 0 and 1: rows 2 and 3 join cluster 0, whose resultant
+        # (-0.2, -1.6) has <mu_0, r_0> = -0.2 < 0.
+        class FirstTwo:
+            def choice(self, n, size, replace):
+                return np.arange(size)
+
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8], [-0.6, -0.8]])
+        with pytest.raises(InitFailureError):
+            init_random(X, 2, FirstTwo())
+
 
 class TestEStep:
     def test_single_component(self):

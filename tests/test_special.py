@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from sparsevmf.special import (
     bessel_ratio,
     invert_bessel_ratio,
+    kappa_from_rho,
     log_bessel_i,
     log_vmf_normalizer,
 )
@@ -127,3 +128,21 @@ class TestInvertRatio:
             invert_bessel_ratio(10, 1.0)
         with pytest.raises(ValueError):
             invert_bessel_ratio(10, -0.1)
+
+
+class TestKappaFromRho:
+    def test_cap_near_one(self):
+        assert kappa_from_rho(10, 1.0 - 1e-12, 500.0) == 500.0
+        assert kappa_from_rho(10, 1.0, 500.0) == 500.0
+
+    def test_clamped_to_cap(self):
+        # closed form (0.99*3 - 0.99^3) / (1 - 0.99^2) is about 100
+        assert kappa_from_rho(3, 0.99, 50.0) == 50.0
+        assert kappa_from_rho(3, 0.99, 1e6) == invert_bessel_ratio(3, 0.99)
+
+    def test_refine_passed_through(self):
+        rough = kappa_from_rho(10, 0.5, 1e6)
+        refined = kappa_from_rho(10, 0.5, 1e6, refine=True)
+        assert rough == invert_bessel_ratio(10, 0.5)
+        assert refined == invert_bessel_ratio(10, 0.5, refine=True)
+        assert rough != refined

@@ -4,6 +4,7 @@ import pytest
 from sparsevmf.em import MixtureParams
 from sparsevmf.viz import (
     PALETTE,
+    data_row_order,
     order_dimensions,
     order_rows,
     render_pixel_map,
@@ -46,13 +47,9 @@ class TestOrderRows:
 
     def test_data_rows_grouped_by_cluster(self):
         labels = np.array([0, 1, 0, 2, 1])
-        order = order_rows(labels, alpha=[0.2, 0.5, 0.3])
+        order = data_row_order(labels, np.array([1, 2, 0]))
         # cluster order 1, 2, 0; original index order within cluster
         assert order.tolist() == [1, 4, 3, 0, 2]
-
-    def test_labels_without_alpha(self):
-        with pytest.raises(ValueError):
-            order_rows(np.array([0, 1]))
 
 
 class TestOrderDimensions:
