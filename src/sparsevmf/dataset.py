@@ -36,7 +36,6 @@ class Dataset:
     """Row-major matrix of observations, optionally normalised to unit rows."""
 
     X: np.ndarray
-    row_norms_applied: bool = False
 
     @property
     def N(self) -> int:
@@ -182,7 +181,7 @@ def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> Data
         if zero_rows.size:
             raise ZeroRowError(zero_rows.tolist())
         X = X / norms[:, None]
-    return Dataset(X=X, row_norms_applied=normalize)
+    return Dataset(X=X)
 
 
 def save_matrix(X: np.ndarray, path, format: str = "dense-csv") -> None:
@@ -350,7 +349,7 @@ def simulate_mixture(cfg: SimulationConfig,
     X, labels = sample_mixture(params, cfg.N, rng)
     support = (params.means != 0.0).astype(int)
     truth = GroundTruth(params=params, labels=labels, support_mask=support, config=cfg)
-    return Dataset(X=X, row_norms_applied=True), truth
+    return Dataset(X=X), truth
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:

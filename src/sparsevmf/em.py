@@ -42,6 +42,9 @@ __all__ = [
     "means_from_sparse",
 ]
 
+# Random initialisations fit_em tries before it gives up.
+MAX_INIT_RETRIES = 50
+
 
 class FitStatus(str, Enum):
     CONVERGED = "Converged"
@@ -78,6 +81,9 @@ class MixtureParams:
             self.kappas = np.full(k, self.kappas[0])
         if self.kappas.shape[0] != k:
             raise ValueError("kappas must be scalar or length K")
+        for name in ("alpha", "means", "kappas"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if abs(self.alpha.sum() - 1.0) > 1e-10 or np.any(self.alpha < 0):
             raise ValueError("alpha must be nonnegative and sum to 1")
         norms = np.linalg.norm(self.means, axis=1)
@@ -126,8 +132,14 @@ class FitOptions:
     seed: int | None = None
 
     def __post_init__(self):
+        for name in ("beta", "em_tol", "inner_tol", "kappa_cap"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
+        if self.max_em_iters < 0:
+            raise ValueError("max_em_iters must be >= 0")
         for name in ("em_tol", "inner_tol", "kappa_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -135,6 +147,9 @@ class FitOptions:
 
 @dataclass
 class FitResult:
+    """Outcome of fit_em. resp is the E-step at params; it is None on fits
+    loaded from JSON and on the steps a path records."""
+
     params: MixtureParams
     beta: float
     log_likelihood: float
@@ -142,6 +157,7 @@ class FitResult:
     trace: list = field(default_factory=list)
     n_iters: int = 0
     status: FitStatus = FitStatus.CONVERGED
+    resp: Responsibilities | None = None
 
 
 def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
@@ -223,11 +239,11 @@ def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarra
     return np.array([solve(float(means[k] @ r[k]) / weights[k]) for k in range(K)])
 
 
-def m_step(X: np.ndarray, resp: Responsibilities, beta: float, kappa_mode: str,
-           prev_params: MixtureParams, opts: FitOptions) -> MixtureParams:
-    """Approximate M phase: closed-form alpha, then a fixed-point loop that
-    updates the means (soft-thresholding) and then the kappas, seeded with the
-    previous kappas."""
+def m_step(X: np.ndarray, resp: Responsibilities, prev_params: MixtureParams,
+           opts: FitOptions) -> MixtureParams:
+    """Approximate M phase at opts.beta and opts.kappa_mode: closed-form
+    alpha, then a fixed-point loop that updates the means (soft-thresholding)
+    and then the kappas, seeded with the previous kappas."""
     tau = resp.tau
     n = X.shape[0]
     K = tau.shape[1]
@@ -241,24 +257,28 @@ def m_step(X: np.ndarray, resp: Responsibilities, beta: float, kappa_mode: str,
     for _ in range(opts.inner_max_iters):
         new_means = np.empty_like(means)
         for k in range(K):
-            new_means[k] = soft_threshold_mu(r[k], kappas[k], beta)
+            new_means[k] = soft_threshold_mu(r[k], kappas[k], opts.beta)
         # Newton-refined solve of the stationarity equation A_d(kappa) = rho; the
         # closed-form estimate alone leaves enough bias to break the monotone
         # ascent of the penalized log-likelihood.
-        new_kappas = _kappas_from_resultants(new_means, r, col_sums, n, kappa_mode,
+        new_kappas = _kappas_from_resultants(new_means, r, col_sums, n, opts.kappa_mode,
                                              opts.kappa_cap, refine=True)
         dk = np.max(np.abs(new_kappas - kappas) / np.maximum(kappas, 1e-300))
         dm = np.max(np.abs(new_means - means))
         means, kappas = new_means, new_kappas
         if dk <= opts.inner_tol and dm <= opts.inner_tol:
             break
-    return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
+    return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=opts.kappa_mode)
+
+
+def _penalized(ll: float, params: MixtureParams, beta: float) -> float:
+    """The objective penalized EM ascends: ll - beta * sum_k ||mu_k||_1."""
+    return ll - beta * float(np.abs(params.means).sum())
 
 
 def penalized_log_likelihood(X: np.ndarray, params: MixtureParams, beta: float) -> float:
     """Observed log-likelihood minus beta * sum of l1 norms of the means."""
-    ll = e_step(X, params).log_likelihood
-    return ll - beta * float(np.abs(params.means).sum())
+    return _penalized(e_step(X, params).log_likelihood, params, beta)
 
 
 def hard_assign(resp_or_tau) -> np.ndarray:
@@ -271,9 +291,14 @@ def hard_assign(resp_or_tau) -> np.ndarray:
 def fit_em(X: np.ndarray, K: int, opts: FitOptions,
            init: MixtureParams | None = None,
            rng: np.random.Generator | None = None,
-           max_init_retries: int = 50) -> FitResult:
+           resp: Responsibilities | None = None) -> FitResult:
     """Run penalized EM until the relative change of the penalized
     log-likelihood drops below em_tol.
+
+    resp, given only with init, must be e_step(X, init): a warm start that
+    already holds it skips the first E-step, with the same result. Each
+    parameter point is evaluated once, and the result carries the E-step at
+    its params.
 
     Degenerate situations (zero mean, uniform drift, empty component) are not
     raised: the result carries the corresponding status and the last valid
@@ -283,11 +308,13 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     n = X.shape[0]
     if n < K:
         raise ValueError("need at least K observations")
+    if resp is not None and init is None:
+        raise ValueError("resp is the E-step at init and needs init")
     if init is None:
         if rng is None:
             rng = np.random.default_rng(opts.seed)
         last_err = None
-        for _ in range(max_init_retries):
+        for _ in range(MAX_INIT_RETRIES):
             try:
                 init = init_random(X, K, rng, kappa_mode=opts.kappa_mode,
                                    kappa_cap=opts.kappa_cap)
@@ -295,27 +322,28 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
             except InitFailureError as err:
                 last_err = err
         if init is None:
-            raise InitFailureError(f"initialisation failed {max_init_retries} times: {last_err}")
+            raise InitFailureError(f"initialisation failed {MAX_INIT_RETRIES} times: {last_err}")
     params = init
+    if resp is None:
+        resp = e_step(X, params)
     trace: list[float] = []
     status = FitStatus.MAX_ITERS
     prev_pll = -np.inf
-    ll = -np.inf
-    pll = -np.inf
     n_iters = 0
-    penalty = lambda p: float(np.abs(p.means).sum())  # noqa: E731
-    for it in range(opts.max_em_iters):
-        resp = e_step(X, params)
+    # The extra last pass only records the pll at the final parameters (MaxIters).
+    for it in range(opts.max_em_iters + 1):
         ll = resp.log_likelihood
-        pll = ll - opts.beta * penalty(params)
+        pll = _penalized(ll, params, opts.beta)
         trace.append(pll)
+        if it == opts.max_em_iters:
+            break
         n_iters = it + 1
         if it > 0 and abs(pll - prev_pll) <= opts.em_tol * (abs(prev_pll) + 1e-12):
             status = FitStatus.CONVERGED
             break
         prev_pll = pll
         try:
-            params = m_step(X, resp, opts.beta, opts.kappa_mode, params, opts)
+            params = m_step(X, resp, params, opts)
         except ZeroMeanError:
             status = FitStatus.ZERO_MEAN
             break
@@ -325,12 +353,7 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
         except EmptyComponentError:
             status = FitStatus.EMPTY_COMPONENT
             break
-    else:
-        # MaxIters: re-evaluate at the final parameters.
         resp = e_step(X, params)
-        ll = resp.log_likelihood
-        pll = ll - opts.beta * penalty(params)
-        trace.append(pll)
     return FitResult(
         params=params,
         beta=opts.beta,
@@ -339,6 +362,7 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
         trace=trace,
         n_iters=n_iters,
         status=status,
+        resp=resp,
     )
 
 

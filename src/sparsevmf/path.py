@@ -9,7 +9,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em import FitOptions, FitResult, FitStatus, MixtureParams, e_step, fit_em
+from .em import (FitOptions, FitResult, FitStatus, MixtureParams, _penalized, e_step,
+                 fit_em)
 from .errors import NoIncrementAvailableError
 from .metrics import sparsity
 
@@ -39,6 +40,10 @@ class PathOptions:
     fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
+        for name in ("epsilon", "min_rel_increase"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.epsilon <= 0:
@@ -81,18 +86,21 @@ def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float,
 
 def _truncate_means(fit: FitResult, X: np.ndarray, epsilon: float) -> FitResult:
     """Zero mean coordinates below epsilon, renormalise, and re-evaluate the
-    likelihoods at the truncated parameters."""
+    likelihoods at the truncated parameters. A mean whose coordinates all
+    fall below epsilon would vanish: the fit then reports ZeroMean."""
     means = fit.params.means.copy()
     small = (np.abs(means) < epsilon) & (means != 0.0)
     if not small.any():
         return fit
     means[small] = 0.0
-    # A unit-norm row cannot fall entirely below epsilon for any realistic d.
-    means /= np.linalg.norm(means, axis=1, keepdims=True)
-    params = replace(fit.params, means=means)
-    ll = e_step(X, params).log_likelihood
+    norms = np.linalg.norm(means, axis=1, keepdims=True)
+    if np.any(norms == 0.0):
+        return replace(fit, status=FitStatus.ZERO_MEAN)
+    params = replace(fit.params, means=means / norms)
+    resp = e_step(X, params)
+    ll = resp.log_likelihood
     return replace(fit, params=params, log_likelihood=ll,
-                   penalized_log_likelihood=ll - fit.beta * float(np.abs(means).sum()))
+                   penalized_log_likelihood=_penalized(ll, params, fit.beta), resp=resp)
 
 
 def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
@@ -100,16 +108,18 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
     """Follow the regularization path starting from a converged dense fit.
 
     Each step computes the next beta from the resultants of the previous
-    converged model, warm-restarts EM from that model, truncates mean
-    coordinates below epsilon, and records the step. ic_fn, when given, maps a
-    FitResult to a dict of information-criterion values stored on the step."""
+    converged model, warm-restarts EM from that model and its E-step,
+    truncates mean coordinates below epsilon, and records the step without
+    its E-step. ic_fn, when given, maps a FitResult to a dict of
+    information-criterion values stored on the step."""
     if initial.beta != 0.0:
         raise ValueError("path must start from a beta = 0 fit")
     X = np.asarray(X, dtype=float)
 
     def make_step(beta, fit):
         ic = {} if ic_fn is None else ic_fn(fit)
-        return PathStep(beta=beta, fit=fit, sparsity=sparsity(fit.params), ic_values=ic)
+        return PathStep(beta=beta, fit=replace(fit, resp=None),
+                        sparsity=sparsity(fit.params), ic_values=ic)
 
     steps = [make_step(0.0, initial)]
     reason = "MaxSteps"
@@ -120,19 +130,21 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
         ):
             reason = "MaxSparsity"
             break
-        resp = e_step(X, prev_fit.params)
-        r = resp.tau.T @ X
+        if prev_fit.resp is None:  # a fit loaded from JSON
+            prev_fit = replace(prev_fit, resp=e_step(X, prev_fit.params))
+        r = prev_fit.resp.tau.T @ X
         try:
             beta = next_beta(prev_fit.params, r, prev_fit.beta, path_opts.min_rel_increase)
         except NoIncrementAvailableError:
             reason = "NoIncrementAvailable"
             break
         opts = replace(path_opts.fit_options, beta=beta)
-        fit = fit_em(X, K, opts, init=prev_fit.params.copy())
+        fit = fit_em(X, K, opts, init=prev_fit.params.copy(), resp=prev_fit.resp)
+        if fit.status not in _FAILURE_STATUSES:
+            fit = _truncate_means(fit, X, path_opts.epsilon)
         if fit.status in _FAILURE_STATUSES:
             reason = "EmFailure"
             break
-        fit = _truncate_means(fit, X, path_opts.epsilon)
         steps.append(make_step(beta, fit))
         prev_fit = fit
     else:

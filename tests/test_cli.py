@@ -135,6 +135,23 @@ class TestPathSelectSkmeans:
         assert "BIC" in doc["steps"][0]
         assert csv_out.read_text().startswith("step,beta,sparsity")
 
+    def test_path_large_epsilon_ends_with_em_failure(self, tmp_path):
+        data, truth = tmp_path / "data.csv", tmp_path / "truth.json"
+        assert run(["simulate", "--d", "6", "--k", "2", "--n", "150",
+                    "--base-kappa", "10", "--out", str(data),
+                    "--truth-out", str(truth), "--seed", "50"]) == 0
+        out = tmp_path / "path.json"
+        rc = run(["path", "--input", str(data), "--k", "2", "--epsilon", "0.9",
+                  "--max-steps", "4", "--restarts", "2", "--out", str(out)])
+        assert rc == 0
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON number {token}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["termination_reason"] == "EmFailure"
+        assert [s["step"] for s in doc["steps"]] == [0]
+
     def test_select_flow(self, sim_files, tmp_path):
         data, _ = sim_files
         out = tmp_path / "sel.json"
@@ -282,3 +299,13 @@ class TestUsageErrors:
         rc = run(["fit", "--input", str(data), "--k", "0",
                   "--out", str(tmp_path / "m.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("flag, name", [("--beta", "beta"), ("--em-tol", "em_tol")])
+    def test_non_finite_option_exits_two(self, sim_files, tmp_path, capsys, flag, name):
+        data, _ = sim_files
+        rc = run(["fit", "--input", str(data), "--k", "2", flag, "nan",
+                  "--max-em-iters", "7", "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert name in err["message"]

@@ -193,7 +193,7 @@ class TestMStep:
         fit = fit_em(ds.X, 2, opts, rng=rng)
         assert fit.status is FitStatus.CONVERGED
         resp = e_step(ds.X, fit.params)
-        out = m_step(ds.X, resp, 0.0, "free", fit.params, opts)
+        out = m_step(ds.X, resp, fit.params, opts)
         # Closed-form uncoupled case: mean equals the normalized resultant.
         r = resp.tau.T @ ds.X
         for k in range(2):
@@ -204,7 +204,7 @@ class TestMStep:
         X = sample(VmfParams(mu=unit([1, 2, 0, 0, 1]), kappa=12.0), 200, rng)
         params = MixtureParams(np.ones(1), unit([1, 0, 0, 0, 0])[None, :], np.array([1.0]))
         resp = e_step(X, params)
-        out = m_step(X, resp, 0.0, "free", params, FitOptions())
+        out = m_step(X, resp, params, FitOptions())
         ref = mle_fit(X)
         assert np.allclose(out.means[0], ref.mu, atol=1e-10)
         # kappa solves the exact ratio equation A_d(kappa) = rbar
@@ -223,7 +223,7 @@ class TestMStep:
         resp = e_step(ds.X, params)
         beta = 0.5
         opts = FitOptions(beta=beta, inner_tol=1e-12, inner_max_iters=500)
-        out = m_step(ds.X, resp, beta, "free", params, opts)
+        out = m_step(ds.X, resp, params, opts)
         r = resp.tau.T @ ds.X
         sums = resp.tau.sum(axis=0)
         from sparsevmf.special import bessel_ratio
@@ -252,7 +252,7 @@ class TestMStep:
         ds, _ = simulate_mixture(cfg)
         params = random_params(rng, 3, 6)
         resp = e_step(ds.X, params)
-        out = m_step(ds.X, resp, 0.3, "free", params, FitOptions(beta=0.3))
+        out = m_step(ds.X, resp, params, FitOptions(beta=0.3))
         assert out.alpha.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(np.linalg.norm(out.means, axis=1), 1.0, atol=1e-10)
 
@@ -316,7 +316,7 @@ class TestFitEm:
         kappa_star = invert_bessel_ratio(4, rbar, refine=True)
         params = MixtureParams(np.ones(1), (r / np.linalg.norm(r))[None, :],
                                np.array([kappa_star]))
-        out = m_step(X, e_step(X, params), 0.0, "free", params, FitOptions())
+        out = m_step(X, e_step(X, params), params, FitOptions())
         assert np.allclose(out.means[0], params.means[0], atol=1e-10)
         assert out.kappas[0] == pytest.approx(params.kappas[0], rel=1e-8)
 
@@ -326,6 +326,80 @@ class TestFitEm:
         dense = fit_em(ds.X, 2, FitOptions(beta=0.0, seed=35))
         fit = fit_em(ds.X, 2, FitOptions(beta=1e9), init=dense.params.copy())
         assert fit.status is FitStatus.ZERO_MEAN
+
+
+class TestFitResultResp:
+    """fit_em hands on the E-step at its result's params, and takes the
+    E-step at a warm start's init without changing the result."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        cfg = SimulationConfig(K=2, d=5, N=80, base_kappa=8.0, seed=34)
+        ds, _ = simulate_mixture(cfg)
+        dense = fit_em(ds.X, 2, FitOptions(beta=0.0, seed=35))
+        return ds.X, dense
+
+    @staticmethod
+    def assert_resp_equal(a, b):
+        assert np.array_equal(a.tau, b.tau)
+        assert np.array_equal(a.log_marginals, b.log_marginals)
+
+    @pytest.mark.parametrize("opts, status", [
+        (FitOptions(beta=0.3), FitStatus.CONVERGED),
+        (FitOptions(beta=0.3, max_em_iters=1), FitStatus.MAX_ITERS),
+        (FitOptions(beta=0.3, max_em_iters=0), FitStatus.MAX_ITERS),
+        (FitOptions(beta=1e9), FitStatus.ZERO_MEAN),
+    ])
+    def test_resp_is_e_step_at_params(self, problem, opts, status):
+        X, dense = problem
+        fit = fit_em(X, 2, opts, init=dense.params.copy())
+        assert fit.status is status
+        self.assert_resp_equal(fit.resp, e_step(X, fit.params))
+
+    def test_random_start_carries_resp(self, problem):
+        X, dense = problem
+        self.assert_resp_equal(dense.resp, e_step(X, dense.params))
+
+    @pytest.mark.parametrize("beta, max_em_iters", [(0.3, 500), (0.3, 1), (0.3, 0), (1e9, 500)])
+    def test_given_resp_is_result_neutral(self, problem, beta, max_em_iters):
+        X, dense = problem
+        opts = FitOptions(beta=beta, max_em_iters=max_em_iters)
+        p = dense.params
+        plain = fit_em(X, 2, opts, init=p.copy())
+        warm = fit_em(X, 2, opts, init=p.copy(), resp=e_step(X, p))
+        for name in ("alpha", "means", "kappas"):
+            assert np.array_equal(getattr(warm.params, name), getattr(plain.params, name))
+        assert warm.trace == plain.trace
+        assert warm.n_iters == plain.n_iters
+        assert warm.status is plain.status
+        assert warm.log_likelihood == plain.log_likelihood
+        assert warm.penalized_log_likelihood == plain.penalized_log_likelihood
+        self.assert_resp_equal(warm.resp, plain.resp)
+
+    def test_resp_without_init_raises(self, problem):
+        X, dense = problem
+        with pytest.raises(ValueError, match="init"):
+            fit_em(X, 2, FitOptions(seed=1), resp=dense.resp)
+
+
+class TestInvalidValuesRejected:
+    @pytest.mark.parametrize("field", ["alpha", "means", "kappas"])
+    def test_mixture_params(self, field):
+        values = {"alpha": np.array([1.0]), "means": np.array([[1.0, 0.0]]),
+                  "kappas": np.array([2.0])}
+        values[field] = np.full_like(values[field], np.nan)
+        with pytest.raises(ValueError, match=field):
+            MixtureParams(**values)
+
+    @pytest.mark.parametrize("name", ["beta", "em_tol", "inner_tol", "kappa_cap"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_fit_options(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FitOptions(**{name: value})
+
+    def test_negative_max_em_iters(self):
+        with pytest.raises(ValueError, match="max_em_iters"):
+            FitOptions(max_em_iters=-1)
 
 
 class TestHardAssign:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import sparsevmf.em
+import sparsevmf.path
 from sparsevmf.dataset import SimulationConfig, simulate_mixture
-from sparsevmf.em import FitOptions, MixtureParams, e_step, fit_em, soft_threshold_mu
+from sparsevmf.em import (FitOptions, FitStatus, MixtureParams, e_step, fit_em, load_model,
+                          save_model, soft_threshold_mu)
 from sparsevmf.errors import NoIncrementAvailableError
 from sparsevmf.path import PathOptions, follow_path, next_beta, save_path
 
@@ -147,6 +150,70 @@ class TestFollowPath:
             ic_fn=lambda f: {"BIC": 1.23},
         )
         assert all(s.ic_values == {"BIC": 1.23} for s in res.steps)
+
+
+class TestOneEStepPerPoint:
+    """The path hands each E-step on instead of recomputing it."""
+
+    def test_e_steps_per_path(self, small_problem, monkeypatch):
+        X, fit = small_problem
+        calls = []
+
+        def counting(X, params):
+            calls.append(1)
+            return e_step(X, params)
+
+        monkeypatch.setattr(sparsevmf.em, "e_step", counting)
+        monkeypatch.setattr(sparsevmf.path, "e_step", counting)
+        # an epsilon this small truncates nothing, so no step re-evaluates
+        res = follow_path(X, 2, PathOptions(max_steps=4, epsilon=1e-300), fit)
+        assert res.termination_reason == "MaxSteps"
+        assert all(s.fit.status is FitStatus.CONVERGED for s in res.steps)
+        # the first E-step of each warm start comes from the previous step
+        assert len(calls) == sum(s.fit.n_iters - 1 for s in res.steps[1:])
+
+    def test_recorded_steps_hold_no_resp(self, small_problem):
+        X, fit = small_problem
+        res = follow_path(X, 2, PathOptions(max_steps=5, epsilon=1e-3), fit)
+        assert fit.resp is not None
+        assert all(s.fit.resp is None for s in res.steps)
+
+    @pytest.mark.parametrize("epsilon", [1e-8, 1e-3])
+    def test_loaded_start_matches_fresh(self, small_problem, tmp_path, epsilon):
+        X, fit = small_problem
+        save_model(fit, tmp_path / "m.json")
+        loaded = load_model(tmp_path / "m.json")
+        assert loaded.resp is None
+        opts = PathOptions(max_steps=6, epsilon=epsilon)
+        fresh = follow_path(X, 2, opts, fit)
+        again = follow_path(X, 2, opts, loaded)
+        assert again.termination_reason == fresh.termination_reason
+        assert len(again.steps) == len(fresh.steps)
+        for a, b in zip(again.steps, fresh.steps):
+            assert a.beta == b.beta
+            assert np.array_equal(a.fit.params.means, b.fit.params.means)
+            assert np.array_equal(a.fit.params.kappas, b.fit.params.kappas)
+            assert a.fit.log_likelihood == b.fit.log_likelihood
+            assert a.fit.penalized_log_likelihood == b.fit.penalized_log_likelihood
+
+
+class TestLargeEpsilon:
+    def test_truncation_emptying_a_mean_ends_path(self, small_problem):
+        X, fit = small_problem
+        # every coordinate of a unit mean in d=6 lies below 0.9
+        assert np.all(np.abs(fit.params.means) < 0.9)
+        res = follow_path(X, 2, PathOptions(max_steps=4, epsilon=0.9), fit)
+        assert res.termination_reason == "EmFailure"
+        assert len(res.steps) == 1
+        for step in res.steps:
+            assert np.all(np.isfinite(step.fit.params.means))
+            assert np.isfinite(step.fit.log_likelihood)
+
+    @pytest.mark.parametrize("name", ["epsilon", "min_rel_increase"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_options_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            PathOptions(**{name: value})
 
 
 class TestSavePath:
