@@ -46,12 +46,20 @@ def _write_json(path, doc) -> None:
         json.dump(doc, fh, indent=1)
 
 
+class _ConfigParser(argparse.ArgumentParser):
+    """Reports a bad config value as a ConfigError (exit 2), not as usage."""
+
+    def error(self, message):
+        raise ValueError(f"config file: {message}")
+
+
 def _apply_config_file(parser, args, argv):
     """Merge a config file (JSON object or key=value lines) below the flags.
 
-    Flags win over the file; the file wins over parser defaults. Unknown keys
-    are rejected."""
-    if not getattr(args, "config", None):
+    Each entry becomes its flag, placed before the command line's own, and
+    the whole is parsed again: values get their flag's conversion and checks,
+    and flags, abbreviated too, win. Unknown keys are rejected."""
+    if not args.config:
         return args
     with open(args.config) as fh:
         text = fh.read()
@@ -73,14 +81,18 @@ def _apply_config_file(parser, args, argv):
             except json.JSONDecodeError:
                 values[key.strip()] = val.strip()
     known = vars(args)
-    explicit = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
+    tokens = []
     for key, val in values.items():
         dest = key.replace("-", "_")
-        if dest not in known or dest in ("func", "config"):
+        if dest not in known or dest in ("func", "config", "command"):
             parser.error(f"config file: unknown key {key!r}")
-        if "--" + dest.replace("_", "-") not in explicit:
-            setattr(args, dest, val)
-    return args
+        flag = "--" + dest.replace("_", "-")
+        if isinstance(val, bool) and isinstance(known[dest], bool):  # a switch
+            tokens += [flag] if val else []
+        else:
+            tokens += [flag, *map(str, val)] if isinstance(val, list) else [f"{flag}={val}"]
+    at = argv.index(args.command) + 1
+    return build_parser(_ConfigParser).parse_args(argv[:at] + tokens + argv[at:])
 
 
 def _load_dataset(args) -> np.ndarray:
@@ -244,8 +256,8 @@ def _add_path_opts(p):
     p.add_argument("--stop-at-max-sparsity", action="store_true")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="sparsevmf",
         description="Sparse von Mises-Fisher mixture clustering",
     )

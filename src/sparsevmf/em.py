@@ -20,8 +20,7 @@ from .errors import (
     InitFailureError,
     ZeroMeanError,
 )
-from .special import kappa_from_rho, log_vmf_normalizer
-from .vmf import KAPPA_CAP
+from .special import KAPPA_CAP, kappa_from_rho, log_vmf_normalizer
 
 __all__ = [
     "MixtureParams",
@@ -127,12 +126,11 @@ class FitOptions:
     em_tol: float = 1e-6
     inner_max_iters: int = 100
     inner_tol: float = 1e-8
-    kappa_cap: float = KAPPA_CAP
     kappa_mode: str = "free"
     seed: int | None = None
 
     def __post_init__(self):
-        for name in ("beta", "em_tol", "inner_tol", "kappa_cap"):
+        for name in ("beta", "em_tol", "inner_tol"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -140,7 +138,7 @@ class FitOptions:
             raise ValueError("beta must be >= 0")
         if self.max_em_iters < 0:
             raise ValueError("max_em_iters must be >= 0")
-        for name in ("em_tol", "inner_tol", "kappa_cap"):
+        for name in ("em_tol", "inner_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
 
@@ -161,7 +159,7 @@ class FitResult:
 
 
 def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
-                kappa_mode: str = "free", kappa_cap: float = KAPPA_CAP) -> MixtureParams:
+                kappa_mode: str = "free") -> MixtureParams:
     """Random initialisation: K distinct observations as means, crisp
     assignment for alpha, and kappa solved from the crisp resultants.
 
@@ -182,8 +180,7 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     resultants = np.zeros((K, d))
     np.add.at(resultants, labels, X)
     try:
-        kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode,
-                                         kappa_cap, refine=False)
+        kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode, refine=False)
     except DegenerateUniformError as err:
         raise InitFailureError(f"initialisation: {err}") from err
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
@@ -220,8 +217,7 @@ def soft_threshold_mu(r_k: np.ndarray, kappa: float, beta: float) -> np.ndarray:
 
 
 def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarray,
-                            n: int, kappa_mode: str, kappa_cap: float,
-                            refine: bool) -> np.ndarray:
+                            n: int, kappa_mode: str, refine: bool) -> np.ndarray:
     """Concentrations from the K x d resultants r: rho_k = <mu_k, r_k> / w_k
     per component, or the pooled rho = sum_k <mu_k, r_k> / n in shared mode,
     each solved under the cap.
@@ -232,7 +228,7 @@ def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarra
     def solve(rho):
         if rho <= 0.0:
             raise DegenerateUniformError(f"rho = {rho:g} <= 0: component drifting to uniform")
-        return kappa_from_rho(d, rho, kappa_cap, refine=refine)
+        return kappa_from_rho(d, rho, refine=refine)
 
     if kappa_mode == "shared":
         return np.full(K, solve(float(np.einsum("kj,kj->", means, r)) / n))
@@ -262,7 +258,7 @@ def m_step(X: np.ndarray, resp: Responsibilities, prev_params: MixtureParams,
         # closed-form estimate alone leaves enough bias to break the monotone
         # ascent of the penalized log-likelihood.
         new_kappas = _kappas_from_resultants(new_means, r, col_sums, n, opts.kappa_mode,
-                                             opts.kappa_cap, refine=True)
+                                             refine=True)
         dk = np.max(np.abs(new_kappas - kappas) / np.maximum(kappas, 1e-300))
         dm = np.max(np.abs(new_means - means))
         means, kappas = new_means, new_kappas
@@ -316,8 +312,7 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
         last_err = None
         for _ in range(MAX_INIT_RETRIES):
             try:
-                init = init_random(X, K, rng, kappa_mode=opts.kappa_mode,
-                                   kappa_cap=opts.kappa_cap)
+                init = init_random(X, K, rng, kappa_mode=opts.kappa_mode)
                 break
             except InitFailureError as err:
                 last_err = err

@@ -3,8 +3,9 @@ quantities derived from them: the ratio A_d(kappa) = I_{d/2}(kappa)/I_{d/2-1}(ka
 the log normalizing constant of the von Mises-Fisher density, and the
 approximate inversion of the ratio used to estimate the concentration.
 
-Everything works in log space or through a continued fraction, so the
-functions stay finite for dimensions up to ~1e5 and concentrations up to ~1e6.
+I_nu(x) comes from SciPy's scaled ive above _IVE_FLOOR and from the uniform
+asymptotic expansion (DLMF 10.41(ii)) below it; neither loops. The domain is
+d >= 2 and 0 <= kappa <= KAPPA_CAP; the functions raise ValueError outside it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from scipy.special import gammaln, ive
 
 __all__ = [
+    "KAPPA_CAP",
     "log_bessel_i",
     "bessel_ratio",
     "log_vmf_normalizer",
@@ -21,89 +23,81 @@ __all__ = [
     "kappa_from_rho",
 ]
 
+# Top of the domain; caps kappa so a component cannot collapse onto one point.
+KAPPA_CAP = 1e6
+
 # Below this value the exponentially scaled I_nu(x)*exp(-x) from scipy is at
-# risk of underflow; switch to the log-space power series instead.
+# risk of underflow; switch to the uniform asymptotic expansion instead.
 _IVE_FLOOR = 1e-280
 
 
-def _log_bessel_i_series(order: float, x: float) -> float:
-    """Power series of I_order(x) summed in a scaled form.
-
-    Only used when order >> x (where it converges in a handful of terms).
-    """
-    q = 0.25 * x * x
-    s = 1.0
-    t = 1.0
-    m = 0
-    while True:
-        m += 1
-        t *= q / (m * (order + m))
-        s += t
-        if t < 1e-18 * s or m > 100_000:
-            break
-    return order * math.log(0.5 * x) - gammaln(order + 1.0) + math.log(s)
+def _debye(nu: float, x: float) -> tuple[float, float]:
+    """Uniform asymptotic expansion of I_nu(x), nu > 0, x > 0, through u_4:
+    I_nu(x) ~ exp(r + nu*log(x/(nu + r))) / sqrt(2*pi*r) * U with
+    r = hypot(nu, x) and U = sum_k u_k(nu/r) / nu^k. Returns (r, U)."""
+    r = math.hypot(nu, x)
+    t = nu / r
+    t2 = t * t
+    u1 = t * (3.0 - 5.0 * t2) / 24.0
+    u2 = t2 * (81.0 + t2 * (-462.0 + 385.0 * t2)) / 1152.0
+    u3 = t * t2 * (30375.0 + t2 * (-369603.0 + t2 * (765765.0 - 425425.0 * t2))) / 414720.0
+    u4 = t2 * t2 * (4465125.0 + t2 * (-94121676.0 + t2 * (
+        349922430.0 + t2 * (-446185740.0 + 185910725.0 * t2)))) / 39813120.0
+    inv = 1.0 / nu
+    return r, 1.0 + inv * (u1 + inv * (u2 + inv * (u3 + inv * u4)))
 
 
 def log_bessel_i(order: float, x: float) -> float:
-    """Return log I_order(x) for order >= 0, x >= 0.
+    """Return log I_order(x) for order >= 0, 0 <= x <= KAPPA_CAP.
 
     At x = 0 the limit is 0 for order 0 and -inf for positive orders.
     """
-    if order < 0 or x < 0 or not (math.isfinite(order) and math.isfinite(x)):
-        raise ValueError(f"log_bessel_i requires order >= 0 and x >= 0, got ({order}, {x})")
+    if order < 0 or not math.isfinite(order) or not 0.0 <= x <= KAPPA_CAP:
+        raise ValueError(f"log_bessel_i requires order >= 0, 0 <= x <= KAPPA_CAP, got {order}, {x}")
     if x == 0.0:
         return 0.0 if order == 0.0 else -math.inf
     v = ive(order, x)
     if v > _IVE_FLOOR:
         return math.log(v) + x
-    return _log_bessel_i_series(order, x)
+    r, u = _debye(order, x)
+    return r + order * math.log(x / (order + r)) - 0.5 * math.log(2.0 * math.pi * r) + math.log(u)
 
 
 def bessel_ratio(d: int, kappa: float) -> float:
-    """Return A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa).
+    """Return A_d(kappa) = I_{d/2}(kappa) / I_{d/2-1}(kappa), 0 <= kappa <= KAPPA_CAP.
 
-    Evaluated with a Lentz continued fraction, never by dividing two Bessel
-    values, so it is accurate for d up to 1e5 and kappa up to 1e6.
-    The result is in [0, 1), strictly increasing in kappa.
+    The quotient of two ive values; where those underflow, kappa / (d + kappa*B)
+    with B = I_{nu+1}/I_nu, nu = d/2, from the difference of two expansions,
+    taken term by term so nothing cancels. In [0, 1), increasing in kappa.
     """
     if d < 2:
         raise ValueError(f"bessel_ratio requires d >= 2, got {d}")
-    if kappa < 0 or not math.isfinite(kappa):
-        raise ValueError(f"bessel_ratio requires finite kappa >= 0, got {kappa}")
+    if not 0.0 <= kappa <= KAPPA_CAP:
+        raise ValueError(f"bessel_ratio requires 0 <= kappa <= {KAPPA_CAP:g}, got {kappa}")
     if kappa == 0.0:
         return 0.0
     nu = 0.5 * d
-    # I_nu/I_{nu-1}(x) = 1/(2nu/x + 1/(2(nu+1)/x + ...)), modified Lentz.
-    tiny = 1e-300
-    f = tiny
-    c = f
-    dd = 0.0
-    for n in range(1, 200_000):
-        b = 2.0 * (nu + n - 1) / kappa
-        dd = b + dd
-        if dd == 0.0:
-            dd = tiny
-        c = b + 1.0 / c
-        if c == 0.0:
-            c = tiny
-        dd = 1.0 / dd
-        delta = c * dd
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return f
+    num = ive(nu, kappa)
+    if num > _IVE_FLOOR:
+        return num / ive(nu - 1.0, kappa)
+    rp, up = _debye(nu + 1.0, kappa)
+    r, u = _debye(nu, kappa)
+    dr = (2.0 * nu + 1.0) / (rp + r)  # rp - r
+    s = nu + 1.0 + rp
+    log_b = dr + math.log(kappa / s) + nu * math.log1p(-(1.0 + dr) / s) - 0.5 * math.log1p(dr / r)
+    return kappa / (d + kappa * up / u * math.exp(log_b))
 
 
 def log_vmf_normalizer(d: int, kappa: float) -> float:
-    """Return log c_d(kappa) for the vMF density c_d(k) exp(k mu.x).
+    """Return log c_d(kappa), kappa <= KAPPA_CAP, for the vMF density c_d(k) exp(k mu.x).
 
     c_d(kappa) = kappa^(d/2-1) / ((2 pi)^(d/2) I_{d/2-1}(kappa)); the kappa -> 0
     limit is the uniform density on the sphere, 1/surface(S^{d-1}).
     """
     if d < 2:
         raise ValueError(f"log_vmf_normalizer requires d >= 2, got {d}")
-    if kappa < 0 or not math.isfinite(kappa):
-        raise ValueError(f"log_vmf_normalizer requires finite kappa >= 0, got {kappa}")
+    if not 0.0 <= kappa <= KAPPA_CAP:
+        raise ValueError(f"log_vmf_normalizer requires 0 <= kappa <= {KAPPA_CAP:g}, got {kappa}")
     s = 0.5 * d - 1.0
     if kappa == 0.0:
         return gammaln(0.5 * d) - math.log(2.0) - 0.5 * d * math.log(math.pi)
@@ -113,10 +107,10 @@ def log_vmf_normalizer(d: int, kappa: float) -> float:
 def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
     """Estimate kappa such that A_d(kappa) = rbar.
 
-    Uses the closed-form approximation kappa = (rbar*d - rbar^3)/(1 - rbar^2).
-    With refine=True, polishes the estimate by Newton iterations on
-    A_d(kappa) - rbar = 0 until the relative step drops below 1e-10
-    (at most 50 iterations).
+    Uses the closed-form approximation kappa = (rbar*d - rbar^3)/(1 - rbar^2),
+    capped at KAPPA_CAP. With refine=True, polishes it by Newton iterations on
+    A_d(kappa) - rbar = 0, clamped to KAPPA_CAP, until the relative step drops
+    below 1e-10 (at most 50 iterations; one when A_d(KAPPA_CAP) <= rbar).
     """
     if d < 2:
         raise ValueError(f"invert_bessel_ratio requires d >= 2, got {d}")
@@ -127,7 +121,7 @@ def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
         )
     if rbar == 0.0:
         return 0.0
-    kappa = (rbar * d - rbar**3) / (1.0 - rbar**2)
+    kappa = min((rbar * d - rbar**3) / (1.0 - rbar**2), KAPPA_CAP)
     if not refine:
         return kappa
     for _ in range(50):
@@ -137,7 +131,7 @@ def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
         if deriv <= 0.0:
             break
         step = (a - rbar) / deriv
-        new = kappa - step
+        new = min(kappa - step, KAPPA_CAP)
         if new <= 0.0:
             new = 0.5 * kappa
         if abs(new - kappa) / kappa < 1e-10:
@@ -147,13 +141,13 @@ def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
     return kappa
 
 
-def kappa_from_rho(d: int, rho: float, kappa_cap: float, refine: bool = False) -> float:
-    """Concentration solving A_d(kappa) = rho, clamped to kappa_cap.
+def kappa_from_rho(d: int, rho: float, *, refine: bool = False) -> float:
+    """Concentration solving A_d(kappa) = rho, clamped to KAPPA_CAP.
 
-    rho >= 1 - 1e-12 means all mass sits on one point and returns kappa_cap;
+    rho >= 1 - 1e-12 means all mass sits on one point and returns KAPPA_CAP;
     otherwise the invert_bessel_ratio estimate (Newton-polished when refine
-    is true) is capped at kappa_cap.
+    is true), which never exceeds KAPPA_CAP.
     """
     if rho >= 1.0 - 1e-12:
-        return kappa_cap
-    return min(invert_bessel_ratio(d, rho, refine=refine), kappa_cap)
+        return KAPPA_CAP
+    return invert_bessel_ratio(d, rho, refine=refine)

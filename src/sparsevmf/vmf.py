@@ -10,13 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroResultantError
-from .special import kappa_from_rho, log_vmf_normalizer
+from .special import KAPPA_CAP, kappa_from_rho, log_vmf_normalizer
 
 __all__ = ["KAPPA_CAP", "VmfParams", "log_density", "mle_fit", "sample"]
-
-# Concentrations are capped to keep components from collapsing onto a single
-# observation.
-KAPPA_CAP = 1e6
 
 
 @dataclass
@@ -79,7 +75,7 @@ def mle_fit(X: np.ndarray, weights: np.ndarray | None = None) -> VmfParams:
     rbar = norm / wsum
     if rbar >= 1.0 - 1e-12:
         warnings.warn("degenerate concentration: rbar >= 1 - 1e-12, capping kappa")
-    return VmfParams(mu=mu, kappa=kappa_from_rho(d, rbar, KAPPA_CAP))
+    return VmfParams(mu=mu, kappa=kappa_from_rho(d, rbar))
 
 
 def _sample_tangent_weights(kappa: float, d: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -257,6 +257,46 @@ class TestConfigFile:
         assert rc == 0
         assert json.loads(truth.read_text())["run"]["seed"] == 11
 
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 9}))
+        truth = tmp_path / "t.json"
+        rc = run(["simulate", "--d", "6", "--k", "2", "--n", "30",
+                  "--base-kappa", "8", "--out", str(tmp_path / "d.csv"),
+                  "--truth-out", str(truth), "--config", str(cfg), "--se", "4"])
+        assert rc == 0
+        assert json.loads(truth.read_text())["run"]["seed"] == 4
+
+    def test_switch_and_typed_values(self, sim_files, tmp_path):
+        data, _ = sim_files
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("stop_at_max_sparsity = true\nmax_steps = 2\nepsilon = 1e-6\n")
+        out = tmp_path / "p.json"
+        rc = run(["path", "--input", str(data), "--k", "3", "--restarts", "1",
+                  "--out", str(out), "--config", str(cfg)])
+        assert rc == 0
+        config = json.loads(out.read_text())["run"]["config"]
+        assert config["stop_at_max_sparsity"] is True
+        assert config["max_steps"] == 2
+        assert config["epsilon"] == 1e-6
+
+    @pytest.mark.parametrize("text, flag", [
+        ("beta=abc\n", "--beta"),
+        (json.dumps({"k": "two"}), "--k"),
+        (json.dumps({"kappa_mode": "bogus"}), "--kappa-mode"),
+        (json.dumps({"max_em_iters": 2.5}), "--max-em-iters"),
+    ])
+    def test_bad_value_exits_two(self, sim_files, tmp_path, capsys, text, flag):
+        data, _ = sim_files
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(text)
+        rc = run(["fit", "--input", str(data), "--k", "3", "--out", str(tmp_path / "m.json"),
+                  "--config", str(cfg)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert flag in err["message"]
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_knob": 1}))
@@ -299,6 +339,20 @@ class TestUsageErrors:
         rc = run(["fit", "--input", str(data), "--k", "0",
                   "--out", str(tmp_path / "m.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("command", [
+        ["fit", "--k", "3"],
+        ["path", "--k", "3"],
+        ["select", "--k-min", "2", "--k-max", "3"],
+    ])
+    def test_zero_restarts_exits_two(self, sim_files, tmp_path, capsys, command):
+        data, _ = sim_files
+        rc = run([*command, "--input", str(data), "--restarts", "0",
+                  "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "n_restarts" in err["message"]
 
     @pytest.mark.parametrize("flag, name", [("--beta", "beta"), ("--em-tol", "em_tol")])
     def test_non_finite_option_exits_two(self, sim_files, tmp_path, capsys, flag, name):

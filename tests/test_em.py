@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import mpmath as mp
 
+from sparsevmf import special
 from sparsevmf.dataset import SimulationConfig, simulate_mixture
 from sparsevmf.em import (
     FitOptions,
@@ -391,7 +394,7 @@ class TestInvalidValuesRejected:
         with pytest.raises(ValueError, match=field):
             MixtureParams(**values)
 
-    @pytest.mark.parametrize("name", ["beta", "em_tol", "inner_tol", "kappa_cap"])
+    @pytest.mark.parametrize("name", ["beta", "em_tol", "inner_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_fit_options(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -400,6 +403,44 @@ class TestInvalidValuesRejected:
     def test_negative_max_em_iters(self):
         with pytest.raises(ValueError, match="max_em_iters"):
             FitOptions(max_em_iters=-1)
+
+
+class TestConcentrationRange:
+    def test_high_dimension_fit(self):
+        # ive underflows at d=5000, kappa=4000: the E-step must stay finite.
+        rng = np.random.default_rng(0)
+        d = 5000
+        means = np.zeros((2, d))
+        means[0, :50] = 1.0
+        means[1, 50:100] = 1.0
+        means /= np.linalg.norm(means, axis=1, keepdims=True)
+        X = np.vstack([sample(VmfParams(mu, 4000.0), 100, rng) for mu in means])
+        resp = e_step(X, MixtureParams(np.array([0.5, 0.5]), means, np.array([4000.0, 4000.0])))
+        assert np.isfinite(resp.log_likelihood)
+        assert np.all(np.isfinite(resp.tau))
+        fit = fit_em(X, 2, FitOptions(seed=0))
+        assert isinstance(fit.status, FitStatus)
+        assert np.isfinite(fit.log_likelihood)
+
+    def test_tight_clusters_stay_at_cap(self, monkeypatch):
+        # Two clusters of spread 1e-5 at d=5: every rho lies above A_d(KAPPA_CAP),
+        # and the kappa solve must not probe above the cap on its way there.
+        seen = []
+        original = special.bessel_ratio
+
+        def recording(d, kappa):
+            seen.append(kappa)
+            return original(d, kappa)
+
+        monkeypatch.setattr(special, "bessel_ratio", recording)
+        rng = np.random.default_rng(0)
+        X = np.repeat(np.eye(2, 5), 20, axis=0) + 1e-5 * rng.standard_normal((40, 5))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_em(X, 2, FitOptions(seed=0))
+        assert np.all(fit.params.kappas == KAPPA_CAP)
+        assert seen and max(seen) <= KAPPA_CAP
 
 
 class TestHardAssign:

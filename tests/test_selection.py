@@ -134,6 +134,11 @@ class TestBestOfRestarts:
         single = best_of_restarts(ds.X, 3, 1, FitOptions(beta=0.0), seed=7)
         assert a.penalized_log_likelihood >= single.penalized_log_likelihood
 
+    @pytest.mark.parametrize("n_restarts", [0, -1])
+    def test_no_restart_rejected(self, n_restarts):
+        with pytest.raises(ValueError, match="n_restarts"):
+            best_of_restarts(np.eye(3, 4), 2, n_restarts, FitOptions())
+
 
 @pytest.fixture(scope="module")
 def data():

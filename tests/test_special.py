@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sparsevmf import special
 from sparsevmf.special import (
+    KAPPA_CAP,
     bessel_ratio,
     invert_bessel_ratio,
     kappa_from_rho,
@@ -13,6 +15,27 @@ from sparsevmf.special import (
 )
 
 from oracles import mp_bessel_ratio, mp_log_bessel_i, mp_log_vmf_normalizer
+
+
+# (d, kappa) where ive(d/2, kappa) underflows; mpmath takes <= 0.1 s each.
+HIGH_D_POINTS = [(5000, 4000.0), (8000, 4000.0), (10002, 1e4), (100000, 1.0), (100000, 1e4)]
+
+
+class TestAboveCap:
+    @pytest.mark.parametrize("kappa", [np.nextafter(KAPPA_CAP, np.inf), 1e7, 2.4e10, math.inf,
+                                       math.nan])
+    def test_raises(self, kappa):
+        with pytest.raises(ValueError):
+            bessel_ratio(10, kappa)
+        with pytest.raises(ValueError):
+            log_bessel_i(4.0, kappa)
+        with pytest.raises(ValueError):
+            log_vmf_normalizer(10, kappa)
+
+    def test_cap_itself_allowed(self):
+        assert 0.0 < bessel_ratio(10, KAPPA_CAP) < 1.0
+        assert math.isfinite(log_bessel_i(4.0, KAPPA_CAP))
+        assert math.isfinite(log_vmf_normalizer(10, KAPPA_CAP))
 
 
 class TestLogBesselI:
@@ -68,6 +91,13 @@ class TestBesselRatio:
             assert 0.0 <= lo < 1.0
             assert lo < hi < 1.0
 
+    @pytest.mark.parametrize("d, kappa", HIGH_D_POINTS)
+    def test_high_dimension_against_high_precision(self, d, kappa):
+        # scipy's ive underflows here: the uniform expansion takes over
+        got = bessel_ratio(d, kappa)
+        ref = mp_bessel_ratio(d, kappa)
+        assert abs(got - ref) / ref < 1e-10
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             bessel_ratio(1, 1.0)
@@ -85,6 +115,12 @@ class TestLogNormalizer:
     def test_against_high_precision(self):
         got = log_vmf_normalizer(100, 50.0)
         ref = mp_log_vmf_normalizer(100, 50.0)
+        assert abs(got - ref) / abs(ref) < 1e-10
+
+    @pytest.mark.parametrize("d, kappa", HIGH_D_POINTS)
+    def test_high_dimension_against_high_precision(self, d, kappa):
+        got = log_vmf_normalizer(d, kappa)
+        ref = mp_log_vmf_normalizer(d, kappa)
         assert abs(got - ref) / abs(ref) < 1e-10
 
     def test_continuity_at_zero(self):
@@ -132,17 +168,36 @@ class TestInvertRatio:
 
 class TestKappaFromRho:
     def test_cap_near_one(self):
-        assert kappa_from_rho(10, 1.0 - 1e-12, 500.0) == 500.0
-        assert kappa_from_rho(10, 1.0, 500.0) == 500.0
+        assert kappa_from_rho(10, 1.0 - 1e-12) == KAPPA_CAP
+        assert kappa_from_rho(10, 1.0) == KAPPA_CAP
 
     def test_clamped_to_cap(self):
-        # closed form (0.99*3 - 0.99^3) / (1 - 0.99^2) is about 100
-        assert kappa_from_rho(3, 0.99, 50.0) == 50.0
-        assert kappa_from_rho(3, 0.99, 1e6) == invert_bessel_ratio(3, 0.99)
+        # closed form (rho*3 - rho^3) / (1 - rho^2) is about 1e7 at rho = 1 - 1e-7
+        rho = 1.0 - 1e-7
+        assert invert_bessel_ratio(3, rho) == KAPPA_CAP
+        assert kappa_from_rho(3, rho) == KAPPA_CAP
+        assert kappa_from_rho(3, rho, refine=True) == KAPPA_CAP
+        assert kappa_from_rho(3, 0.99) == invert_bessel_ratio(3, 0.99)
 
     def test_refine_passed_through(self):
-        rough = kappa_from_rho(10, 0.5, 1e6)
-        refined = kappa_from_rho(10, 0.5, 1e6, refine=True)
+        rough = kappa_from_rho(10, 0.5)
+        refined = kappa_from_rho(10, 0.5, refine=True)
         assert rough == invert_bessel_ratio(10, 0.5)
         assert refined == invert_bessel_ratio(10, 0.5, refine=True)
         assert rough != refined
+
+    @pytest.mark.parametrize("d, rho", [(3, 1.0 - 1e-7), (5, 1.0 - 1e-10), (200, 0.99995),
+                                        (200, 1.0 - 1e-11)])
+    def test_refined_solve_stays_under_cap(self, monkeypatch, d, rho):
+        # A_d(KAPPA_CAP) <= rho and the closed form lies above the cap: the
+        # solve evaluates A_d once, at the cap, and returns the cap.
+        seen = []
+
+        def recording(d, kappa):
+            seen.append(kappa)
+            return bessel_ratio(d, kappa)
+
+        monkeypatch.setattr(special, "bessel_ratio", recording)
+        assert bessel_ratio(d, KAPPA_CAP) <= rho
+        assert invert_bessel_ratio(d, rho, refine=True) == KAPPA_CAP
+        assert seen == [KAPPA_CAP]
