@@ -19,9 +19,9 @@ from .em import (  # noqa: F401
     soft_threshold_mu,
 )
 from .dataset import (  # noqa: F401
-    Dataset,
     GroundTruth,
     SimulationConfig,
+    estimate_overlap,
     load_matrix,
     simulate_mixture,
 )
@@ -36,7 +36,6 @@ from .selection import (  # noqa: F401
 from .skmeans import SkResult, skmeans_fit  # noqa: F401
 from .metrics import (  # noqa: F401
     adjusted_rand_index,
-    estimate_overlap,
     sparsity,
     support_precision_recall,
 )

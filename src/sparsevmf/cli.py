@@ -96,8 +96,7 @@ def _apply_config_file(parser, args, argv):
 
 
 def _load_dataset(args) -> np.ndarray:
-    ds = dataset.load_matrix(args.input, format=args.format, normalize=True)
-    return ds.X
+    return dataset.load_matrix(args.input, format=args.format, normalize=True)
 
 
 def cmd_simulate(args) -> int:
@@ -107,8 +106,8 @@ def cmd_simulate(args) -> int:
         sparsity=args.sparsity, seed=args.seed,
         alpha=None if args.alpha is None else np.array(args.alpha),
     )
-    ds, truth = dataset.simulate_mixture(cfg)
-    dataset.save_matrix(ds.X, args.out, format=args.format)
+    X, truth = dataset.simulate_mixture(cfg)
+    dataset.save_matrix(X, args.out, format=args.format)
     doc = dataset.ground_truth_to_dict(truth)
     doc["run"] = _run_meta(args)
     _write_json(args.truth_out, doc)
@@ -118,7 +117,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     X = _load_dataset(args)
     opts = FitOptions(beta=args.beta, max_em_iters=args.max_em_iters,
-                      em_tol=args.em_tol, kappa_mode=args.kappa_mode, seed=args.seed)
+                      em_tol=args.em_tol, kappa_mode=args.kappa_mode)
     fit = selection.best_of_restarts(X, args.k, args.restarts, opts, seed=args.seed)
     doc = em.fit_result_to_dict(fit, seed=args.seed)
     doc["run"] = _run_meta(args)
@@ -133,7 +132,7 @@ def cmd_fit(args) -> int:
 
 def _path_options(args) -> PathOptions:
     fit_opts = FitOptions(max_em_iters=args.max_em_iters, em_tol=args.em_tol,
-                          kappa_mode=args.kappa_mode, seed=args.seed)
+                          kappa_mode=args.kappa_mode)
     return PathOptions(max_steps=args.max_steps, epsilon=args.epsilon,
                        min_rel_increase=args.min_rel_increase,
                        stop_at_max_sparsity=args.stop_at_max_sparsity,

@@ -1,5 +1,5 @@
-"""Observation matrices (loading, normalisation) and planted-structure
-simulation of sparse vMF mixtures."""
+"""Observation matrices (loading, normalisation), planted-structure
+simulation of sparse vMF mixtures and its Monte Carlo overlap estimate."""
 
 from __future__ import annotations
 
@@ -10,12 +10,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vmf
-from .em import MixtureParams, means_from_sparse, means_to_sparse
+from .em import MixtureParams, e_step, hard_assign, means_from_sparse, means_to_sparse
 from .errors import CannotSparsifyError, NotBracketedError, ParseError, ZeroRowError
-from .metrics import estimate_overlap
 
 __all__ = [
-    "Dataset",
     "SimulationConfig",
     "GroundTruth",
     "load_matrix",
@@ -25,25 +23,11 @@ __all__ = [
     "simulate_mixture",
     "calibrate_overlap",
     "sample_mixture",
+    "estimate_overlap",
     "ground_truth_to_dict",
     "save_ground_truth",
     "load_ground_truth",
 ]
-
-
-@dataclass
-class Dataset:
-    """Row-major matrix of observations, optionally normalised to unit rows."""
-
-    X: np.ndarray
-
-    @property
-    def N(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
 
 
 @dataclass
@@ -87,12 +71,10 @@ class SimulationConfig:
 
 @dataclass
 class GroundTruth:
-    """Planted parameters (after separability rescaling), labels and the
-    binary support of the nonzero mean coordinates."""
+    """Planted parameters (after separability rescaling) and labels."""
 
     params: MixtureParams
     labels: np.ndarray
-    support_mask: np.ndarray
     config: SimulationConfig | None = field(default=None, repr=False)
 
 
@@ -163,7 +145,7 @@ def _parse_sparse_triplet(path):
     return X
 
 
-def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> Dataset:
+def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> np.ndarray:
     """Load a dense CSV or sparse triplet matrix; optionally normalise rows
     to unit norm (zero rows are rejected with their indices).
 
@@ -181,7 +163,7 @@ def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> Data
         if zero_rows.size:
             raise ZeroRowError(zero_rows.tolist())
         X = X / norms[:, None]
-    return Dataset(X=X)
+    return X
 
 
 def save_matrix(X: np.ndarray, path, format: str = "dense-csv") -> None:
@@ -266,6 +248,17 @@ def sample_mixture(params: MixtureParams, n: int, rng: np.random.Generator):
     return X, labels
 
 
+def estimate_overlap(truth: MixtureParams, n_samples: int,
+                     rng: np.random.Generator) -> float:
+    """Misclassification rate of crisp assignment under the true parameters,
+    estimated on n_samples fresh draws from the mixture."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    X, labels = sample_mixture(truth, n_samples, rng)
+    pred = hard_assign(e_step(X, truth))
+    return float(np.mean(pred != labels))
+
+
 def _rescale_for_separability(means: np.ndarray, kappas: np.ndarray) -> np.ndarray:
     """kappa'_k = 2 kappa_k / (1 - max_{l != k} <mu_k, mu_l>)."""
     gram = means @ means.T
@@ -328,8 +321,9 @@ def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
 
 
 def simulate_mixture(cfg: SimulationConfig,
-                     rng: np.random.Generator | None = None) -> tuple[Dataset, GroundTruth]:
-    """Generate a planted sparse vMF mixture dataset.
+                     rng: np.random.Generator | None = None) -> tuple[np.ndarray, GroundTruth]:
+    """Generate a planted sparse vMF mixture: the N x d observations and the
+    ground truth.
 
     Steps: uniform candidates, greedy separation, sparsification, base-kappa
     resolution (given or calibrated), per-component Gaussian jitter truncated
@@ -347,9 +341,7 @@ def simulate_mixture(cfg: SimulationConfig,
         base_kappa = calibrate_overlap(means, cfg.overlap_target, alpha, rng)
     params = _build_truth_params(means, base_kappa, alpha, rng, cfg.kappa_jitter_sd_frac)
     X, labels = sample_mixture(params, cfg.N, rng)
-    support = (params.means != 0.0).astype(int)
-    truth = GroundTruth(params=params, labels=labels, support_mask=support, config=cfg)
-    return Dataset(X=X), truth
+    return X, GroundTruth(params=params, labels=labels, config=cfg)
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
@@ -373,19 +365,13 @@ def save_ground_truth(truth: GroundTruth, path) -> None:
 def load_ground_truth(path) -> GroundTruth:
     with open(path) as fh:
         doc = json.load(fh)
-    means = means_from_sparse(doc["mu"], doc["d"])
     params = MixtureParams(
         alpha=np.array(doc["alpha"]),
-        means=means,
+        means=means_from_sparse(doc["mu"], doc["d"]),
         kappas=np.array(doc["kappa"]),
         kappa_mode="free",
     )
     cfg = None
     if doc.get("config"):
         cfg = SimulationConfig(**{k: v for k, v in doc["config"].items()})
-    return GroundTruth(
-        params=params,
-        labels=np.array(doc["labels"]),
-        support_mask=(means != 0.0).astype(int),
-        config=cfg,
-    )
+    return GroundTruth(params=params, labels=np.array(doc["labels"]), config=cfg)

@@ -127,7 +127,6 @@ class FitOptions:
     inner_max_iters: int = 100
     inner_tol: float = 1e-8
     kappa_mode: str = "free"
-    seed: int | None = None
 
     def __post_init__(self):
         for name in ("beta", "em_tol", "inner_tol"):
@@ -286,10 +285,13 @@ def hard_assign(resp_or_tau) -> np.ndarray:
 
 def fit_em(X: np.ndarray, K: int, opts: FitOptions,
            init: MixtureParams | None = None,
-           rng: np.random.Generator | None = None,
+           rng: np.random.Generator | int | None = None,
            resp: Responsibilities | None = None) -> FitResult:
     """Run penalized EM until the relative change of the penalized
     log-likelihood drops below em_tol.
+
+    Without init, init_random draws the start from rng: a Generator, or a
+    seed (None for fresh entropy) passed to np.random.default_rng.
 
     resp, given only with init, must be e_step(X, init): a warm start that
     already holds it skips the first E-step, with the same result. Each
@@ -307,8 +309,7 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     if resp is not None and init is None:
         raise ValueError("resp is the E-step at init and needs init")
     if init is None:
-        if rng is None:
-            rng = np.random.default_rng(opts.seed)
+        rng = np.random.default_rng(rng)
         last_err = None
         for _ in range(MAX_INIT_RETRIES):
             try:

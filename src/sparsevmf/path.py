@@ -70,14 +70,15 @@ def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float,
               min_rel_increase: float = 0.0) -> float:
     """Smallest beta > beta_prev guaranteed to zero at least one currently
     surviving mean coordinate on the next M step:
-    beta_prev + min over {kappa_k |r_kj| - beta_prev > 0}.
+    beta_prev + min over {kappa_k |r_kj| - beta_prev > 0 : mu_kj != 0}.
+    Coordinates already zero (by thresholding or epsilon truncation) are
+    left out: a beta that only they bound would zero nothing.
 
-    Raises NoIncrementAvailableError when every kappa|r| <= beta_prev."""
-    scores = params.kappas[:, None] * np.abs(r)
-    margins = scores - beta_prev
-    positive = margins[margins > 0]
+    Raises NoIncrementAvailableError when every surviving kappa|r| <= beta_prev."""
+    margins = params.kappas[:, None] * np.abs(r) - beta_prev
+    positive = margins[(margins > 0) & (params.means != 0.0)]
     if positive.size == 0:
-        raise NoIncrementAvailableError(f"no coordinate exceeds beta = {beta_prev:g}")
+        raise NoIncrementAvailableError(f"no surviving coordinate exceeds beta = {beta_prev:g}")
     beta = beta_prev + float(positive.min())
     if min_rel_increase > 0:
         beta = max(beta, beta_prev * (1.0 + min_rel_increase))

@@ -87,7 +87,6 @@ class SelectionReport:
     skipped: dict             # K -> reason string
     chosen_K: dict            # criterion kind -> K*
     final_models: dict        # criterion kind -> FitResult (best sparse at K*)
-    k_criterion: str
     beta_criterion: str
 
     @property
@@ -154,11 +153,8 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
     chosen_K = {
         kind: min(dense_ic, key=lambda K: dense_ic[K][kind]) for kind in criteria
     }
-    final_models = {}
-    for kind in criteria:
-        kstar = chosen_K[k_criterion]
-        step = best_steps[kstar][kind]
-        final_models[kind] = paths[kstar].steps[step].fit
+    kstar = chosen_K[k_criterion]
+    final_models = {kind: paths[kstar].steps[best_steps[kstar][kind]].fit for kind in criteria}
     return SelectionReport(
         dense_ic=dense_ic,
         dense_fits=dense_fits,
@@ -167,6 +163,5 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
         skipped=skipped,
         chosen_K=chosen_K,
         final_models=final_models,
-        k_criterion=k_criterion,
         beta_criterion=beta_criterion,
     )

@@ -110,7 +110,8 @@ def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
     Uses the closed-form approximation kappa = (rbar*d - rbar^3)/(1 - rbar^2),
     capped at KAPPA_CAP. With refine=True, polishes it by Newton iterations on
     A_d(kappa) - rbar = 0, clamped to KAPPA_CAP, until the relative step drops
-    below 1e-10 (at most 50 iterations; one when A_d(KAPPA_CAP) <= rbar).
+    below 1e-10 or |A_d(kappa) - rbar| stops shrinking (at most 50 iterations;
+    one when A_d(KAPPA_CAP) <= rbar).
     """
     if d < 2:
         raise ValueError(f"invert_bessel_ratio requires d >= 2, got {d}")
@@ -124,8 +125,13 @@ def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
     kappa = min((rbar * d - rbar**3) / (1.0 - rbar**2), KAPPA_CAP)
     if not refine:
         return kappa
+    last_res = math.inf
     for _ in range(50):
         a = bessel_ratio(d, kappa)
+        res = abs(a - rbar)
+        if res >= last_res:  # at the rounding-noise floor of A_d
+            break
+        last_res = res
         # A'(kappa) = 1 - A^2 - (d-1)/kappa * A
         deriv = 1.0 - a * a - (d - 1.0) / kappa * a
         if deriv <= 0.0:

@@ -56,24 +56,13 @@ def order_dimensions(params: MixtureParams, epsilon: float = 1e-8) -> DimensionO
     lexicographic with components in alpha-descending order and 1 before 0,
     total absolute weight descending), stably."""
     means = params.means
-    d = params.d
-    row_order = order_rows(params)
-    b = (np.abs(means) > epsilon).astype(int)
-    n = b.sum(axis=0)
+    b_ordered = (np.abs(means) > epsilon).astype(int)[order_rows(params)]
+    n = b_ordered.sum(axis=0)
     weight = np.abs(means).sum(axis=0)
-    b_ordered = b[row_order]
-
-    def key(j):
-        return (-n[j], tuple(-b_ordered[:, j]), -weight[j], j)
-
-    perm = np.array(sorted(range(d), key=key), dtype=int)
+    # np.lexsort sorts by its last key first and is stable, so ties keep index order.
+    perm = np.lexsort((-weight, *(-b_ordered[::-1]), -n))
     n_sorted = n[perm]
-    group_of = np.zeros(d, dtype=int)
-    gid = 0
-    for p in range(1, d):
-        if n_sorted[p] != n_sorted[p - 1]:
-            gid += 1
-        group_of[p] = gid
+    group_of = np.cumsum(np.diff(n_sorted, prepend=n_sorted[:1]) != 0)
     return DimensionOrdering(perm=perm, group_of=group_of, n=n_sorted)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sparsevmf.cli import main as cli_main
-from sparsevmf.dataset import SimulationConfig, simulate_mixture
+from sparsevmf.dataset import SimulationConfig, estimate_overlap, simulate_mixture
 from sparsevmf.em import (
     FitOptions,
     FitResult,
@@ -25,7 +25,7 @@ from sparsevmf.em import (
     m_step,
     soft_threshold_mu,
 )
-from sparsevmf.metrics import adjusted_rand_index, estimate_overlap
+from sparsevmf.metrics import adjusted_rand_index
 from sparsevmf.path import PathOptions, follow_path, next_beta
 from sparsevmf.selection import (
     CRITERIA,
@@ -64,11 +64,11 @@ def planted_k3_runs():
     for seed in range(20):
         cfg = SimulationConfig(K=3, d=20, N=500, overlap_target=0.025,
                                sparsity=0.25, seed=100 + seed)
-        ds, truth = simulate_mixture(cfg)
+        X, truth = simulate_mixture(cfg)
         fits = {}
         for K in (2, 3, 4, 5):
-            fits[K] = best_of_restarts(ds.X, K, 5, FitOptions(beta=0.0), seed=seed)
-        runs.append((ds, truth, fits))
+            fits[K] = best_of_restarts(X, K, 5, FitOptions(beta=0.0), seed=seed)
+        runs.append((X, truth, fits))
     return runs
 
 
@@ -84,18 +84,18 @@ def test_criterion_01_oracle_equivalence_beta0():
                 count += 1
                 cfg = SimulationConfig(K=K, d=d, N=300, base_kappa=10.0,
                                        sparsity=0.2, seed=1000 + count)
-                ds, _ = simulate_mixture(cfg)
+                X, _ = simulate_mixture(cfg)
                 init = None
                 for attempt in range(20):
                     try:
-                        init = init_random(ds.X, K, np.random.default_rng([count, attempt]))
+                        init = init_random(X, K, np.random.default_rng([count, attempt]))
                         break
                     except Exception:
                         continue
-                fit = fit_em(ds.X, K, FitOptions(beta=0.0, em_tol=1e-10,
+                fit = fit_em(X, K, FitOptions(beta=0.0, em_tol=1e-10,
                                                  max_em_iters=2000), init=init.copy())
                 oa, om, ok_, oll, _ = plain_movmf_em(
-                    ds.X, init.alpha, init.means, init.kappas,
+                    X, init.alpha, init.means, init.kappas,
                     max_iters=2000, tol=1e-10,
                 )
                 if not (
@@ -139,26 +139,26 @@ def test_criterion_03_monotonicity_suite():
     n_fits = 0
     trace_bad = 0
     invariant_bad = 0
-    ds_cache = []
+    cache = []
     for s in range(17):
         cfg = SimulationConfig(K=int(rng_master.integers(2, 4)),
                                d=int(rng_master.integers(5, 12)),
                                N=200, base_kappa=float(rng_master.uniform(5, 20)),
                                sparsity=0.2, seed=2000 + s)
-        ds, _ = simulate_mixture(cfg)
-        dense = fit_em(ds.X, cfg.K, FitOptions(beta=0.0, seed=s))
-        resp = e_step(ds.X, dense.params)
-        r = resp.tau.T @ ds.X
+        X, _ = simulate_mixture(cfg)
+        dense = fit_em(X, cfg.K, FitOptions(beta=0.0), rng=s)
+        resp = e_step(X, dense.params)
+        r = resp.tau.T @ X
         try:
             beta1 = next_beta(dense.params, r, 0.0)
         except Exception:
             continue
-        ds_cache.append((ds, cfg.K, dense, beta1))
-    for ds, K, dense, beta1 in ds_cache:
+        cache.append((X, cfg.K, dense, beta1))
+    for X, K, dense, beta1 in cache:
         for beta in (0.0, 0.5 * beta1, beta1):
             if n_fits >= 50:
                 break
-            fit = fit_em(ds.X, K, FitOptions(beta=beta), init=dense.params.copy())
+            fit = fit_em(X, K, FitOptions(beta=beta), init=dense.params.copy())
             n_fits += 1
             if fit.status is FitStatus.CONVERGED:
                 t = np.array(fit.trace)
@@ -184,12 +184,12 @@ def test_criterion_04_first_step_sparsification():
         seed += 1
         cfg = SimulationConfig(K=2, d=int(6 + (seed % 5)), N=200,
                                base_kappa=10.0, sparsity=0.0, seed=3000 + seed)
-        ds, _ = simulate_mixture(cfg)
-        dense = fit_em(ds.X, 2, FitOptions(beta=0.0, seed=seed))
+        X, _ = simulate_mixture(cfg)
+        dense = fit_em(X, 2, FitOptions(beta=0.0), rng=seed)
         if dense.status is not FitStatus.CONVERGED:
             continue
-        resp = e_step(ds.X, dense.params)
-        r = resp.tau.T @ ds.X
+        resp = e_step(X, dense.params)
+        r = resp.tau.T @ X
         try:
             beta1 = next_beta(dense.params, r, 0.0)
         except Exception:
@@ -218,13 +218,13 @@ def test_criterion_04_first_step_sparsification():
 def test_criterion_05_path_reproduction():
     t0 = time.time()
     cfg = SimulationConfig(K=4, d=10, N=500, base_kappa=5.37, sparsity=0.0, seed=4000)
-    ds, _ = simulate_mixture(cfg)
-    N, d = ds.X.shape
+    X, _ = simulate_mixture(cfg)
+    N, d = X.shape
     tight = FitOptions(beta=0.0, em_tol=1e-13, inner_tol=1e-12, max_em_iters=5000)
-    dense = best_of_restarts(ds.X, 4, 10, tight, seed=4001)
+    dense = best_of_restarts(X, 4, 10, tight, seed=4001)
     bic = Criterion("BIC")
     ic_fn = lambda fit: {"BIC": information_criterion(fit, N, d, bic)}  # noqa: E731
-    res = follow_path(ds.X, 4, PathOptions(max_steps=100, fit_options=tight),
+    res = follow_path(X, 4, PathOptions(max_steps=100, fit_options=tight),
                       dense, ic_fn=ic_fn)
     n_steps = len(res.steps)
     steps_ok = 5 <= n_steps <= 40
@@ -236,7 +236,7 @@ def test_criterion_05_path_reproduction():
     # warm vs cold restart from the shared dense starting point
     warm_cold_ok = True
     for step in res.steps[1:6]:
-        cold = fit_em(ds.X, 4, FitOptions(beta=step.beta, em_tol=1e-13,
+        cold = fit_em(X, 4, FitOptions(beta=step.beta, em_tol=1e-13,
                                           inner_tol=1e-12, max_em_iters=5000),
                       init=dense.params.copy())
         if not (
@@ -277,8 +277,8 @@ def test_criterion_07_model_selection_trend(planted_k3_runs):
     aic_hits = 0
     bic = Criterion("BIC")
     aic = Criterion("AIC")
-    for ds, _, fits in planted_k3_runs:
-        N, d = ds.X.shape
+    for X, _, fits in planted_k3_runs:
+        N, d = X.shape
         bic_vals = {K: information_criterion(f, N, d, bic) for K, f in fits.items()}
         aic_vals = {K: information_criterion(f, N, d, aic) for K, f in fits.items()}
         if min(bic_vals, key=bic_vals.get) == 3:
@@ -294,12 +294,12 @@ def test_criterion_07_model_selection_trend(planted_k3_runs):
 def test_criterion_08_recovery_quality(planted_k3_runs):
     em_aris = []
     sk_aris = []
-    for ds, truth, fits in planted_k3_runs:
-        pred = hard_assign(e_step(ds.X, fits[3].params))
+    for X, truth, fits in planted_k3_runs:
+        pred = hard_assign(e_step(X, fits[3].params))
         em_aris.append(adjusted_rand_index(truth.labels, pred))
         best = None
         for r in range(5):
-            sk = skmeans_fit(ds.X, 3, rng=np.random.default_rng([7000, r]))
+            sk = skmeans_fit(X, 3, rng=np.random.default_rng([7000, r]))
             if best is None or sk.coherence > best.coherence:
                 best = sk
         sk_aris.append(adjusted_rand_index(truth.labels, best.labels))

@@ -4,6 +4,7 @@ import pytest
 from sparsevmf.dataset import (
     SimulationConfig,
     calibrate_overlap,
+    estimate_overlap,
     greedy_max_separation,
     load_matrix,
     sample_mixture,
@@ -20,35 +21,34 @@ from sparsevmf.errors import (
     ParseError,
     ZeroRowError,
 )
-from sparsevmf.metrics import estimate_overlap
 
 
 class TestLoadMatrix:
     def test_dense_csv_normalized(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,0\n0,1\n1,1\n")
-        ds = load_matrix(p, format="dense-csv", normalize=True)
+        X = load_matrix(p, format="dense-csv", normalize=True)
         s = 1.0 / np.sqrt(2.0)
-        assert np.allclose(ds.X, [[1, 0], [0, 1], [s, s]])
-        assert ds.N == 3 and ds.d == 2
+        assert np.allclose(X, [[1, 0], [0, 1], [s, s]])
+        assert X.shape == (3, 2)
 
     def test_header_detected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("a,b\n1,0\n0,1\n")
-        ds = load_matrix(p, normalize=False)
-        assert ds.N == 2
+        X = load_matrix(p, normalize=False)
+        assert X.shape[0] == 2
 
     def test_sparse_triplet(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("0 0 2.0\n1 1 3.0\n")
-        ds = load_matrix(p, format="sparse-triplet", normalize=True)
-        assert np.allclose(ds.X, np.eye(2))
+        X = load_matrix(p, format="sparse-triplet", normalize=True)
+        assert np.allclose(X, np.eye(2))
 
     def test_triplet_shape_comment(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("#shape 3 4\n0 0 1.0\n1 3 1.0\n2 2 5.0\n")
-        ds = load_matrix(p, format="sparse-triplet", normalize=False)
-        assert ds.X.shape == (3, 4)
+        X = load_matrix(p, format="sparse-triplet", normalize=False)
+        assert X.shape == (3, 4)
 
     def test_zero_row_error(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -107,8 +107,7 @@ class TestLoadMatrix:
         for fmt in ("dense-csv", "sparse-triplet"):
             p = tmp_path / f"m-{fmt}"
             save_matrix(X, p, format=fmt)
-            ds = load_matrix(p, format=fmt, normalize=False)
-            assert np.array_equal(ds.X, X)
+            assert np.array_equal(load_matrix(p, format=fmt, normalize=False), X)
 
 
 class TestGreedySeparation:
@@ -189,9 +188,8 @@ class TestSimulate:
     def test_outputs_consistent(self):
         cfg = SimulationConfig(K=4, d=30, N=10_000, base_kappa=17.34,
                                sparsity=0.1, seed=42)
-        ds, truth = simulate_mixture(cfg)
-        assert np.allclose(np.linalg.norm(ds.X, axis=1), 1.0, atol=1e-10)
-        assert np.array_equal(truth.support_mask, (truth.params.means != 0).astype(int))
+        X, truth = simulate_mixture(cfg)
+        assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-10)
         # kappa'_k = 2 kappa_k / (1 - c_k), recomputed independently
         means = truth.params.means
         for k in range(4):
@@ -205,9 +203,9 @@ class TestSimulate:
 
     def test_determinism(self):
         cfg = SimulationConfig(K=3, d=10, N=50, base_kappa=10.0, sparsity=0.2, seed=9)
-        ds1, t1 = simulate_mixture(cfg)
-        ds2, t2 = simulate_mixture(cfg)
-        assert np.array_equal(ds1.X, ds2.X)
+        X1, t1 = simulate_mixture(cfg)
+        X2, t2 = simulate_mixture(cfg)
+        assert np.array_equal(X1, X2)
         assert np.array_equal(t1.labels, t2.labels)
         assert np.array_equal(t1.params.means, t2.params.means)
 
@@ -225,7 +223,6 @@ class TestSimulate:
         loaded = load_ground_truth(p)
         assert np.array_equal(loaded.params.means, truth.params.means)
         assert np.array_equal(loaded.labels, truth.labels)
-        assert np.array_equal(loaded.support_mask, truth.support_mask)
 
 
 class TestCalibrateOverlap:

@@ -67,11 +67,11 @@ class TestInitRandom:
 
     def test_some_restart_succeeds(self):
         cfg = SimulationConfig(K=4, d=10, N=500, base_kappa=5.37, seed=3)
-        ds, _ = simulate_mixture(cfg)
+        X, _ = simulate_mixture(cfg)
         ok = 0
         for s in range(10):
             try:
-                init_random(ds.X, 4, np.random.default_rng(s))
+                init_random(X, 4, np.random.default_rng(s))
                 ok += 1
             except InitFailureError:
                 pass
@@ -191,14 +191,14 @@ class TestMStep:
     def test_beta_zero_closed_form(self):
         rng = np.random.default_rng(8)
         cfg = SimulationConfig(K=2, d=5, N=100, base_kappa=8.0, seed=20)
-        ds, _ = simulate_mixture(cfg)
+        X, _ = simulate_mixture(cfg)
         opts = FitOptions(beta=0.0)
-        fit = fit_em(ds.X, 2, opts, rng=rng)
+        fit = fit_em(X, 2, opts, rng=rng)
         assert fit.status is FitStatus.CONVERGED
-        resp = e_step(ds.X, fit.params)
-        out = m_step(ds.X, resp, fit.params, opts)
+        resp = e_step(X, fit.params)
+        out = m_step(X, resp, fit.params, opts)
         # Closed-form uncoupled case: mean equals the normalized resultant.
-        r = resp.tau.T @ ds.X
+        r = resp.tau.T @ X
         for k in range(2):
             assert np.allclose(out.means[k], r[k] / np.linalg.norm(r[k]), atol=1e-12)
 
@@ -221,13 +221,13 @@ class TestMStep:
     def test_stationarity_residuals(self):
         rng = np.random.default_rng(10)
         cfg = SimulationConfig(K=2, d=5, N=20, base_kappa=8.0, seed=21)
-        ds, _ = simulate_mixture(cfg)
-        params = fit_em(ds.X, 2, FitOptions(beta=0.0), rng=rng).params
-        resp = e_step(ds.X, params)
+        X, _ = simulate_mixture(cfg)
+        params = fit_em(X, 2, FitOptions(beta=0.0), rng=rng).params
+        resp = e_step(X, params)
         beta = 0.5
         opts = FitOptions(beta=beta, inner_tol=1e-12, inner_max_iters=500)
-        out = m_step(ds.X, resp, params, opts)
-        r = resp.tau.T @ ds.X
+        out = m_step(X, resp, params, opts)
+        r = resp.tau.T @ X
         sums = resp.tau.sum(axis=0)
         from sparsevmf.special import bessel_ratio
 
@@ -238,24 +238,24 @@ class TestMStep:
             assert np.max(np.abs(out.means[k] - mu_expected)) < 1e-6
             # kappa stationarity: A_d(kappa) = rho at the final mean
             rho = float(out.means[k] @ r[k]) / sums[k]
-            d = ds.X.shape[1]
+            d = X.shape[1]
             assert bessel_ratio(d, out.kappas[k]) == pytest.approx(rho, rel=1e-6)
 
     def test_shared_mode_single_kappa(self):
         rng = np.random.default_rng(11)
         cfg = SimulationConfig(K=3, d=8, N=150, base_kappa=10.0, seed=22)
-        ds, _ = simulate_mixture(cfg)
-        fit = fit_em(ds.X, 3, FitOptions(beta=0.0, kappa_mode="shared"), rng=rng)
+        X, _ = simulate_mixture(cfg)
+        fit = fit_em(X, 3, FitOptions(beta=0.0, kappa_mode="shared"), rng=rng)
         assert fit.params.kappa_mode == "shared"
         assert len(set(fit.params.kappas.tolist())) == 1
 
     def test_invariants_after_m_step(self):
         rng = np.random.default_rng(12)
         cfg = SimulationConfig(K=3, d=6, N=100, base_kappa=9.0, seed=23)
-        ds, _ = simulate_mixture(cfg)
+        X, _ = simulate_mixture(cfg)
         params = random_params(rng, 3, 6)
-        resp = e_step(ds.X, params)
-        out = m_step(ds.X, resp, params, FitOptions(beta=0.3))
+        resp = e_step(X, params)
+        out = m_step(X, resp, params, FitOptions(beta=0.3))
         assert out.alpha.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(np.linalg.norm(out.means, axis=1), 1.0, atol=1e-10)
 
@@ -275,11 +275,11 @@ class TestFitEm:
 
     def test_matches_plain_movmf_oracle(self):
         cfg = SimulationConfig(K=3, d=6, N=300, base_kappa=10.0, seed=30)
-        ds, _ = simulate_mixture(cfg)
-        init = init_random(ds.X, 3, np.random.default_rng(31))
-        fit = fit_em(ds.X, 3, FitOptions(beta=0.0, em_tol=1e-9), init=init.copy())
+        X, _ = simulate_mixture(cfg)
+        init = init_random(X, 3, np.random.default_rng(31))
+        fit = fit_em(X, 3, FitOptions(beta=0.0, em_tol=1e-9), init=init.copy())
         oa, om, ok, oll, _ = plain_movmf_em(
-            ds.X, init.alpha, init.means, init.kappas, tol=1e-9
+            X, init.alpha, init.means, init.kappas, tol=1e-9
         )
         assert np.allclose(fit.params.alpha, oa, atol=1e-6)
         assert np.allclose(fit.params.means, om, atol=1e-6)
@@ -288,8 +288,8 @@ class TestFitEm:
 
     def test_trace_non_decreasing(self):
         cfg = SimulationConfig(K=4, d=10, N=500, base_kappa=5.37, seed=32)
-        ds, _ = simulate_mixture(cfg)
-        fit = fit_em(ds.X, 4, FitOptions(beta=0.0, seed=33))
+        X, _ = simulate_mixture(cfg)
+        fit = fit_em(X, 4, FitOptions(beta=0.0), rng=33)
         if fit.status is FitStatus.CONVERGED:
             t = np.array(fit.trace)
             slack = 1e-8 * np.maximum(np.abs(t[:-1]), 1.0)
@@ -325,9 +325,9 @@ class TestFitEm:
 
     def test_over_penalized_reports_zero_mean(self):
         cfg = SimulationConfig(K=2, d=5, N=80, base_kappa=8.0, seed=34)
-        ds, _ = simulate_mixture(cfg)
-        dense = fit_em(ds.X, 2, FitOptions(beta=0.0, seed=35))
-        fit = fit_em(ds.X, 2, FitOptions(beta=1e9), init=dense.params.copy())
+        X, _ = simulate_mixture(cfg)
+        dense = fit_em(X, 2, FitOptions(beta=0.0), rng=35)
+        fit = fit_em(X, 2, FitOptions(beta=1e9), init=dense.params.copy())
         assert fit.status is FitStatus.ZERO_MEAN
 
 
@@ -338,9 +338,9 @@ class TestFitResultResp:
     @pytest.fixture(scope="class")
     def problem(self):
         cfg = SimulationConfig(K=2, d=5, N=80, base_kappa=8.0, seed=34)
-        ds, _ = simulate_mixture(cfg)
-        dense = fit_em(ds.X, 2, FitOptions(beta=0.0, seed=35))
-        return ds.X, dense
+        X, _ = simulate_mixture(cfg)
+        dense = fit_em(X, 2, FitOptions(beta=0.0), rng=35)
+        return X, dense
 
     @staticmethod
     def assert_resp_equal(a, b):
@@ -382,7 +382,21 @@ class TestFitResultResp:
     def test_resp_without_init_raises(self, problem):
         X, dense = problem
         with pytest.raises(ValueError, match="init"):
-            fit_em(X, 2, FitOptions(seed=1), resp=dense.resp)
+            fit_em(X, 2, FitOptions(), rng=1, resp=dense.resp)
+
+
+class TestSeedArgument:
+    def test_seed_equals_generator(self):
+        X, _ = simulate_mixture(SimulationConfig(K=3, d=6, N=120, base_kappa=9.0, seed=36))
+        opts = FitOptions(beta=0.2)
+        by_seed = fit_em(X, 3, opts, rng=7)
+        by_generator = fit_em(X, 3, opts, rng=np.random.default_rng(7))
+        for name in ("alpha", "means", "kappas"):
+            assert np.array_equal(getattr(by_seed.params, name), getattr(by_generator.params, name))
+        assert by_seed.trace == by_generator.trace
+        assert by_seed.n_iters == by_generator.n_iters
+        assert by_seed.status is by_generator.status
+        assert by_seed.penalized_log_likelihood == by_generator.penalized_log_likelihood
 
 
 class TestInvalidValuesRejected:
@@ -418,7 +432,7 @@ class TestConcentrationRange:
         resp = e_step(X, MixtureParams(np.array([0.5, 0.5]), means, np.array([4000.0, 4000.0])))
         assert np.isfinite(resp.log_likelihood)
         assert np.all(np.isfinite(resp.tau))
-        fit = fit_em(X, 2, FitOptions(seed=0))
+        fit = fit_em(X, 2, FitOptions(), rng=0)
         assert isinstance(fit.status, FitStatus)
         assert np.isfinite(fit.log_likelihood)
 
@@ -438,7 +452,7 @@ class TestConcentrationRange:
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            fit = fit_em(X, 2, FitOptions(seed=0))
+            fit = fit_em(X, 2, FitOptions(), rng=0)
         assert np.all(fit.params.kappas == KAPPA_CAP)
         assert seen and max(seen) <= KAPPA_CAP
 
@@ -457,8 +471,8 @@ class TestHardAssign:
 class TestPersistence:
     def test_bit_for_bit_round_trip(self, tmp_path):
         cfg = SimulationConfig(K=3, d=7, N=120, base_kappa=9.0, sparsity=0.2, seed=40)
-        ds, _ = simulate_mixture(cfg)
-        fit = fit_em(ds.X, 3, FitOptions(beta=0.0, seed=41))
+        X, _ = simulate_mixture(cfg)
+        fit = fit_em(X, 3, FitOptions(beta=0.0), rng=41)
         p = tmp_path / "model.json"
         save_model(fit, p, seed=41)
         loaded = load_model(p)

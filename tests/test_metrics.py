@@ -1,12 +1,15 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from sparsevmf.dataset import estimate_overlap
 from sparsevmf.em import MixtureParams
 from sparsevmf.metrics import (
     adjusted_rand_index,
-    estimate_overlap,
     match_components,
     sparsity,
     support_precision_recall,
@@ -146,3 +149,13 @@ class TestEstimateOverlap:
         rng = np.random.default_rng(4)
         with pytest.raises(ValueError):
             estimate_overlap(mk_params(np.eye(2, 4)), 0, rng)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    import sparsevmf
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparsevmf.__file__)))
+    code = "import sys, sparsevmf; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -8,18 +8,19 @@ from sparsevmf.em import (FitOptions, FitStatus, MixtureParams, e_step, fit_em, 
                           save_model, soft_threshold_mu)
 from sparsevmf.errors import NoIncrementAvailableError
 from sparsevmf.path import PathOptions, follow_path, next_beta, save_path
+from sparsevmf.selection import best_of_restarts
 
 
 def dense_fit(X, K, seed):
-    return fit_em(X, K, FitOptions(beta=0.0, seed=seed))
+    return fit_em(X, K, FitOptions(beta=0.0), rng=seed)
 
 
 @pytest.fixture(scope="module")
 def small_problem():
     cfg = SimulationConfig(K=2, d=6, N=150, base_kappa=10.0, sparsity=0.2, seed=50)
-    ds, _ = simulate_mixture(cfg)
-    fit = dense_fit(ds.X, 2, seed=51)
-    return ds.X, fit
+    X, _ = simulate_mixture(cfg)
+    fit = dense_fit(X, 2, seed=51)
+    return X, fit
 
 
 class TestNextBeta:
@@ -31,6 +32,12 @@ class TestNextBeta:
         assert next_beta(params, r, 0.0) == pytest.approx(0.2)
         # from beta = 0.2 the only remaining margin is 0.6 - 0.2 = 0.4
         assert next_beta(params, r, 0.2) == pytest.approx(0.6)
+
+    def test_zeroed_coordinates_ignored(self):
+        # the zeroed second coordinate has margin 0.3 - 0.1 but nothing left to zero
+        params = MixtureParams(np.array([1.0]), np.array([[1.0, 0.0]]), np.array([1.0]))
+        r = np.array([[0.9, 0.3]])
+        assert next_beta(params, r, 0.1) == 0.9
 
     def test_no_increment(self):
         params = MixtureParams(np.array([1.0]), np.array([[1.0, 0.0]]),
@@ -233,3 +240,17 @@ class TestSavePath:
             rows = list(csvmod.DictReader(fh))
         assert len(rows) == len(res.steps)
         assert float(rows[1]["beta"]) == res.steps[1].beta
+
+
+class TestNoCreep:
+    def test_every_step_moves_beta_or_zeroes(self):
+        # Epsilon-truncated coordinates used to bound next_beta, so runs of
+        # steps zeroed nothing while beta crept up by ~1e-13 relative.
+        cfg = SimulationConfig(K=3, d=20, N=400, base_kappa=15.0, sparsity=0.5, seed=3)
+        X, _ = simulate_mixture(cfg)
+        res = follow_path(X, 3, PathOptions(), best_of_restarts(X, 3, 10, FitOptions(), seed=1))
+        assert len(res.steps) > 20
+        for prev, step in zip(res.steps, res.steps[1:]):
+            crept = step.beta - prev.beta <= 1e-6 * prev.beta
+            zeroed = np.count_nonzero(step.fit.params.means) < np.count_nonzero(prev.fit.params.means)
+            assert zeroed or not crept

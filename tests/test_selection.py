@@ -127,11 +127,11 @@ class TestInformationCriterion:
 class TestBestOfRestarts:
     def test_deterministic_and_best(self):
         cfg = SimulationConfig(K=3, d=8, N=200, base_kappa=12.0, seed=60)
-        ds, _ = simulate_mixture(cfg)
-        a = best_of_restarts(ds.X, 3, 5, FitOptions(beta=0.0), seed=7)
-        b = best_of_restarts(ds.X, 3, 5, FitOptions(beta=0.0), seed=7)
+        X, _ = simulate_mixture(cfg)
+        a = best_of_restarts(X, 3, 5, FitOptions(beta=0.0), seed=7)
+        b = best_of_restarts(X, 3, 5, FitOptions(beta=0.0), seed=7)
         assert np.array_equal(a.params.means, b.params.means)
-        single = best_of_restarts(ds.X, 3, 1, FitOptions(beta=0.0), seed=7)
+        single = best_of_restarts(X, 3, 1, FitOptions(beta=0.0), seed=7)
         assert a.penalized_log_likelihood >= single.penalized_log_likelihood
 
     @pytest.mark.parametrize("n_restarts", [0, -1])
@@ -144,30 +144,30 @@ class TestBestOfRestarts:
 def data():
     cfg = SimulationConfig(K=3, d=10, N=400, base_kappa=15.0,
                            sparsity=0.2, seed=61)
-    ds, truth = simulate_mixture(cfg)
-    return ds, truth
+    X, truth = simulate_mixture(cfg)
+    return X, truth
 
 
 class TestSelectModel:
 
     def test_singleton_candidate(self, data):
-        ds, _ = data
-        rep = select_model(ds.X, [3], n_restarts=3,
+        X, _ = data
+        rep = select_model(X, [3], n_restarts=3,
                           path_opts=PathOptions(max_steps=10), seed=62)
         assert set(rep.chosen_K.values()) == {3}
         assert rep.final_model is rep.final_models["BIC"]
 
     def test_chosen_k_is_argmin(self, data):
-        ds, _ = data
-        rep = select_model(ds.X, [2, 3, 4], n_restarts=3,
+        X, _ = data
+        rep = select_model(X, [2, 3, 4], n_restarts=3,
                           path_opts=PathOptions(max_steps=8), seed=63)
         for kind, kstar in rep.chosen_K.items():
             vals = {K: rep.dense_ic[K][kind] for K in rep.dense_ic}
             assert vals[kstar] == min(vals.values())
 
     def test_best_step_is_argmin_on_path(self, data):
-        ds, _ = data
-        rep = select_model(ds.X, [3], n_restarts=3,
+        X, _ = data
+        rep = select_model(X, [3], n_restarts=3,
                           path_opts=PathOptions(max_steps=12), seed=64)
         path = rep.paths[3]
         for kind, idx in rep.best_steps[3].items():
@@ -175,14 +175,14 @@ class TestSelectModel:
             assert vals[idx] == min(vals)
 
     def test_final_model_matches_best_step(self, data):
-        ds, _ = data
-        rep = select_model(ds.X, [3], n_restarts=3,
+        X, _ = data
+        rep = select_model(X, [3], n_restarts=3,
                           path_opts=PathOptions(max_steps=12), seed=65)
         kstar = rep.chosen_K["BIC"]
         idx = rep.best_steps[kstar]["BIC"]
         assert rep.final_models["BIC"] is rep.paths[kstar].steps[idx].fit
 
     def test_empty_candidates(self, data):
-        ds, _ = data
+        X, _ = data
         with pytest.raises(ValueError):
-            select_model(ds.X, [], seed=0)
+            select_model(X, [], seed=0)

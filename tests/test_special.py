@@ -159,6 +159,25 @@ class TestInvertRatio:
                 kappa = invert_bessel_ratio(d, r, refine=True)
                 assert abs(bessel_ratio(d, kappa) - r) < 1e-8
 
+    def test_newton_evaluations_bounded(self, monkeypatch):
+        # At d = 2 near the cap the residual sits at the rounding noise of A_d;
+        # the solve stops there instead of running all 50 iterations.
+        calls = []
+
+        def counting(d, kappa):
+            calls.append(kappa)
+            return bessel_ratio(d, kappa)
+
+        monkeypatch.setattr(special, "bessel_ratio", counting)
+        worst = 0
+        for d in (2, 3, 4, 5, 8, 20, 200, 1000, 5000, 100000):
+            for kappa in np.geomspace(1e-3, 1e6, 500):
+                calls.clear()
+                estimate = invert_bessel_ratio(d, bessel_ratio(d, kappa), refine=True)
+                worst = max(worst, len(calls))
+                assert estimate == pytest.approx(kappa, rel=1e-8)
+        assert worst <= 5
+
     def test_degenerate_rbar(self):
         with pytest.raises(ValueError):
             invert_bessel_ratio(10, 1.0)
