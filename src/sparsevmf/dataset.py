@@ -1,5 +1,5 @@
 """Observation matrices (loading, normalisation), planted-structure
-simulation of sparse vMF mixtures and its Monte Carlo overlap estimate."""
+simulation of sparse vMF mixtures and its Monte Carlo overlap estimates."""
 
 from __future__ import annotations
 
@@ -10,7 +10,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import vmf
-from .em import MixtureParams, e_step, hard_assign, means_from_sparse, means_to_sparse
+from .em import (
+    MixtureParams,
+    _log_joint,
+    e_step,
+    hard_assign,
+    means_from_sparse,
+    means_to_sparse,
+)
 from .errors import CannotSparsifyError, NotBracketedError, ParseError, ZeroRowError
 
 __all__ = [
@@ -283,20 +290,65 @@ def _build_truth_params(means, base_kappa, alpha, rng, jitter_sd_frac):
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode="free")
 
 
+def _reduced_overlap(means: np.ndarray, alpha: np.ndarray, n_samples: int,
+                     rng: np.random.Generator):
+    """The estimate_overlap error rate as a function of MixtureParams with
+    these means and alpha, drawn exactly in at most K+1 dimensions.
+
+    Crisp assignment sees a draw x of component k only through <x, mu_l>.
+    With x = t mu_k + sqrt(1 - t^2) v and v uniform on the unit sphere of
+    mu_k's complement, <v, mu_l> needs v only in the part of span(means)
+    orthogonal to mu_k (r = min(K, d) - 1 dimensions): v's coordinates there
+    are z / |g|, with z ~ N(0, I_r) and |g|^2 = |z|^2 + chi^2_{d-1-r}.
+    Labels, z and the chi^2 draws do not depend on kappa, so they are drawn
+    once and every call reuses them; a call draws only t, by Wood's scheme,
+    in O(n K)."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    K, d = means.shape
+    labels = rng.choice(K, size=n_samples, p=alpha)
+    groups = [np.nonzero(labels == k)[0] for k in range(K)]
+    # Coordinates of the means in an orthonormal basis of a subspace that
+    # holds them all: means = u diag(sv) vt, so means @ vt.T = u * sv.
+    u, sv, _ = np.linalg.svd(means, full_matrices=False)
+    coords = u * sv
+    r = coords.shape[1] - 1
+    tangent = np.empty((n_samples, K))
+    for k, idx in enumerate(groups):
+        # Householder: the last r columns span the complement of mu_k there.
+        perp = np.linalg.qr(coords[k][:, None], mode="complete")[0][:, 1:]
+        z = rng.standard_normal((idx.size, r))
+        rest = rng.chisquare(d - 1 - r, idx.size) if d - 1 > r else 0.0
+        norm = np.sqrt(np.einsum("ij,ij->i", z, z) + rest)
+        tangent[idx] = (z @ (perp.T @ coords.T)) / norm[:, None]
+    gram = (means @ means.T)[labels]
+
+    def error(params: MixtureParams) -> float:
+        t = np.empty(n_samples)
+        for k, idx in enumerate(groups):
+            t[idx] = vmf._sample_tangent_weights(params.kappas[k], d, idx.size, rng)
+        inner = t[:, None] * gram + np.sqrt(np.maximum(1.0 - t * t, 0.0))[:, None] * tangent
+        return float(np.mean(hard_assign(_log_joint(inner, params)) != labels))
+
+    return error
+
+
 def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
                       rng: np.random.Generator, n_samples: int = 100_000,
                       max_steps: int = 40) -> float:
     """Find a base kappa whose mixture (jitter off, separability rescaling on)
     has a crisp-assignment error rate close to target, by bisection.
 
-    Stops when |error - target| < 0.1*target or after max_steps bisections.
-    Raises NotBracketedError when the target is unreachable in [0.01, 1e4]."""
+    The error rate is estimated on n_samples draws whose kappa-free part is
+    shared by every bisection step (_reduced_overlap). Stops when
+    |error - target| < 0.1*target or after max_steps bisections. Raises
+    NotBracketedError when the target is unreachable in [0.01, 1e4]."""
     if not 0.0 < target < 0.5:
         raise ValueError("target must be in (0, 0.5)")
+    error = _reduced_overlap(means, alpha, n_samples, rng)
 
     def error_at(base_kappa):
-        params = _build_truth_params(means, base_kappa, alpha, rng, jitter_sd_frac=0.0)
-        return estimate_overlap(params, n_samples, rng)
+        return error(_build_truth_params(means, base_kappa, alpha, rng, jitter_sd_frac=0.0))
 
     lo, hi = 0.01, 1e4
     err_lo = error_at(lo)

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DegenerateUniformError,
@@ -185,19 +184,29 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
 
-def _log_component_densities(X: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """N x K matrix of log f_k(x_i)."""
-    d = params.d
-    log_norm = np.array([log_vmf_normalizer(d, k) for k in params.kappas])
-    return log_norm[None, :] + (X @ params.means.T) * params.kappas[None, :]
+def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
+    """N x K matrix of log alpha_k + log f_k(x_i), from the N x K inner
+    products <x_i, mu_k>."""
+    with np.errstate(divide="ignore"):
+        log_alpha = np.log(params.alpha)
+    log_norm = np.array([log_vmf_normalizer(params.d, k) for k in params.kappas])
+    return log_alpha[None, :] + (log_norm[None, :] + inner * params.kappas[None, :])
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log sum_k exp(a_ik) per row. The m terms tied at the row maximum are
+    taken out of the sum, so the rest adds through log1p."""
+    a_max = a.max(axis=1, keepdims=True)
+    at_max = a == a_max
+    m = at_max.sum(axis=1, keepdims=True)
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
 def e_step(X: np.ndarray, params: MixtureParams) -> Responsibilities:
     """Posterior responsibilities tau_ik, computed in log space."""
-    with np.errstate(divide="ignore"):
-        log_alpha = np.log(params.alpha)
-    log_joint = log_alpha[None, :] + _log_component_densities(X, params)
-    log_marginals = logsumexp(log_joint, axis=1)
+    log_joint = _log_joint(X @ params.means.T, params)
+    log_marginals = _logsumexp_rows(log_joint)
     tau = np.exp(log_joint - log_marginals[:, None])
     return Responsibilities(tau=tau, log_marginals=log_marginals)
 

@@ -5,7 +5,8 @@ approximate inversion of the ratio used to estimate the concentration.
 
 I_nu(x) comes from SciPy's scaled ive above _IVE_FLOOR and from the uniform
 asymptotic expansion (DLMF 10.41(ii)) below it; neither loops. The domain is
-d >= 2 and 0 <= kappa <= KAPPA_CAP; the functions raise ValueError outside it.
+2 <= d <= 1e5 and 0 <= kappa <= KAPPA_CAP; the functions raise ValueError
+outside it.
 """
 
 from __future__ import annotations
@@ -26,9 +27,17 @@ __all__ = [
 # Top of the domain; caps kappa so a component cannot collapse onto one point.
 KAPPA_CAP = 1e6
 
+# Top of the dimension domain, the highest d the accuracy tests cover.
+_D_MAX = 1e5
+
 # Below this value the exponentially scaled I_nu(x)*exp(-x) from scipy is at
 # risk of underflow; switch to the uniform asymptotic expansion instead.
 _IVE_FLOOR = 1e-280
+
+
+def _check_d(name: str, d: float) -> None:
+    if not 2 <= d <= _D_MAX:
+        raise ValueError(f"{name} requires 2 <= d <= {_D_MAX:g}, got {d}")
 
 
 def _debye(nu: float, x: float) -> tuple[float, float]:
@@ -48,12 +57,14 @@ def _debye(nu: float, x: float) -> tuple[float, float]:
 
 
 def log_bessel_i(order: float, x: float) -> float:
-    """Return log I_order(x) for order >= 0, 0 <= x <= KAPPA_CAP.
+    """Return log I_order(x) for 0 <= order <= 5e4, 0 <= x <= KAPPA_CAP.
 
     At x = 0 the limit is 0 for order 0 and -inf for positive orders.
     """
-    if order < 0 or not math.isfinite(order) or not 0.0 <= x <= KAPPA_CAP:
-        raise ValueError(f"log_bessel_i requires order >= 0, 0 <= x <= KAPPA_CAP, got {order}, {x}")
+    if not 0.0 <= order <= 0.5 * _D_MAX or not 0.0 <= x <= KAPPA_CAP:
+        raise ValueError(
+            f"log_bessel_i requires 0 <= order <= {0.5 * _D_MAX:g}, 0 <= x <= KAPPA_CAP, "
+            f"got {order}, {x}")
     if x == 0.0:
         return 0.0 if order == 0.0 else -math.inf
     v = ive(order, x)
@@ -70,8 +81,7 @@ def bessel_ratio(d: int, kappa: float) -> float:
     with B = I_{nu+1}/I_nu, nu = d/2, from the difference of two expansions,
     taken term by term so nothing cancels. In [0, 1), increasing in kappa.
     """
-    if d < 2:
-        raise ValueError(f"bessel_ratio requires d >= 2, got {d}")
+    _check_d("bessel_ratio", d)
     if not 0.0 <= kappa <= KAPPA_CAP:
         raise ValueError(f"bessel_ratio requires 0 <= kappa <= {KAPPA_CAP:g}, got {kappa}")
     if kappa == 0.0:
@@ -94,8 +104,7 @@ def log_vmf_normalizer(d: int, kappa: float) -> float:
     c_d(kappa) = kappa^(d/2-1) / ((2 pi)^(d/2) I_{d/2-1}(kappa)); the kappa -> 0
     limit is the uniform density on the sphere, 1/surface(S^{d-1}).
     """
-    if d < 2:
-        raise ValueError(f"log_vmf_normalizer requires d >= 2, got {d}")
+    _check_d("log_vmf_normalizer", d)
     if not 0.0 <= kappa <= KAPPA_CAP:
         raise ValueError(f"log_vmf_normalizer requires 0 <= kappa <= {KAPPA_CAP:g}, got {kappa}")
     s = 0.5 * d - 1.0
@@ -113,8 +122,7 @@ def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
     below 1e-10 or |A_d(kappa) - rbar| stops shrinking (at most 50 iterations;
     one when A_d(KAPPA_CAP) <= rbar).
     """
-    if d < 2:
-        raise ValueError(f"invert_bessel_ratio requires d >= 2, got {d}")
+    _check_d("invert_bessel_ratio", d)
     if not 0.0 <= rbar < 1.0:
         raise ValueError(
             f"invert_bessel_ratio requires 0 <= rbar < 1, got {rbar} "

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from sparsevmf.dataset import (
     SimulationConfig,
+    _build_truth_params,
+    _reduced_overlap,
     calibrate_overlap,
     estimate_overlap,
     greedy_max_separation,
@@ -266,6 +270,54 @@ class TestCalibrateOverlap:
             # reachable floor instead: kappa=1e4 leaves error ~0.
             calibrate_overlap(means, 0.499, np.array([0.999999, 1e-6]), rng,
                               n_samples=5_000)
+
+
+class TestReducedOverlap:
+    """The estimator calibrate_overlap bisects on, against the full-d oracle."""
+
+    @pytest.mark.parametrize("d, K, base_kappa, sparsity", [
+        (2, 3, 3.0, 0.0),      # d < K: no chi-square part
+        (3, 3, 3.0, 0.0),      # d = K: no chi-square part
+        (5, 2, 3.0, 0.0),
+        (20, 3, 4.0, 0.5),     # sparse means
+        (20, 4, 0.3, 0.0),     # near-uniform
+        (200, 3, 18.0, 0.5),
+        (2000, 3, 60.0, 0.0),
+    ])
+    def test_agrees_with_full_dimension_oracle(self, d, K, base_kappa, sparsity):
+        rng = np.random.default_rng([31, d, K])
+        g = rng.standard_normal((20 * K, d))
+        means = greedy_max_separation(g / np.linalg.norm(g, axis=1, keepdims=True), K)
+        means = sparsify_means(means, sparsity, rng)
+        alpha = np.arange(1, K + 1) / (K * (K + 1) / 2)
+        params = _build_truth_params(means, base_kappa, alpha, rng, jitter_sd_frac=0.0)
+        n_red, n_full = 100_000, (4_000 if d > 200 else 20_000)
+        reduced = _reduced_overlap(means, alpha, n_red, rng)(params)
+        full = estimate_overlap(params, n_full, rng)
+        assert 0.01 < full < 0.7
+        p = 0.5 * (reduced + full)
+        se = np.sqrt(p * (1 - p) * (1 / n_red + 1 / n_full))
+        assert abs(reduced - full) < 4 * se
+
+    def test_seeded_overlap_run_reproducible(self):
+        cfg = SimulationConfig(K=3, d=20, N=200, overlap_target=0.05, sparsity=0.25, seed=3)
+        X1, t1 = simulate_mixture(cfg)
+        X2, t2 = simulate_mixture(cfg)
+        assert np.array_equal(X1, X2)
+        assert np.array_equal(t1.labels, t2.labels)
+        assert np.array_equal(t1.params.kappas, t2.params.kappas)
+
+    def test_base_kappa_run_unchanged(self):
+        # A base_kappa run never calibrates, so this digest must not depend
+        # on how calibrate_overlap draws. Rounding to 1e-10 keeps it
+        # independent of last-ulp differences between platforms' exp and log.
+        cfg = SimulationConfig(K=3, d=20, N=300, base_kappa=5.0, sparsity=0.25, seed=11)
+        X, truth = simulate_mixture(cfg)
+        h = hashlib.sha256()
+        for a in (np.round(X, 10), truth.labels.astype(np.int64),
+                  np.round(truth.params.kappas, 10), np.round(truth.params.means, 10)):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == "10bfea13bdaf4114a3a7e68901306043ef8f95452bc61133c3752e08cc4633f5"
 
 
 class TestSampleMixture:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mpmath as mp
+from scipy.special import logsumexp
 
 from sparsevmf import special
 from sparsevmf.dataset import SimulationConfig, simulate_mixture
@@ -11,6 +12,7 @@ from sparsevmf.em import (
     FitOptions,
     FitStatus,
     MixtureParams,
+    _logsumexp_rows,
     e_step,
     fit_em,
     fit_result_from_dict,
@@ -133,6 +135,22 @@ class TestEStep:
             for k in range(3):
                 assert abs(resp.tau[i, k] - float(joint[k] / total)) < 1e-12
             assert abs(resp.log_marginals[i] - float(mp.log(total))) < 1e-12
+
+    def test_logsumexp_matches_scipy(self):
+        # Offset rows keep results away from 0, where SciPy < 1.15's
+        # log(sum(...)) form and log1p part ways by more than rtol.
+        rng = np.random.default_rng(5)
+        for trial in range(200):
+            n, K = int(rng.integers(1, 40)), int(rng.integers(2, 7))
+            a = rng.normal(-5.0, (1.0, 100.0, 1e4)[trial % 3], size=(n, K))
+            if trial % 4 == 0:
+                a[:, 1] = a[:, 0]  # tied maxima
+            if trial % 5 == 0:
+                a = np.round(a)  # more ties
+            if trial % 3 == 0:
+                a[:, -1] = -np.inf  # a component with alpha = 0
+            np.testing.assert_allclose(_logsumexp_rows(a), logsumexp(a, axis=1),
+                                       rtol=1e-15, atol=0)
 
 
 class TestSoftThreshold:

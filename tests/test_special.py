@@ -38,6 +38,22 @@ class TestAboveCap:
         assert math.isfinite(log_vmf_normalizer(10, KAPPA_CAP))
 
 
+class TestAboveDimensionCap:
+    @pytest.mark.parametrize("d", [100001, 2e5])
+    def test_raises(self, d):
+        with pytest.raises(ValueError):
+            bessel_ratio(d, 10.0)
+        with pytest.raises(ValueError):
+            log_vmf_normalizer(d, 10.0)
+        with pytest.raises(ValueError):
+            invert_bessel_ratio(d, 0.5)
+        with pytest.raises(ValueError):
+            log_bessel_i(0.5 * d, 10.0)
+
+    def test_top_order_allowed(self):
+        assert math.isfinite(log_bessel_i(5e4, 1e4))
+
+
 class TestLogBesselI:
     def test_zero_argument_order_zero(self):
         assert log_bessel_i(0, 0.0) == 0.0
