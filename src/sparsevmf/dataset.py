@@ -313,22 +313,23 @@ def _reduced_overlap(means: np.ndarray, alpha: np.ndarray, n_samples: int,
     u, sv, _ = np.linalg.svd(means, full_matrices=False)
     coords = u * sv
     r = coords.shape[1] - 1
-    tangent = np.empty((n_samples, K))
+    tangent = np.empty((K, n_samples))
     for k, idx in enumerate(groups):
         # Householder: the last r columns span the complement of mu_k there.
         perp = np.linalg.qr(coords[k][:, None], mode="complete")[0][:, 1:]
         z = rng.standard_normal((idx.size, r))
         rest = rng.chisquare(d - 1 - r, idx.size) if d - 1 > r else 0.0
         norm = np.sqrt(np.einsum("ij,ij->i", z, z) + rest)
-        tangent[idx] = (z @ (perp.T @ coords.T)) / norm[:, None]
-    gram = (means @ means.T)[labels]
+        tangent[:, idx] = ((z @ (perp.T @ coords.T)) / norm[:, None]).T
+    gram = (means @ means.T)[labels].T
 
     def error(params: MixtureParams) -> float:
         t = np.empty(n_samples)
         for k, idx in enumerate(groups):
             t[idx] = vmf._sample_tangent_weights(params.kappas[k], d, idx.size, rng)
-        inner = t[:, None] * gram + np.sqrt(np.maximum(1.0 - t * t, 0.0))[:, None] * tangent
-        return float(np.mean(hard_assign(_log_joint(inner, params)) != labels))
+        # K x n inner products; argmax down the components, ties to the lowest.
+        inner = t * gram + np.sqrt(np.maximum(1.0 - t * t, 0.0)) * tangent
+        return float(np.mean(np.argmax(_log_joint(inner, params), axis=0) != labels))
 
     return error
 

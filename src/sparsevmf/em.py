@@ -108,10 +108,13 @@ class MixtureParams:
 
 @dataclass
 class Responsibilities:
-    """Posterior membership probabilities and per-observation log marginals."""
+    """Posterior membership probabilities tau (N x K), per-observation log
+    marginals, and the K x d resultants r_k = sum_i tau_ik x_i: the expected
+    sufficient statistics the M step and the path read instead of X."""
 
     tau: np.ndarray
     log_marginals: np.ndarray
+    resultants: np.ndarray
 
     @property
     def log_likelihood(self) -> float:
@@ -164,7 +167,7 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     Raises InitFailureError when a crisp cluster is empty or a resultant is
     degenerate; callers retry with fresh draws.
     """
-    n, d = X.shape
+    n = X.shape[0]
     if n < K:
         raise ValueError("need at least K observations")
     idx = rng.choice(n, size=K, replace=False)
@@ -175,8 +178,7 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     if np.any(counts == 0):
         raise InitFailureError("empty crisp cluster during initialisation")
     alpha = counts / n
-    resultants = np.zeros((K, d))
-    np.add.at(resultants, labels, X)
+    resultants = np.stack([X[labels == k].sum(axis=0) for k in range(K)])
     try:
         kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode, refine=False)
     except DegenerateUniformError as err:
@@ -185,30 +187,32 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
 
 
 def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """N x K matrix of log alpha_k + log f_k(x_i), from the N x K inner
-    products <x_i, mu_k>."""
+    """K x N matrix of log alpha_k + log f_k(x_i), from the K x N inner
+    products <mu_k, x_i>."""
     with np.errstate(divide="ignore"):
         log_alpha = np.log(params.alpha)
     log_norm = np.array([log_vmf_normalizer(params.d, k) for k in params.kappas])
-    return log_alpha[None, :] + (log_norm[None, :] + inner * params.kappas[None, :])
+    return log_alpha[:, None] + (log_norm[:, None] + inner * params.kappas[:, None])
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log sum_k exp(a_ik) per row. The m terms tied at the row maximum are
-    taken out of the sum, so the rest adds through log1p."""
-    a_max = a.max(axis=1, keepdims=True)
+def _logsumexp_cols(a: np.ndarray) -> np.ndarray:
+    """log sum_k exp(a_ki) per column of a contiguous K x N array. The m terms
+    tied at the column maximum are taken out of the sum, so the rest adds
+    through log1p."""
+    a_max = a.max(axis=0)
     at_max = a == a_max
-    m = at_max.sum(axis=1, keepdims=True)
-    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=1, keepdims=True) / m
-    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    m = at_max.sum(axis=0)
+    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=0) / m
+    return np.log1p(s) + np.log(m) + a_max
 
 
 def e_step(X: np.ndarray, params: MixtureParams) -> Responsibilities:
-    """Posterior responsibilities tau_ik, computed in log space."""
-    log_joint = _log_joint(X @ params.means.T, params)
-    log_marginals = _logsumexp_rows(log_joint)
-    tau = np.exp(log_joint - log_marginals[:, None])
-    return Responsibilities(tau=tau, log_marginals=log_marginals)
+    """Posterior responsibilities tau_ik, computed in log space component by
+    component, and the resultants they weight."""
+    log_joint = _log_joint(params.means @ X.T, params)
+    log_marginals = _logsumexp_cols(log_joint)
+    tau = np.exp(log_joint - log_marginals)
+    return Responsibilities(tau=tau.T, log_marginals=log_marginals, resultants=tau @ X)
 
 
 def soft_threshold_mu(r_k: np.ndarray, kappa: float, beta: float) -> np.ndarray:
@@ -243,19 +247,18 @@ def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarra
     return np.array([solve(float(means[k] @ r[k]) / weights[k]) for k in range(K)])
 
 
-def m_step(X: np.ndarray, resp: Responsibilities, prev_params: MixtureParams,
+def m_step(resp: Responsibilities, prev_params: MixtureParams,
            opts: FitOptions) -> MixtureParams:
-    """Approximate M phase at opts.beta and opts.kappa_mode: closed-form
-    alpha, then a fixed-point loop that updates the means (soft-thresholding)
-    and then the kappas, seeded with the previous kappas."""
-    tau = resp.tau
-    n = X.shape[0]
-    K = tau.shape[1]
-    col_sums = tau.sum(axis=0)
+    """Approximate M phase at opts.beta and opts.kappa_mode, from the E-step's
+    column sums and resultants alone: closed-form alpha, then a fixed-point
+    loop that updates the means (soft-thresholding) and then the kappas,
+    seeded with the previous kappas."""
+    n, K = resp.tau.shape
+    col_sums = resp.tau.sum(axis=0)
     if np.any(col_sums < 1e-12):
         raise EmptyComponentError("component with vanishing total responsibility")
     alpha = col_sums / n
-    r = tau.T @ X  # K x d resultants
+    r = resp.resultants
     kappas = prev_params.kappas.copy()
     means = prev_params.means.copy()
     for _ in range(opts.inner_max_iters):
@@ -348,7 +351,8 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
             break
         prev_pll = pll
         try:
-            params = m_step(X, resp, params, opts)
+            # By keyword: perfbench's tracer reads the resp argument by name.
+            params = m_step(resp=resp, prev_params=params, opts=opts)
         except ZeroMeanError:
             status = FitStatus.ZERO_MEAN
             break

@@ -133,9 +133,9 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
             break
         if prev_fit.resp is None:  # a fit loaded from JSON
             prev_fit = replace(prev_fit, resp=e_step(X, prev_fit.params))
-        r = prev_fit.resp.tau.T @ X
         try:
-            beta = next_beta(prev_fit.params, r, prev_fit.beta, path_opts.min_rel_increase)
+            beta = next_beta(prev_fit.params, prev_fit.resp.resultants, prev_fit.beta,
+                             path_opts.min_rel_increase)
         except NoIncrementAvailableError:
             reason = "NoIncrementAvailable"
             break

@@ -3,8 +3,9 @@ quantities derived from them: the ratio A_d(kappa) = I_{d/2}(kappa)/I_{d/2-1}(ka
 the log normalizing constant of the von Mises-Fisher density, and the
 approximate inversion of the ratio used to estimate the concentration.
 
-I_nu(x) comes from SciPy's scaled ive above _IVE_FLOOR and from the uniform
-asymptotic expansion (DLMF 10.41(ii)) below it; neither loops. The domain is
+I_nu(x) comes from SciPy's scaled ive above _IVE_FLOOR; below it, from the
+leading power-series term at tiny x and the uniform asymptotic expansion
+(DLMF 10.41(ii)) otherwise. None of them loops. The domain is
 2 <= d <= 1e5 and 0 <= kappa <= KAPPA_CAP; the functions raise ValueError
 outside it.
 """
@@ -31,7 +32,7 @@ KAPPA_CAP = 1e6
 _D_MAX = 1e5
 
 # Below this value the exponentially scaled I_nu(x)*exp(-x) from scipy is at
-# risk of underflow; switch to the uniform asymptotic expansion instead.
+# risk of underflow; switch to the series or the uniform expansion instead.
 _IVE_FLOOR = 1e-280
 
 
@@ -70,6 +71,9 @@ def log_bessel_i(order: float, x: float) -> float:
     v = ive(order, x)
     if v > _IVE_FLOOR:
         return math.log(v) + x
+    if x * x < 4e-12 * (order + 1.0):
+        # Leading term of the power series; the rest adds about x^2/(4(order+1)) < 1e-12.
+        return order * math.log(0.5 * x) - math.lgamma(order + 1.0)
     r, u = _debye(order, x)
     return r + order * math.log(x / (order + r)) - 0.5 * math.log(2.0 * math.pi * r) + math.log(u)
 

@@ -6,13 +6,14 @@ import pytest
 import mpmath as mp
 from scipy.special import logsumexp
 
+import sparsevmf.em
 from sparsevmf import special
 from sparsevmf.dataset import SimulationConfig, simulate_mixture
 from sparsevmf.em import (
     FitOptions,
     FitStatus,
     MixtureParams,
-    _logsumexp_rows,
+    _logsumexp_cols,
     e_step,
     fit_em,
     fit_result_from_dict,
@@ -79,6 +80,26 @@ class TestInitRandom:
                 pass
         assert ok >= 1
 
+    def test_resultants_equal_add_at(self, monkeypatch):
+        # Each crisp cluster's rows add in row order, as np.add.at adds them,
+        # so the resultants are bitwise equal.
+        seen = []
+
+        def record(means, r, *args, **kwargs):
+            seen.append(r)
+            return np.ones(means.shape[0])
+
+        monkeypatch.setattr(sparsevmf.em, "_kappas_from_resultants", record)
+        rng = np.random.default_rng(2)
+        for K, n, d in ((2, 30, 4), (3, 2000, 200), (5, 300, 17)):
+            X = rng.standard_normal((n, d))
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+            params = init_random(X, K, rng)
+            labels = np.argmax(X @ params.means.T, axis=1)
+            ref = np.zeros((K, d))
+            np.add.at(ref, labels, X)
+            assert seen[-1].tobytes() == ref.tobytes()
+
     def test_nonpositive_resultant_fails(self):
         # Means at rows 0 and 1: rows 2 and 3 join cluster 0, whose resultant
         # (-0.2, -1.6) has <mu_0, r_0> = -0.2 < 0.
@@ -137,20 +158,32 @@ class TestEStep:
             assert abs(resp.log_marginals[i] - float(mp.log(total))) < 1e-12
 
     def test_logsumexp_matches_scipy(self):
-        # Offset rows keep results away from 0, where SciPy < 1.15's
+        # Offset entries keep results away from 0, where SciPy < 1.15's
         # log(sum(...)) form and log1p part ways by more than rtol.
         rng = np.random.default_rng(5)
         for trial in range(200):
             n, K = int(rng.integers(1, 40)), int(rng.integers(2, 7))
-            a = rng.normal(-5.0, (1.0, 100.0, 1e4)[trial % 3], size=(n, K))
+            a = rng.normal(-5.0, (1.0, 100.0, 1e4)[trial % 3], size=(K, n))
             if trial % 4 == 0:
-                a[:, 1] = a[:, 0]  # tied maxima
+                a[1] = a[0]  # tied maxima
             if trial % 5 == 0:
                 a = np.round(a)  # more ties
             if trial % 3 == 0:
-                a[:, -1] = -np.inf  # a component with alpha = 0
-            np.testing.assert_allclose(_logsumexp_rows(a), logsumexp(a, axis=1),
+                a[-1] = -np.inf  # a component with alpha = 0
+            np.testing.assert_allclose(_logsumexp_cols(a), logsumexp(a, axis=0),
                                        rtol=1e-15, atol=0)
+
+    def test_resultants_weight_x_by_tau(self):
+        rng = np.random.default_rng(6)
+        for K, n, d in ((1, 20, 5), (3, 200, 7), (6, 500, 40)):
+            params = random_params(rng, K, d)
+            X = rng.standard_normal((n, d))
+            X /= np.linalg.norm(X, axis=1, keepdims=True)
+            resp = e_step(X, params)
+            ref = resp.tau.T @ X
+            assert resp.resultants.shape == (K, d)
+            # Relative to the largest entry: BLAS may round single entries near 0 apart.
+            assert np.abs(resp.resultants - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestSoftThreshold:
@@ -214,7 +247,7 @@ class TestMStep:
         fit = fit_em(X, 2, opts, rng=rng)
         assert fit.status is FitStatus.CONVERGED
         resp = e_step(X, fit.params)
-        out = m_step(X, resp, fit.params, opts)
+        out = m_step(resp, fit.params, opts)
         # Closed-form uncoupled case: mean equals the normalized resultant.
         r = resp.tau.T @ X
         for k in range(2):
@@ -225,7 +258,7 @@ class TestMStep:
         X = sample(VmfParams(mu=unit([1, 2, 0, 0, 1]), kappa=12.0), 200, rng)
         params = MixtureParams(np.ones(1), unit([1, 0, 0, 0, 0])[None, :], np.array([1.0]))
         resp = e_step(X, params)
-        out = m_step(X, resp, params, FitOptions())
+        out = m_step(resp, params, FitOptions())
         ref = mle_fit(X)
         assert np.allclose(out.means[0], ref.mu, atol=1e-10)
         # kappa solves the exact ratio equation A_d(kappa) = rbar
@@ -244,7 +277,7 @@ class TestMStep:
         resp = e_step(X, params)
         beta = 0.5
         opts = FitOptions(beta=beta, inner_tol=1e-12, inner_max_iters=500)
-        out = m_step(X, resp, params, opts)
+        out = m_step(resp, params, opts)
         r = resp.tau.T @ X
         sums = resp.tau.sum(axis=0)
         from sparsevmf.special import bessel_ratio
@@ -273,7 +306,7 @@ class TestMStep:
         X, _ = simulate_mixture(cfg)
         params = random_params(rng, 3, 6)
         resp = e_step(X, params)
-        out = m_step(X, resp, params, FitOptions(beta=0.3))
+        out = m_step(resp, params, FitOptions(beta=0.3))
         assert out.alpha.sum() == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(np.linalg.norm(out.means, axis=1), 1.0, atol=1e-10)
 
@@ -337,7 +370,7 @@ class TestFitEm:
         kappa_star = invert_bessel_ratio(4, rbar, refine=True)
         params = MixtureParams(np.ones(1), (r / np.linalg.norm(r))[None, :],
                                np.array([kappa_star]))
-        out = m_step(X, e_step(X, params), params, FitOptions())
+        out = m_step(e_step(X, params), params, FitOptions())
         assert np.allclose(out.means[0], params.means[0], atol=1e-10)
         assert out.kappas[0] == pytest.approx(params.kappas[0], rel=1e-8)
 
@@ -364,6 +397,7 @@ class TestFitResultResp:
     def assert_resp_equal(a, b):
         assert np.array_equal(a.tau, b.tau)
         assert np.array_equal(a.log_marginals, b.log_marginals)
+        assert np.array_equal(a.resultants, b.resultants)
 
     @pytest.mark.parametrize("opts, status", [
         (FitOptions(beta=0.3), FitStatus.CONVERGED),

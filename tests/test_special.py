@@ -20,6 +20,10 @@ from oracles import mp_bessel_ratio, mp_log_bessel_i, mp_log_vmf_normalizer
 # (d, kappa) where ive(d/2, kappa) underflows; mpmath takes <= 0.1 s each.
 HIGH_D_POINTS = [(5000, 4000.0), (8000, 4000.0), (10002, 1e4), (100000, 1.0), (100000, 1e4)]
 
+# (order, x) at a low order and tiny x. ive underflows at all but (1, 1e-200);
+# there the power series' leading term takes over from the uniform expansion.
+TINY_X_POINTS = [(1.0, 1e-300), (1.0, 1e-200), (5.0, 1e-60), (10.0, 1e-30), (19.0, 1e-14)]
+
 
 class TestAboveCap:
     @pytest.mark.parametrize("kappa", [np.nextafter(KAPPA_CAP, np.inf), 1e7, 2.4e10, math.inf,
@@ -74,6 +78,12 @@ class TestLogBesselI:
         got = log_bessel_i(order, x)
         ref = mp_log_bessel_i(order, x)
         assert abs(got - ref) / max(abs(ref), 1.0) < 1e-12
+
+    @pytest.mark.parametrize("order,x", TINY_X_POINTS)
+    def test_tiny_argument_against_high_precision(self, order, x):
+        got = log_bessel_i(order, x)
+        ref = mp_log_bessel_i(order, x)
+        assert abs(got - ref) / abs(ref) < 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -138,6 +148,13 @@ class TestLogNormalizer:
         got = log_vmf_normalizer(d, kappa)
         ref = mp_log_vmf_normalizer(d, kappa)
         assert abs(got - ref) / abs(ref) < 1e-10
+
+    @pytest.mark.parametrize("order,kappa", TINY_X_POINTS)
+    def test_tiny_kappa_against_high_precision(self, order, kappa):
+        d = int(2 * (order + 1))
+        got = log_vmf_normalizer(d, kappa)
+        ref = mp_log_vmf_normalizer(d, kappa)
+        assert abs(got - ref) / abs(ref) < 1e-12
 
     def test_continuity_at_zero(self):
         for d in (2, 3, 10, 100):
