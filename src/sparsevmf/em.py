@@ -219,12 +219,21 @@ def soft_threshold_mu(r_k: np.ndarray, kappa: float, beta: float) -> np.ndarray:
     """Penalized mean update: soft-threshold kappa*|r| at beta and normalize.
 
     Solves max_{||mu||=1} kappa <mu, r> - beta ||mu||_1 in closed form.
-    Raises ZeroMeanError when every coordinate is thresholded away.
+    When every coordinate is thresholded away, the maximiser is
+    sign(r_j) e_j at j = argmax_j |r_j| (lowest index on ties): since
+    ||mu||_1 >= ||mu||_2 = 1, no unit vector scores above kappa |r_j| - beta.
+    Raises ZeroMeanError only when r is zero.
     """
-    shrunk = np.maximum(kappa * np.abs(r_k) - beta, 0.0)
+    abs_r = np.abs(r_k)
+    shrunk = np.maximum(kappa * abs_r - beta, 0.0)
     norm = np.linalg.norm(shrunk)
     if norm == 0.0:
-        raise ZeroMeanError("soft-thresholding produced a zero directional mean")
+        j = int(np.argmax(abs_r))
+        if abs_r[j] == 0.0:
+            raise ZeroMeanError("zero resultant: the directional mean is undefined")
+        mu = np.zeros_like(abs_r)
+        mu[j] = np.sign(r_k[j])
+        return mu
     return np.sign(r_k) * shrunk / norm
 
 

@@ -10,7 +10,7 @@ class ZeroResultantError(SparseVmfError):
 
 
 class ZeroMeanError(SparseVmfError):
-    """Soft-thresholding removed every coordinate of a directional mean."""
+    """A directional mean is undefined: its resultant is zero."""
 
 
 class DegenerateUniformError(SparseVmfError):

@@ -70,13 +70,17 @@ def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float,
               min_rel_increase: float = 0.0) -> float:
     """Smallest beta > beta_prev guaranteed to zero at least one currently
     surviving mean coordinate on the next M step:
-    beta_prev + min over {kappa_k |r_kj| - beta_prev > 0 : mu_kj != 0}.
-    Coordinates already zero (by thresholding or epsilon truncation) are
-    left out: a beta that only they bound would zero nothing.
+    beta_prev + min over {kappa_k |r_kj| - beta_prev > 0 : mu_kj != 0,
+    mu_k has another nonzero}. Coordinates already zero (by thresholding or
+    epsilon truncation) are left out, and so is the last coordinate of a
+    1-sparse mean, which the M step keeps at any beta: a beta that only they
+    bound would zero nothing.
 
-    Raises NoIncrementAvailableError when every surviving kappa|r| <= beta_prev."""
+    Raises NoIncrementAvailableError when every such kappa|r| <= beta_prev."""
     margins = params.kappas[:, None] * np.abs(r) - beta_prev
-    positive = margins[(margins > 0) & (params.means != 0.0)]
+    nonzero = params.means != 0.0
+    can_zero = nonzero & (nonzero.sum(axis=1) > 1)[:, None]
+    positive = margins[(margins > 0) & can_zero]
     if positive.size == 0:
         raise NoIncrementAvailableError(f"no surviving coordinate exceeds beta = {beta_prev:g}")
     beta = beta_prev + float(positive.min())

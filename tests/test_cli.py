@@ -99,11 +99,15 @@ class TestFit:
             docs.append((d / "model.json").read_bytes())
         assert docs[0] == docs[1]
 
-    def test_over_penalized_exits_one(self, sim_files, tmp_path):
+    def test_over_penalized_keeps_one_coordinate(self, sim_files, tmp_path):
+        # every coordinate is thresholded away: each mean keeps its largest
         data, _ = sim_files
         rc = run(["fit", "--input", str(data), "--k", "2", "--beta", "1e9",
                   "--out", str(tmp_path / "m.json"), "--seed", "1"])
-        assert rc == 1
+        assert rc == 0
+        doc = json.loads((tmp_path / "m.json").read_text())
+        assert doc["status"] == "Converged"
+        assert [[abs(v) for _, v in row] for row in doc["means"]] == [[1.0], [1.0]]
 
     def test_malformed_input_exits_one(self, tmp_path, capsys):
         data = tmp_path / "d.txt"

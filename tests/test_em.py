@@ -203,8 +203,34 @@ class TestSoftThreshold:
         assert np.allclose(mu, [1.0, 0.0])
 
     def test_zero_mean_error(self):
-        with pytest.raises(ZeroMeanError):
-            soft_threshold_mu(np.array([0.1, -0.2]), 1.0, 10.0)
+        # beta above kappa * max|r|: the maximiser keeps the largest coordinate
+        mu = soft_threshold_mu(np.array([0.1, -0.2]), 1.0, 10.0)
+        assert mu.tolist() == [0.0, -1.0]
+        # only a zero resultant leaves the mean undefined
+        for beta in (0.0, 10.0):
+            with pytest.raises(ZeroMeanError):
+                soft_threshold_mu(np.zeros(3), 1.0, beta)
+
+    def test_over_penalized_tie_takes_lowest_index(self):
+        mu = soft_threshold_mu(np.array([0.1, -0.5, 0.5, -0.5]), 2.0, 1.0)
+        assert mu.tolist() == [0.0, -1.0, 0.0, 0.0]
+
+    def test_over_penalized_matches_constrained_maximizer(self):
+        # beta in [kappa max|r|, 3 kappa max|r|]: every coordinate is
+        # thresholded away, and no unit vector scores above kappa max|r| - beta
+        rng = np.random.default_rng(16)
+        for checked in range(25):
+            d = int(rng.integers(3, 9))
+            r = rng.standard_normal(d)
+            kappa = float(rng.uniform(0.5, 20.0))
+            top = kappa * float(np.max(np.abs(r)))
+            beta = float(rng.uniform(top, 3.0 * top))
+            mu = soft_threshold_mu(r, kappa, beta)
+            _, oracle_val = proximal_mu_maximizer(r, kappa, beta, seed=checked)
+            val = kappa * float(mu @ r) - beta * float(np.abs(mu).sum())
+            assert np.count_nonzero(mu) == 1
+            assert val == pytest.approx(top - beta, rel=1e-12, abs=1e-12)
+            assert val >= oracle_val - 1e-9 * max(1.0, abs(oracle_val))
 
     def test_matches_constrained_maximizer(self):
         rng = np.random.default_rng(6)
@@ -374,12 +400,36 @@ class TestFitEm:
         assert np.allclose(out.means[0], params.means[0], atol=1e-10)
         assert out.kappas[0] == pytest.approx(params.kappas[0], rel=1e-8)
 
-    def test_over_penalized_reports_zero_mean(self):
+    def test_m_step_takes_resp_by_keyword(self, monkeypatch):
+        # perfbench's tracer reads m_step's resp by name (else at position 1)
+        cfg = SimulationConfig(K=2, d=5, N=80, base_kappa=8.0, seed=34)
+        X, _ = simulate_mixture(cfg)
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return m_step(*args, **kwargs)
+
+        monkeypatch.setattr(sparsevmf.em, "m_step", recording)
+        fit = fit_em(X, 2, FitOptions(beta=0.3), rng=35)
+        assert len(calls) == fit.n_iters - 1 > 0
+        for args, kwargs in calls:
+            assert args == ()
+            assert kwargs["resp"].tau.shape == (80, 2)
+
+    def test_over_penalized_keeps_largest_coordinate(self):
         cfg = SimulationConfig(K=2, d=5, N=80, base_kappa=8.0, seed=34)
         X, _ = simulate_mixture(cfg)
         dense = fit_em(X, 2, FitOptions(beta=0.0), rng=35)
         fit = fit_em(X, 2, FitOptions(beta=1e9), init=dense.params.copy())
-        assert fit.status is FitStatus.ZERO_MEAN
+        assert fit.status is FitStatus.CONVERGED
+        assert np.all(np.diff(fit.trace) >= -1e-9 * np.abs(fit.trace[:-1]))
+        r = fit.resp.resultants
+        for k in range(2):
+            j = int(np.argmax(np.abs(r[k])))
+            expected = np.zeros(5)
+            expected[j] = np.sign(r[k, j])
+            assert np.array_equal(fit.params.means[k], expected)
 
 
 class TestFitResultResp:
@@ -403,7 +453,7 @@ class TestFitResultResp:
         (FitOptions(beta=0.3), FitStatus.CONVERGED),
         (FitOptions(beta=0.3, max_em_iters=1), FitStatus.MAX_ITERS),
         (FitOptions(beta=0.3, max_em_iters=0), FitStatus.MAX_ITERS),
-        (FitOptions(beta=1e9), FitStatus.ZERO_MEAN),
+        (FitOptions(beta=1e9), FitStatus.CONVERGED),
     ])
     def test_resp_is_e_step_at_params(self, problem, opts, status):
         X, dense = problem

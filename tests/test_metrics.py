@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from sparsevmf.dataset import estimate_overlap
 from sparsevmf.em import MixtureParams
 from sparsevmf.metrics import (
+    _min_cost_assignment,
     adjusted_rand_index,
     match_components,
     sparsity,
@@ -89,6 +91,38 @@ class TestMatchComponents:
         with pytest.raises(ValueError):
             match_components(mk_params(np.eye(2, 4)), mk_params(np.eye(3, 4)))
 
+    def test_matches_scipy_assignment(self):
+        # SciPy's solver is the oracle: the same permutation, ties included
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(8)
+
+        def gain_matrices(K):
+            yield rng.standard_normal((K, K))
+            est = rng.standard_normal((K, 7))
+            true = rng.standard_normal((K, 7))
+            yield (est / np.linalg.norm(est, axis=1, keepdims=True)) @ (
+                true / np.linalg.norm(true, axis=1, keepdims=True)).T
+            yield rng.integers(-2, 3, size=(K, K)).astype(float)
+            yield np.full((K, K), float(rng.integers(-2, 3)))
+            dup = rng.standard_normal((K, K))
+            dup[rng.integers(0, K, size=K)] = dup[rng.integers(0, K)]
+            yield dup
+
+        checked = 0
+        for K in [*range(1, 13), 20, 50]:
+            for _ in range(40 if K == 50 else 200):
+                for gains in gain_matrices(K):
+                    _, cols = linear_sum_assignment(-gains)
+                    assert np.array_equal(_min_cost_assignment(-gains), cols)
+                    checked += 1
+        assert checked == 13 * 200 * 5 + 40 * 5
+
+        est = mk_params(rng.standard_normal((6, 9)))
+        truth = mk_params(rng.standard_normal((6, 9)))
+        _, cols = linear_sum_assignment(est.means @ truth.means.T, maximize=True)
+        assert match_components(est, truth).tolist() == cols.tolist()
+
 
 class TestSupportPrecisionRecall:
     def test_perfect(self):
@@ -159,3 +193,50 @@ def test_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_metrics_and_cli_leave_scipy_optimize_unloaded(tmp_path):
+    import sparsevmf
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparsevmf.__file__)))
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import sparsevmf
+        from sparsevmf import cli
+        from sparsevmf.em import MixtureParams
+        from sparsevmf.metrics import support_precision_recall
+
+        loaded = []
+
+        def check(what):
+            if "scipy.optimize" in sys.modules and not loaded:
+                loaded.append(what)
+
+        check("import sparsevmf")
+        p = MixtureParams(np.full(3, 1 / 3), np.eye(3, 5), np.full(3, 10.0))
+        support_precision_recall(p, p)
+        check("support_precision_recall")
+        data = ["--input", "data.csv"]
+        for argv in (
+            ["simulate", "--d", "6", "--k", "2", "--n", "60", "--overlap", "0.05",
+             "--sparsity", "0.25", "--out", "data.csv", "--truth-out", "truth.json"],
+            ["fit", *data, "--k", "2", "--restarts", "2", "--out", "model.json"],
+            ["path", *data, "--k", "2", "--restarts", "2", "--max-steps", "3",
+             "--out", "path.json"],
+            ["select", *data, "--k-min", "2", "--k-max", "2", "--restarts", "2",
+             "--max-steps", "3", "--out", "select.json"],
+            ["skmeans", *data, "--k", "2", "--out", "skmeans.json"],
+            ["viz", "--model", "model.json", "--out", "means.ppm"],
+            ["metrics", "--truth", "truth.json", "--model", "model.json",
+             "--out", "metrics.json"],
+            ["metrics", "--truth", "truth.json", "--model", "model.json", *data,
+             "--out", "metrics_data.json"],
+        ):
+            assert cli.main(argv) == 0, argv
+            check(" ".join(argv[:2]))
+        print(loaded)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -34,10 +34,20 @@ class TestNextBeta:
         assert next_beta(params, r, 0.2) == pytest.approx(0.6)
 
     def test_zeroed_coordinates_ignored(self):
-        # the zeroed second coordinate has margin 0.3 - 0.1 but nothing left to zero
-        params = MixtureParams(np.array([1.0]), np.array([[1.0, 0.0]]), np.array([1.0]))
-        r = np.array([[0.9, 0.3]])
+        # the zeroed third coordinate has margin 0.3 - 0.1 but nothing left to zero
+        params = MixtureParams(np.array([1.0]), np.array([[0.6, 0.8, 0.0]]), np.array([1.0]))
+        r = np.array([[0.9, 1.2, 0.3]])
         assert next_beta(params, r, 0.1) == 0.9
+
+    def test_last_coordinate_of_one_sparse_mean_ignored(self):
+        # the M step keeps a 1-sparse mean's coordinate at any beta
+        params = MixtureParams(np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.6, 0.8]]),
+                               np.array([1.0, 1.0]))
+        r = np.array([[0.3, 0.1], [0.5, 0.7]])
+        assert next_beta(params, r, 0.1) == pytest.approx(0.5)
+        one_sparse = MixtureParams(np.array([1.0]), np.array([[1.0, 0.0]]), np.array([1.0]))
+        with pytest.raises(NoIncrementAvailableError):
+            next_beta(one_sparse, np.array([[0.9, 0.3]]), 0.1)
 
     def test_no_increment(self):
         params = MixtureParams(np.array([1.0]), np.array([[1.0, 0.0]]),
@@ -47,9 +57,9 @@ class TestNextBeta:
             next_beta(params, r, 0.5)
 
     def test_min_rel_increase_floor(self):
-        params = MixtureParams(np.array([1.0]), np.array([[1.0, 0.0]]),
+        params = MixtureParams(np.array([1.0]), np.array([[0.6, 0.8, 0.0]]),
                                np.array([1.0]))
-        r = np.array([[1.0, 0.9999]])
+        r = np.array([[1.0, 1.2, 0.9999]])
         raw = next_beta(params, r, 0.9999)
         floored = next_beta(params, r, 0.9999, min_rel_increase=0.05)
         assert raw == pytest.approx(1.0)
@@ -254,3 +264,14 @@ class TestNoCreep:
             crept = step.beta - prev.beta <= 1e-6 * prev.beta
             zeroed = np.count_nonzero(step.fit.params.means) < np.count_nonzero(prev.fit.params.means)
             assert zeroed or not crept
+
+    def test_natural_end_leaves_one_sparse_means(self):
+        # Once a mean is 1-sparse the M step keeps its last coordinate, so an
+        # increment bounded by that coordinate zeroed nothing and beta crept
+        # towards it for dozens of steps.
+        cfg = SimulationConfig(K=2, d=8, N=200, base_kappa=12.0, sparsity=0.25, seed=5)
+        X, _ = simulate_mixture(cfg)
+        res = follow_path(X, 2, PathOptions(), best_of_restarts(X, 2, 10, FitOptions(), seed=1))
+        assert res.termination_reason == "NoIncrementAvailable"
+        assert np.count_nonzero(res.steps[-1].fit.params.means, axis=1).tolist() == [1, 1]
+        assert len(res.steps) <= 1 + 2 * (8 - 1)

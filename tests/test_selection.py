@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import sparsevmf.selection
 from sparsevmf.dataset import SimulationConfig, simulate_mixture
-from sparsevmf.em import FitOptions, FitResult, MixtureParams
+from sparsevmf.em import FitOptions, FitResult, MixtureParams, fit_em
 from sparsevmf.path import PathOptions
 from sparsevmf.selection import (
     CRITERIA,
@@ -133,6 +134,21 @@ class TestBestOfRestarts:
         assert np.array_equal(a.params.means, b.params.means)
         single = best_of_restarts(X, 3, 1, FitOptions(beta=0.0), seed=7)
         assert a.penalized_log_likelihood >= single.penalized_log_likelihood
+
+    def test_each_restart_returns_through_fit_em(self, monkeypatch):
+        # perfbench's tracer sees a restart only when it returns through fit_em
+        cfg = SimulationConfig(K=3, d=8, N=200, base_kappa=12.0, seed=60)
+        X, _ = simulate_mixture(cfg)
+        fits = []
+
+        def recording(*args, **kwargs):
+            fits.append(fit_em(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(sparsevmf.selection, "fit_em", recording)
+        best = best_of_restarts(X, 3, 4, FitOptions(beta=0.0), seed=7)
+        assert len(fits) == 4
+        assert any(fit is best for fit in fits)
 
     @pytest.mark.parametrize("n_restarts", [0, -1])
     def test_no_restart_rejected(self, n_restarts):
