@@ -87,10 +87,7 @@ def _apply_config_file(parser, args, argv):
         if dest not in known or dest in ("func", "config", "command"):
             parser.error(f"config file: unknown key {key!r}")
         flag = "--" + dest.replace("_", "-")
-        if isinstance(val, bool) and isinstance(known[dest], bool):  # a switch
-            tokens += [flag] if val else []
-        else:
-            tokens += [flag, *map(str, val)] if isinstance(val, list) else [f"{flag}={val}"]
+        tokens += [flag, *map(str, val)] if isinstance(val, list) else [f"{flag}={val}"]
     at = argv.index(args.command) + 1
     return build_parser(_ConfigParser).parse_args(argv[:at] + tokens + argv[at:])
 
@@ -135,7 +132,6 @@ def _path_options(args) -> PathOptions:
                           kappa_mode=args.kappa_mode)
     return PathOptions(max_steps=args.max_steps, epsilon=args.epsilon,
                        min_rel_increase=args.min_rel_increase,
-                       stop_at_max_sparsity=args.stop_at_max_sparsity,
                        fit_options=fit_opts)
 
 
@@ -252,7 +248,6 @@ def _add_path_opts(p):
     p.add_argument("--max-steps", type=int, default=1000)
     p.add_argument("--epsilon", type=float, default=1e-8)
     p.add_argument("--min-rel-increase", type=float, default=0.0)
-    p.add_argument("--stop-at-max-sparsity", action="store_true")
 
 
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:

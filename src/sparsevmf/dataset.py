@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,12 @@ __all__ = [
     "load_ground_truth",
 ]
 
+# Relative standard deviation of the Gaussian jitter on each base kappa.
+KAPPA_JITTER_SD_FRAC = 0.025
+# The greedy separation picks K means out of this many times K uniform
+# candidates.
+CANDIDATE_MULTIPLIER = 20
+
 
 @dataclass
 class SimulationConfig:
@@ -46,8 +52,6 @@ class SimulationConfig:
     base_kappa: float | None = None
     sparsity: float = 0.0
     alpha: np.ndarray | None = None  # None means balanced 1/K
-    kappa_jitter_sd_frac: float = 0.025
-    candidate_multiplier: int = 20
     seed: int = 0
 
     def __post_init__(self):
@@ -64,17 +68,6 @@ class SimulationConfig:
             if np.any(self.alpha < 0) or abs(self.alpha.sum() - 1.0) > 1e-10:
                 raise ValueError("alpha must be nonnegative and sum to 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K, "d": self.d, "N": self.N,
-            "overlap_target": self.overlap_target, "base_kappa": self.base_kappa,
-            "sparsity": self.sparsity,
-            "alpha": None if self.alpha is None else [float(a) for a in self.alpha],
-            "kappa_jitter_sd_frac": self.kappa_jitter_sd_frac,
-            "candidate_multiplier": self.candidate_multiplier,
-            "seed": self.seed,
-        }
-
 
 @dataclass
 class GroundTruth:
@@ -82,7 +75,6 @@ class GroundTruth:
 
     params: MixtureParams
     labels: np.ndarray
-    config: SimulationConfig | None = field(default=None, repr=False)
 
 
 def _parse_dense_csv(path):
@@ -213,12 +205,11 @@ def greedy_max_separation(candidates: np.ndarray, K: int) -> np.ndarray:
     return candidates[chosen].copy()
 
 
-def sparsify_means(means: np.ndarray, sparsity: float, rng: np.random.Generator,
-                   max_retries: int = 100) -> np.ndarray:
+def sparsify_means(means: np.ndarray, sparsity: float, rng: np.random.Generator) -> np.ndarray:
     """Zero out floor(sparsity*d) random coordinates per mean and renormalise.
 
     Retries with fresh coordinate subsets until the means are all nonzero and
-    pairwise distinct; raises CannotSparsifyError after max_retries."""
+    pairwise distinct; raises CannotSparsifyError after 100 tries."""
     means = np.asarray(means, dtype=float)
     K, d = means.shape
     n_zero = int(np.floor(sparsity * d))
@@ -226,7 +217,7 @@ def sparsify_means(means: np.ndarray, sparsity: float, rng: np.random.Generator,
         raise CannotSparsifyError("sparsity would zero every coordinate")
     if n_zero == 0:
         return means / np.linalg.norm(means, axis=1, keepdims=True)
-    for _ in range(max_retries):
+    for _ in range(100):
         out = means.copy()
         for k in range(K):
             zeros = rng.choice(d, size=n_zero, replace=False)
@@ -240,7 +231,7 @@ def sparsify_means(means: np.ndarray, sparsity: float, rng: np.random.Generator,
         )
         if distinct:
             return out
-    raise CannotSparsifyError(f"no valid sparsification after {max_retries} retries")
+    raise CannotSparsifyError("no valid sparsification after 100 tries")
 
 
 def sample_mixture(params: MixtureParams, n: int, rng: np.random.Generator):
@@ -335,14 +326,13 @@ def _reduced_overlap(means: np.ndarray, alpha: np.ndarray, n_samples: int,
 
 
 def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
-                      rng: np.random.Generator, n_samples: int = 100_000,
-                      max_steps: int = 40) -> float:
+                      rng: np.random.Generator, n_samples: int = 100_000) -> float:
     """Find a base kappa whose mixture (jitter off, separability rescaling on)
     has a crisp-assignment error rate close to target, by bisection.
 
     The error rate is estimated on n_samples draws whose kappa-free part is
     shared by every bisection step (_reduced_overlap). Stops when
-    |error - target| < 0.1*target or after max_steps bisections. Raises
+    |error - target| < 0.1*target or after 40 bisections. Raises
     NotBracketedError when the target is unreachable in [0.01, 1e4]."""
     if not 0.0 < target < 0.5:
         raise ValueError("target must be in (0, 0.5)")
@@ -360,7 +350,7 @@ def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
             f"target {target} outside reachable range [{err_hi:.4f}, {err_lo:.4f}]"
         )
     kappa = float(np.sqrt(lo * hi))
-    for _ in range(max_steps):
+    for _ in range(40):
         # Geometric midpoint: kappa acts on a multiplicative scale.
         kappa = float(np.sqrt(lo * hi))
         err = error_at(kappa)
@@ -373,17 +363,15 @@ def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
     return kappa
 
 
-def simulate_mixture(cfg: SimulationConfig,
-                     rng: np.random.Generator | None = None) -> tuple[np.ndarray, GroundTruth]:
-    """Generate a planted sparse vMF mixture: the N x d observations and the
-    ground truth.
+def simulate_mixture(cfg: SimulationConfig) -> tuple[np.ndarray, GroundTruth]:
+    """Generate a planted sparse vMF mixture, seeded by cfg.seed: the N x d
+    observations and the ground truth.
 
     Steps: uniform candidates, greedy separation, sparsification, base-kappa
     resolution (given or calibrated), per-component Gaussian jitter truncated
     at 0, separability rescaling, then sampling."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    g = rng.standard_normal((cfg.candidate_multiplier * cfg.K, cfg.d))
+    rng = np.random.default_rng(cfg.seed)
+    g = rng.standard_normal((CANDIDATE_MULTIPLIER * cfg.K, cfg.d))
     candidates = g / np.linalg.norm(g, axis=1, keepdims=True)
     means = greedy_max_separation(candidates, cfg.K)
     means = sparsify_means(means, cfg.sparsity, rng)
@@ -392,9 +380,9 @@ def simulate_mixture(cfg: SimulationConfig,
         base_kappa = cfg.base_kappa
     else:
         base_kappa = calibrate_overlap(means, cfg.overlap_target, alpha, rng)
-    params = _build_truth_params(means, base_kappa, alpha, rng, cfg.kappa_jitter_sd_frac)
+    params = _build_truth_params(means, base_kappa, alpha, rng, KAPPA_JITTER_SD_FRAC)
     X, labels = sample_mixture(params, cfg.N, rng)
-    return X, GroundTruth(params=params, labels=labels, config=cfg)
+    return X, GroundTruth(params=params, labels=labels)
 
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
@@ -405,8 +393,6 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
         "mu": means_to_sparse(p.means),
         "d": p.d,
         "labels": [int(v) for v in truth.labels],
-        "seed": None if truth.config is None else truth.config.seed,
-        "config": None if truth.config is None else truth.config.to_dict(),
     }
 
 
@@ -424,7 +410,4 @@ def load_ground_truth(path) -> GroundTruth:
         kappas=np.array(doc["kappa"]),
         kappa_mode="free",
     )
-    cfg = None
-    if doc.get("config"):
-        cfg = SimulationConfig(**{k: v for k, v in doc["config"].items()})
-    return GroundTruth(params=params, labels=np.array(doc["labels"]), config=cfg)
+    return GroundTruth(params=params, labels=np.array(doc["labels"]))

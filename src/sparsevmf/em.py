@@ -51,6 +51,12 @@ class FitStatus(str, Enum):
     ZERO_MEAN = "ZeroMean"
     EMPTY_COMPONENT = "EmptyComponent"
 
+    @property
+    def failed(self) -> bool:
+        """Whether EM stopped on a degenerate model: the fit is unusable, and
+        restarts discard it and a path ends before it."""
+        return self not in (FitStatus.CONVERGED, FitStatus.MAX_ITERS)
+
 
 @dataclass
 class MixtureParams:

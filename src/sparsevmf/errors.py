@@ -5,10 +5,6 @@ class SparseVmfError(Exception):
     """Base class for all sparsevmf errors."""
 
 
-class ZeroResultantError(SparseVmfError):
-    """Weighted resultant vector has (numerically) zero norm: mu is undefined."""
-
-
 class ZeroMeanError(SparseVmfError):
     """A directional mean is undefined: its resultant is zero."""
 

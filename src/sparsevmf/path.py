@@ -24,19 +24,11 @@ __all__ = [
     "save_path",
 ]
 
-_FAILURE_STATUSES = (
-    FitStatus.ZERO_MEAN,
-    FitStatus.DEGENERATE_UNIFORM,
-    FitStatus.EMPTY_COMPONENT,
-)
-
-
 @dataclass
 class PathOptions:
     max_steps: int = 1000
     epsilon: float = 1e-8
     min_rel_increase: float = 0.0
-    stop_at_max_sparsity: bool = False
     fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
@@ -63,7 +55,7 @@ class PathStep:
 @dataclass
 class PathResult:
     steps: list
-    termination_reason: str  # MaxSteps | MaxSparsity | EmFailure | NoIncrementAvailable
+    termination_reason: str  # MaxSteps | EmFailure | NoIncrementAvailable
 
 
 def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float,
@@ -130,11 +122,6 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
     reason = "MaxSteps"
     prev_fit = initial
     while len(steps) < path_opts.max_steps:
-        if path_opts.stop_at_max_sparsity and np.all(
-            np.count_nonzero(prev_fit.params.means, axis=1) <= 1
-        ):
-            reason = "MaxSparsity"
-            break
         if prev_fit.resp is None:  # a fit loaded from JSON
             prev_fit = replace(prev_fit, resp=e_step(X, prev_fit.params))
         try:
@@ -145,9 +132,9 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
             break
         opts = replace(path_opts.fit_options, beta=beta)
         fit = fit_em(X, K, opts, init=prev_fit.params.copy(), resp=prev_fit.resp)
-        if fit.status not in _FAILURE_STATUSES:
+        if not fit.status.failed:
             fit = _truncate_means(fit, X, path_opts.epsilon)
-        if fit.status in _FAILURE_STATUSES:
+        if fit.status.failed:
             reason = "EmFailure"
             break
         steps.append(make_step(beta, fit))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import FitOptions, FitResult, MixtureParams, fit_em, FitStatus
+from .em import FitOptions, FitResult, MixtureParams, fit_em
 from .errors import InitFailureError
 from .path import PathOptions, follow_path
 
@@ -71,10 +71,10 @@ def information_criterion(fit: FitResult, N: int, d: int, c: Criterion) -> float
     return c.phi(N, d) * count_free_params(fit.params) - 2.0 * fit.log_likelihood
 
 
-def make_ic_fn(N: int, d: int, criteria: tuple = CRITERIA, ebic_gamma: float = 0.5):
-    """Function mapping a FitResult to {criterion kind: value} for N
-    observations in d dimensions."""
-    crits = {kind: Criterion(kind, ebic_gamma) for kind in criteria}
+def make_ic_fn(N: int, d: int):
+    """Function mapping a FitResult to {criterion kind: value}, for every
+    kind in CRITERIA, for N observations in d dimensions."""
+    crits = {kind: Criterion(kind) for kind in CRITERIA}
     return lambda fit: {kind: information_criterion(fit, N, d, c) for kind, c in crits.items()}
 
 
@@ -109,7 +109,7 @@ def best_of_restarts(X: np.ndarray, K: int, n_restarts: int, opts: FitOptions,
         except InitFailureError as err:
             errors.append(str(err))
             continue
-        if fit.status not in (FitStatus.CONVERGED, FitStatus.MAX_ITERS):
+        if fit.status.failed:
             errors.append(fit.status.value)
             continue
         if best is None or fit.penalized_log_likelihood > best.penalized_log_likelihood:
@@ -120,7 +120,6 @@ def best_of_restarts(X: np.ndarray, K: int, n_restarts: int, opts: FitOptions,
 
 
 def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
-                 criteria: tuple = CRITERIA, ebic_gamma: float = 0.5,
                  path_opts: PathOptions | None = None,
                  k_criterion: str = "BIC", beta_criterion: str = "BIC",
                  seed: int | None = None) -> SelectionReport:
@@ -132,7 +131,7 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
         raise ValueError("K_candidates must be nonempty")
     if path_opts is None:
         path_opts = PathOptions()
-    ic_fn = make_ic_fn(*X.shape, criteria, ebic_gamma)
+    ic_fn = make_ic_fn(*X.shape)
     dense_ic, dense_fits, paths, best_steps, skipped = {}, {}, {}, {}, {}
     for K in K_candidates:
         try:
@@ -146,15 +145,15 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
         paths[K] = path
         best_steps[K] = {
             kind: min(range(len(path.steps)), key=lambda i: path.steps[i].ic_values[kind])
-            for kind in criteria
+            for kind in CRITERIA
         }
     if not dense_fits:
         raise InitFailureError(f"every candidate K failed: {skipped}")
     chosen_K = {
-        kind: min(dense_ic, key=lambda K: dense_ic[K][kind]) for kind in criteria
+        kind: min(dense_ic, key=lambda K: dense_ic[K][kind]) for kind in CRITERIA
     }
     kstar = chosen_K[k_criterion]
-    final_models = {kind: paths[kstar].steps[best_steps[kstar][kind]].fit for kind in criteria}
+    final_models = {kind: paths[kstar].steps[best_steps[kstar][kind]].fit for kind in CRITERIA}
     return SelectionReport(
         dense_ic=dense_ic,
         dense_fits=dense_fits,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaln, ive
+from scipy.special import ive
 
 __all__ = [
     "KAPPA_CAP",
@@ -113,7 +113,7 @@ def log_vmf_normalizer(d: int, kappa: float) -> float:
         raise ValueError(f"log_vmf_normalizer requires 0 <= kappa <= {KAPPA_CAP:g}, got {kappa}")
     s = 0.5 * d - 1.0
     if kappa == 0.0:
-        return gammaln(0.5 * d) - math.log(2.0) - 0.5 * d * math.log(math.pi)
+        return math.lgamma(0.5 * d) - math.log(2.0) - 0.5 * d * math.log(math.pi)
     return s * math.log(kappa) - (s + 1.0) * math.log(2.0 * math.pi) - log_bessel_i(s, kappa)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroResultantError
+from .errors import ZeroMeanError
 from .special import KAPPA_CAP, kappa_from_rho, log_vmf_normalizer
 
 __all__ = ["KAPPA_CAP", "VmfParams", "log_density", "mle_fit", "sample"]
@@ -53,7 +53,7 @@ def mle_fit(X: np.ndarray, weights: np.ndarray | None = None) -> VmfParams:
     inverse-ratio approximation applied to rbar = ||resultant|| / sum(weights),
     clamped to KAPPA_CAP. Unit weights recover the plain MLE.
 
-    Raises ZeroResultantError when the resultant norm is below 1e-12. When
+    Raises ZeroMeanError when the resultant norm is below 1e-12. When
     rbar >= 1 - 1e-12 the data are degenerate (all mass on one point); a
     warning is emitted and kappa is set to KAPPA_CAP.
     """
@@ -70,7 +70,7 @@ def mle_fit(X: np.ndarray, weights: np.ndarray | None = None) -> VmfParams:
     resultant = weights @ X
     norm = float(np.linalg.norm(resultant))
     if norm < 1e-12:
-        raise ZeroResultantError(f"weighted resultant norm {norm:g} < 1e-12")
+        raise ZeroMeanError(f"weighted resultant norm {norm:g} < 1e-12")
     mu = resultant / norm
     rbar = norm / wsum
     if rbar >= 1.0 - 1e-12:

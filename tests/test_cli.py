@@ -271,18 +271,29 @@ class TestConfigFile:
         assert rc == 0
         assert json.loads(truth.read_text())["run"]["seed"] == 4
 
-    def test_switch_and_typed_values(self, sim_files, tmp_path):
+    def test_typed_values(self, sim_files, tmp_path):
         data, _ = sim_files
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("stop_at_max_sparsity = true\nmax_steps = 2\nepsilon = 1e-6\n")
+        cfg.write_text("max_steps = 2\nepsilon = 1e-6\n")
         out = tmp_path / "p.json"
         rc = run(["path", "--input", str(data), "--k", "3", "--restarts", "1",
                   "--out", str(out), "--config", str(cfg)])
         assert rc == 0
         config = json.loads(out.read_text())["run"]["config"]
-        assert config["stop_at_max_sparsity"] is True
         assert config["max_steps"] == 2
         assert config["epsilon"] == 1e-6
+
+    def test_removed_switch_is_unknown_key(self, sim_files, tmp_path, capsys):
+        # The path ends on its own once every mean is 1-sparse, so there is
+        # no max-sparsity switch to set.
+        data, _ = sim_files
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("stop_at_max_sparsity = true\n")
+        with pytest.raises(SystemExit) as ex:
+            run(["path", "--input", str(data), "--k", "3", "--restarts", "1",
+                 "--out", str(tmp_path / "p.json"), "--config", str(cfg)])
+        assert ex.value.code == 2
+        assert "unknown key 'stop_at_max_sparsity'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text, flag", [
         ("beta=abc\n", "--beta"),

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -227,6 +228,25 @@ class TestSimulate:
         loaded = load_ground_truth(p)
         assert np.array_equal(loaded.params.means, truth.params.means)
         assert np.array_equal(loaded.labels, truth.labels)
+
+    def test_loads_truth_with_seed_and_config_keys(self, tmp_path):
+        # Earlier versions also wrote the simulation seed and config; the
+        # loader ignores them.
+        doc = {
+            "alpha": [0.25, 0.75], "kappa": [8.5, 7.5],
+            "mu": [[[0, 0.6], [2, 0.8]], [[1, -1.0]]], "d": 3, "labels": [1, 0, 1],
+            "seed": 1,
+            "config": {"K": 2, "d": 3, "N": 3, "overlap_target": None, "base_kappa": 8.0,
+                       "sparsity": 0.0, "alpha": None, "kappa_jitter_sd_frac": 0.025,
+                       "candidate_multiplier": 20, "seed": 1},
+        }
+        p = tmp_path / "gt.json"
+        p.write_text(json.dumps(doc))
+        loaded = load_ground_truth(p)
+        assert np.array_equal(loaded.params.means, [[0.6, 0.0, 0.8], [0.0, -1.0, 0.0]])
+        assert np.array_equal(loaded.params.kappas, [8.5, 7.5])
+        assert np.array_equal(loaded.params.alpha, [0.25, 0.75])
+        assert np.array_equal(loaded.labels, [1, 0, 1])
 
 
 class TestCalibrateOverlap:

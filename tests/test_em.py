@@ -338,6 +338,12 @@ class TestMStep:
 
 
 class TestFitEm:
+    def test_failed_statuses(self):
+        # best_of_restarts and follow_path both read this one definition.
+        assert {s for s in FitStatus if s.failed} == {
+            FitStatus.ZERO_MEAN, FitStatus.DEGENERATE_UNIFORM, FitStatus.EMPTY_COMPONENT,
+        }
+
     def test_separable_perfect_recovery(self):
         rng = np.random.default_rng(13)
         mus = np.eye(2, 5)

@@ -109,9 +109,7 @@ class TestFollowPath:
     def test_termination_reason_valid(self, small_problem):
         X, fit = small_problem
         res = follow_path(X, 2, PathOptions(max_steps=200), fit)
-        assert res.termination_reason in (
-            "MaxSteps", "MaxSparsity", "EmFailure", "NoIncrementAvailable"
-        )
+        assert res.termination_reason in ("MaxSteps", "EmFailure", "NoIncrementAvailable")
         assert len(res.steps) <= 200
 
     def test_max_steps_reason(self, small_problem):
@@ -119,15 +117,6 @@ class TestFollowPath:
         res = follow_path(X, 2, PathOptions(max_steps=2), fit)
         assert len(res.steps) == 2
         assert res.termination_reason == "MaxSteps"
-
-    def test_stop_at_max_sparsity(self, small_problem):
-        X, fit = small_problem
-        res = follow_path(
-            X, 2, PathOptions(max_steps=500, stop_at_max_sparsity=True), fit
-        )
-        if res.termination_reason == "MaxSparsity":
-            nnz = np.count_nonzero(res.steps[-1].fit.params.means, axis=1)
-            assert np.all(nnz <= 1)
 
     def test_truncation_leaves_no_tiny_coords(self, small_problem):
         X, fit = small_problem

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparsevmf.errors import ZeroResultantError
+from sparsevmf.errors import ZeroMeanError
 from sparsevmf.special import bessel_ratio, log_vmf_normalizer
 from sparsevmf.vmf import KAPPA_CAP, VmfParams, log_density, mle_fit, sample
 
@@ -70,7 +70,7 @@ class TestMleFit:
 
     def test_antipodal_zero_resultant(self):
         x = unit([1, 1, 0])
-        with pytest.raises(ZeroResultantError):
+        with pytest.raises(ZeroMeanError):
             mle_fit(np.stack([x, -x]))
 
     def test_monte_carlo_consistency(self):
