@@ -53,7 +53,7 @@ class _ConfigParser(argparse.ArgumentParser):
         raise ValueError(f"config file: {message}")
 
 
-def _apply_config_file(parser, args, argv):
+def _apply_config_file(args, argv):
     """Merge a config file (JSON object or key=value lines) below the flags.
 
     Each entry becomes its flag, placed before the command line's own, and
@@ -74,7 +74,7 @@ def _apply_config_file(parser, args, argv):
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                parser.error(f"config file: expected key=value, got {line!r}")
+                raise ValueError(f"config file: expected key=value, got {line!r}")
             key, _, val = line.partition("=")
             try:
                 values[key.strip()] = json.loads(val.strip())
@@ -85,7 +85,7 @@ def _apply_config_file(parser, args, argv):
     for key, val in values.items():
         dest = key.replace("-", "_")
         if dest not in known or dest in ("func", "config", "command"):
-            parser.error(f"config file: unknown key {key!r}")
+            raise ValueError(f"config file: unknown key {key!r}")
         flag = "--" + dest.replace("_", "-")
         tokens += [flag, *map(str, val)] if isinstance(val, list) else [f"{flag}={val}"]
     at = argv.index(args.command) + 1
@@ -343,7 +343,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(parser, args, argv)
+        args = _apply_config_file(args, argv)
         if args.command == "simulate" and (args.overlap is None) == (args.base_kappa is None):
             parser.error("exactly one of --overlap / --base-kappa is required")
         return args.func(args)

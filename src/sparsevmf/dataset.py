@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,9 @@ class GroundTruth:
     labels: np.ndarray
 
 
-def _parse_dense_csv(path):
+def _scan_dense_csv(path):
+    """Line-by-line dense-CSV parse: the authority on what is accepted and on
+    which ParseError (message and line) a malformed file raises."""
     rows = []
     linenos = []
     with open(path) as fh:
@@ -107,6 +110,35 @@ def _parse_dense_csv(path):
     return X
 
 
+def _is_header(line: str) -> bool:
+    """A non-blank line 1 that does not parse as numbers."""
+    try:
+        [float(v) for v in line.split(",")]
+    except ValueError:
+        return bool(line.strip())
+    return False
+
+
+def _parse_dense_csv(path):
+    """Bulk dense-CSV parse with NumPy's C tokenizer.
+
+    loadtxt is stricter than float() (it rejects 1_0, non-ASCII digits and
+    lines of only whitespace), so a file it reads with finite values parses
+    to the same bits as the scan. Anything else (a rejected or empty file, a
+    non-finite value) goes to _scan_dense_csv for the verdict."""
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            if not _is_header(fh.readline()):
+                fh.seek(0)
+            X = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return _scan_dense_csv(path)
+    if not X.size or not np.isfinite(X).all():
+        return _scan_dense_csv(path)
+    return X
+
+
 def _parse_sparse_triplet(path):
     entries = []
     shape = None
@@ -121,6 +153,8 @@ def _parse_sparse_triplet(path):
                     try:
                         shape = (int(parts[1]), int(parts[2]))
                     except (IndexError, ValueError):
+                        shape = (-1, -1)
+                    if min(shape) < 0:
                         raise ParseError(f"malformed shape comment {line!r}", line=lineno)
                 continue
             parts = line.split()
@@ -161,16 +195,17 @@ def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> np.n
         zero_rows = np.nonzero(norms == 0)[0]
         if zero_rows.size:
             raise ZeroRowError(zero_rows.tolist())
-        X = X / norms[:, None]
+        X /= norms[:, None]
     return X
 
 
 def save_matrix(X: np.ndarray, path, format: str = "dense-csv") -> None:
-    X = np.asarray(X)
+    X = np.asarray(X, dtype=float)
     if format == "dense-csv":
+        # Row by row: shortest round-trip decimals, no whole-file buffer.
         with open(path, "w") as fh:
             for row in X:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
+                fh.write(",".join(map(repr, row.tolist())) + "\n")
     elif format == "sparse-triplet":
         with open(path, "w") as fh:
             fh.write(f"#shape {X.shape[0]} {X.shape[1]}\n")

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: Bessel quantities come
 from mpmath arbitrary precision, the plain mixture EM is a standalone
 implementation with closed-form M steps, the l1 mean update is checked against
-an iterative proximal maximizer, and the ARI against O(N^2) pair counting.
+an iterative proximal maximizer, the ARI against O(N^2) pair counting, and
+the dense-CSV loader against a line-by-line float() scan.
 """
 
 from __future__ import annotations
@@ -202,3 +203,38 @@ def comparator_dimension_order(means, alpha, epsilon=1e-8):
         return -1 if j < jp else 1
 
     return sorted(range(d), key=functools.cmp_to_key(precedes))
+
+
+# ---------------------------------------------------------------- dense CSV
+
+def scan_dense_csv(path):
+    """Reference dense-CSV parser: one float() per field, line by line.
+
+    Line 1 is a header when it is not blank and does not parse; blank lines
+    are skipped. Malformed content raises ParseError with the file line."""
+    from sparsevmf.errors import ParseError
+
+    rows = []
+    linenos = []
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                row = [float(v) for v in line.split(",")]
+            except ValueError:
+                if lineno == 1:
+                    continue
+                raise ParseError(f"non-numeric value in {line!r}", line=lineno)
+            rows.append(row)
+            linenos.append(lineno)
+    if not rows:
+        raise ParseError("empty file")
+    for lineno, row in zip(linenos, rows):
+        if len(row) != len(rows[0]):
+            raise ParseError(f"expected {len(rows[0])} columns, got {len(row)}", line=lineno)
+    for lineno, row in zip(linenos, rows):
+        if not all(math.isfinite(v) for v in row):
+            raise ParseError("non-finite value", line=lineno)
+    return np.array(rows)

@@ -289,11 +289,12 @@ class TestConfigFile:
         data, _ = sim_files
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("stop_at_max_sparsity = true\n")
-        with pytest.raises(SystemExit) as ex:
-            run(["path", "--input", str(data), "--k", "3", "--restarts", "1",
-                 "--out", str(tmp_path / "p.json"), "--config", str(cfg)])
-        assert ex.value.code == 2
-        assert "unknown key 'stop_at_max_sparsity'" in capsys.readouterr().err
+        rc = run(["path", "--input", str(data), "--k", "3", "--restarts", "1",
+                  "--out", str(tmp_path / "p.json"), "--config", str(cfg)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "unknown key 'stop_at_max_sparsity'" in err["message"]
 
     @pytest.mark.parametrize("text, flag", [
         ("beta=abc\n", "--beta"),
@@ -312,15 +313,29 @@ class TestConfigFile:
         assert err["error"] == "ConfigError"
         assert flag in err["message"]
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus_knob": 1}))
-        with pytest.raises(SystemExit) as ex:
-            run(["simulate", "--d", "6", "--k", "2", "--n", "30",
-                 "--base-kappa", "8", "--out", str(tmp_path / "d.csv"),
-                 "--truth-out", str(tmp_path / "t.json"),
-                 "--config", str(cfg)])
-        assert ex.value.code == 2
+        rc = run(["simulate", "--d", "6", "--k", "2", "--n", "30",
+                  "--base-kappa", "8", "--out", str(tmp_path / "d.csv"),
+                  "--truth-out", str(tmp_path / "t.json"),
+                  "--config", str(cfg)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "unknown key 'bogus_knob'" in err["message"]
+
+    def test_line_without_equals_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("seed = 3\nsparsity 0.5\n")
+        rc = run(["simulate", "--d", "6", "--k", "2", "--n", "30",
+                  "--base-kappa", "8", "--out", str(tmp_path / "d.csv"),
+                  "--truth-out", str(tmp_path / "t.json"),
+                  "--config", str(cfg)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "expected key=value, got 'sparsity 0.5'" in err["message"]
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         rc = run(["fit", "--input", str(tmp_path / "d.csv"), "--k", "2",

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import scan_dense_csv
 
 from sparsevmf.dataset import (
     SimulationConfig,
@@ -86,10 +87,12 @@ class TestLoadMatrix:
 
     def test_malformed_shape_comment(self, tmp_path):
         p = tmp_path / "m.txt"
-        p.write_text("#shape 3\n0 0 1.0\n")
-        with pytest.raises(ParseError) as err:
-            load_matrix(p, format="sparse-triplet")
-        assert err.value.line == 1
+        for comment in ("#shape 3", "#shape -2 3", "#shape 3 -1"):
+            p.write_text(f"{comment}\n0 0 1.0\n")
+            with pytest.raises(ParseError) as err:
+                load_matrix(p, format="sparse-triplet")
+            assert err.value.line == 1
+            assert "malformed shape comment" in str(err.value)
 
     @pytest.mark.parametrize("fmt,text,line", [
         ("dense-csv", "1,0\n0,1\nnan,1\n", 3),
@@ -103,6 +106,52 @@ class TestLoadMatrix:
         with pytest.raises(ParseError) as err:
             load_matrix(p, format=fmt)
         assert err.value.line == line
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n\n3,4\n\n",            # blank lines
+        "1,2\n \t \n3,4\n",          # a line of only whitespace
+        "1,2\r\n3,4\r\n",            # CRLF line endings
+        " 1 , 2 \n3 ,\t4\n",          # spaces around fields
+        "a,b\n1,2\n3,4\n",            # header
+        "a,b\n",                      # only a header
+        "",                            # empty file
+        "\na,b\n1,2\n",               # blank line 1, header on line 2
+        "1,2,\n3,4,\n",                # trailing comma on every line
+        "1,2\n3,4,\n",                 # trailing comma after the first row
+        "1,2\n3\n4,5\n",              # ragged row
+        "1,2\nnan,4\n",
+        "1,2\n3,inf\n",
+        "1,2\n-Infinity,4\n",
+        "1,2\n1e400,4\n",
+        "1_0,2\n3,4\n",
+        "\u0661,2\n3,4\n",             # a non-ASCII digit
+        "1,2\n#3,4\n",                 # a line starting with '#'
+        "#x,y\n1,2\n",
+        "5\n\n-6e-3\n",                # one column
+    ])
+    def test_dense_csv_agrees_with_line_scan(self, tmp_path, text):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text.encode())
+        try:
+            expected = scan_dense_csv(p)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                load_matrix(p, normalize=False)
+            assert (str(got.value), got.value.line) == (str(err), err.line)
+        else:
+            X = load_matrix(p, normalize=False)
+            assert X.shape == expected.shape
+            assert np.array_equal(X, expected)
+
+    def test_dense_csv_writer_bytes(self, tmp_path):
+        X = np.array([[-0.0, 5e-324, 1e-5], [1e16, 1 / 3, 1e-300]])
+        p = tmp_path / "m.csv"
+        save_matrix(X, p)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in X)
+        assert p.read_text() == expected
+        Y = load_matrix(p, normalize=False)
+        assert Y.dtype == X.dtype and Y.shape == X.shape
+        assert Y.tobytes() == X.tobytes()
 
     def test_round_trip_both_formats(self, tmp_path):
         rng = np.random.default_rng(0)
