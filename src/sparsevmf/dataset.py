@@ -110,28 +110,17 @@ def _scan_dense_csv(path):
     return X
 
 
-def _is_header(line: str) -> bool:
-    """A non-blank line 1 that does not parse as numbers."""
-    try:
-        [float(v) for v in line.split(",")]
-    except ValueError:
-        return bool(line.strip())
-    return False
-
-
 def _parse_dense_csv(path):
     """Bulk dense-CSV parse with NumPy's C tokenizer.
 
     loadtxt is stricter than float() (it rejects 1_0, non-ASCII digits and
     lines of only whitespace), so a file it reads with finite values parses
     to the same bits as the scan. Anything else (a rejected or empty file, a
-    non-finite value) goes to _scan_dense_csv for the verdict."""
+    non-finite value, a header line) goes to _scan_dense_csv for the verdict."""
     try:
-        with open(path) as fh, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            if not _is_header(fh.readline()):
-                fh.seek(0)
-            X = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            X = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         return _scan_dense_csv(path)
     if not X.size or not np.isfinite(X).all():
@@ -152,9 +141,9 @@ def _parse_sparse_triplet(path):
                 if parts and parts[0] == "shape":
                     try:
                         shape = (int(parts[1]), int(parts[2]))
+                        if min(shape) < 0:
+                            raise ValueError
                     except (IndexError, ValueError):
-                        shape = (-1, -1)
-                    if min(shape) < 0:
                         raise ParseError(f"malformed shape comment {line!r}", line=lineno)
                 continue
             parts = line.split()
