@@ -14,7 +14,6 @@ from .em import (  # noqa: F401
     init_random,
     load_model,
     m_step,
-    penalized_log_likelihood,
     save_model,
     soft_threshold_mu,
 )
@@ -39,7 +38,7 @@ from .metrics import (  # noqa: F401
     sparsity,
     support_precision_recall,
 )
-from .vmf import KAPPA_CAP, VmfParams, log_density, mle_fit, sample  # noqa: F401
+from .vmf import KAPPA_CAP, VmfParams, sample  # noqa: F401
 from .special import (  # noqa: F401
     bessel_ratio,
     invert_bessel_ratio,

@@ -145,7 +145,7 @@ def cmd_path(args) -> int:
     doc["run"] = _run_meta(args)
     _write_json(args.out, doc)
     if args.csv_out:
-        save_path(result, csv_path=args.csv_out)
+        save_path(result, args.csv_out)
     return 0
 
 
@@ -217,7 +217,7 @@ def cmd_metrics(args) -> int:
         pred = em.hard_assign(em.e_step(X, fit.params))
         record["ari"] = metrics.adjusted_rand_index(truth.labels, pred)
     if fit.params.K == truth.params.K:
-        precision, recall, meta = metrics.support_precision_recall(fit.params, truth)
+        precision, recall, meta = metrics.support_precision_recall(fit.params, truth.params)
         record["support_precision"] = precision
         record["support_recall"] = recall
         record["support_matching"] = meta

@@ -78,25 +78,34 @@ class GroundTruth:
     labels: np.ndarray
 
 
+def _text_lines(path):
+    """(line number, stripped text) of each non-blank line of a UTF-8 file.
+    A line that is not UTF-8 raises ParseError."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            try:
+                line.encode()  # an undecodable byte came in as a lone surrogate
+            except UnicodeEncodeError:
+                raise ParseError("not UTF-8 text", line=lineno) from None
+            if line:
+                yield lineno, line
+
+
 def _scan_dense_csv(path):
     """Line-by-line dense-CSV parse: the authority on what is accepted and on
     which ParseError (message and line) a malformed file raises."""
     rows = []
     linenos = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            try:
-                row = [float(v) for v in fields]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header line
-                raise ParseError(f"non-numeric value in {line!r}", line=lineno)
-            rows.append(row)
-            linenos.append(lineno)
+    for lineno, line in _text_lines(path):
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            if lineno == 1:
+                continue  # header line
+            raise ParseError(f"non-numeric value in {line!r}", line=lineno)
+        rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise ParseError("empty file")
     d = len(rows[0])
@@ -131,28 +140,24 @@ def _parse_dense_csv(path):
 def _parse_sparse_triplet(path):
     entries = []
     shape = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts and parts[0] == "shape":
-                    try:
-                        shape = (int(parts[1]), int(parts[2]))
-                        if min(shape) < 0:
-                            raise ValueError
-                    except (IndexError, ValueError):
-                        raise ParseError(f"malformed shape comment {line!r}", line=lineno)
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(f"expected 'row col value', got {line!r}", line=lineno)
-            try:
-                entries.append((lineno, int(parts[0]), int(parts[1]), float(parts[2])))
-            except ValueError:
-                raise ParseError(f"malformed triplet {line!r}", line=lineno)
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if parts and parts[0] == "shape":
+                try:
+                    shape = (int(parts[1]), int(parts[2]))
+                    if min(shape) < 0:
+                        raise ValueError
+                except (IndexError, ValueError):
+                    raise ParseError(f"malformed shape comment {line!r}", line=lineno)
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected 'row col value', got {line!r}", line=lineno)
+        try:
+            entries.append((lineno, int(parts[0]), int(parts[1]), float(parts[2])))
+        except ValueError:
+            raise ParseError(f"malformed triplet {line!r}", line=lineno)
     if not entries and shape is None:
         raise ParseError("empty file")
     if shape is None:
@@ -171,8 +176,8 @@ def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> np.n
     """Load a dense CSV or sparse triplet matrix; optionally normalise rows
     to unit norm (zero rows are rejected with their indices).
 
-    Malformed content, including nan or inf values and triplet indices
-    outside the matrix, raises ParseError with the file line number."""
+    Malformed content (non-UTF-8 text, nan or inf values, triplet indices
+    outside the matrix) raises ParseError with the file line number."""
     if format == "dense-csv":
         X = _parse_dense_csv(path)
     elif format == "sparse-triplet":

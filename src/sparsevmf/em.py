@@ -32,7 +32,6 @@ __all__ = [
     "soft_threshold_mu",
     "m_step",
     "fit_em",
-    "penalized_log_likelihood",
     "hard_assign",
     "save_model",
     "load_model",
@@ -296,11 +295,6 @@ def m_step(resp: Responsibilities, prev_params: MixtureParams,
 def _penalized(ll: float, params: MixtureParams, beta: float) -> float:
     """The objective penalized EM ascends: ll - beta * sum_k ||mu_k||_1."""
     return ll - beta * float(np.abs(params.means).sum())
-
-
-def penalized_log_likelihood(X: np.ndarray, params: MixtureParams, beta: float) -> float:
-    """Observed log-likelihood minus beta * sum of l1 norms of the means."""
-    return _penalized(e_step(X, params).log_likelihood, params, beta)
 
 
 def hard_assign(resp_or_tau) -> np.ndarray:

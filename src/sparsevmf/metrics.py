@@ -114,14 +114,14 @@ def match_components(estimated: MixtureParams, truth: MixtureParams) -> np.ndarr
     return _min_cost_assignment(-(estimated.means @ truth.means.T))
 
 
-def support_precision_recall(estimated: MixtureParams, truth) -> tuple[float, float, dict]:
+def support_precision_recall(estimated: MixtureParams,
+                             truth_params: MixtureParams) -> tuple[float, float, dict]:
     """Precision and recall of the zero coordinates of the estimated means
     against the planted support, after component alignment.
 
-    truth may be a GroundTruth or a MixtureParams. When the estimate predicts
-    no zeros at all, precision is reported as 1.0 with the
-    'empty_prediction' flag set, so sweeps over dense fits do not crash."""
-    truth_params = truth.params if hasattr(truth, "params") else truth
+    When the estimate predicts no zeros at all, precision is reported as 1.0
+    with the 'empty_prediction' flag set, so sweeps over dense fits do not
+    crash."""
     if estimated.K != truth_params.K or estimated.d != truth_params.d:
         raise ValueError("K or d mismatch between estimate and ground truth")
     perm = match_components(estimated, truth_params)

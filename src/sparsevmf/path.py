@@ -4,7 +4,6 @@ guaranteed to sparsify the means on the next M step, then warm-restart EM."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -162,17 +161,11 @@ def path_to_dict(result: PathResult) -> dict:
     return {"termination_reason": result.termination_reason, "steps": records}
 
 
-def save_path(result: PathResult, json_path=None, csv_path=None) -> None:
-    """Persist a path as a JSON array of step records and/or a one-row-per-step
-    CSV summary."""
-    doc = path_to_dict(result)
-    records = doc["steps"]
-    if json_path is not None:
-        with open(json_path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-    if csv_path is not None:
-        fields = list(records[0].keys()) if records else []
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fields)
-            writer.writeheader()
-            writer.writerows(records)
+def save_path(result: PathResult, csv_path) -> None:
+    """Write a path as a one-row-per-step CSV summary."""
+    records = path_to_dict(result)["steps"]
+    fields = list(records[0].keys()) if records else []
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer.writeheader()
+        writer.writerows(records)

@@ -29,13 +29,10 @@ CRITERIA = ("AIC", "BIC", "RIC", "RICc", "EBIC")
 @dataclass(frozen=True)
 class Criterion:
     kind: str
-    ebic_gamma: float = 0.5
 
     def __post_init__(self):
         if self.kind not in CRITERIA:
             raise ValueError(f"unknown criterion {self.kind!r}")
-        if not 0.0 <= self.ebic_gamma <= 1.0:
-            raise ValueError("ebic_gamma must be in [0, 1]")
 
     def phi(self, n: int, d: int) -> float:
         """Penalty coefficient multiplying the free-parameter count."""
@@ -51,7 +48,7 @@ class Criterion:
             if d < 3:
                 raise ValueError("RICc requires d >= 3 (log log d)")
             return 2.0 * (math.log(d) + math.log(math.log(d)))
-        return math.log(n) + 2.0 * self.ebic_gamma * math.log(d)  # EBIC
+        return math.log(n) + math.log(d)  # EBIC, gamma = 1/2
 
 
 def count_free_params(params: MixtureParams) -> int:

@@ -20,23 +20,19 @@ class SkResult:
 
 
 def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
-                rng: np.random.Generator | None = None,
-                init: np.ndarray | None = None) -> SkResult:
-    """Maximize the coherence sum_i <proto_{z_i}, x_i>.
+                rng: np.random.Generator | None = None) -> SkResult:
+    """Maximize the coherence sum_i <proto_{z_i}, x_i>, starting from K
+    distinct observations drawn by rng.
 
     Empty clusters are reseeded from the observation with the lowest
     coherence contribution. Assignment ties break to the lowest cluster index."""
     X = np.asarray(X, dtype=float)
-    n, d = X.shape
+    n = X.shape[0]
     if n < K:
         raise ValueError("need at least K observations")
-    if init is not None:
-        prototypes = np.asarray(init, dtype=float).copy()
-        prototypes /= np.linalg.norm(prototypes, axis=1, keepdims=True)
-    else:
-        if rng is None:
-            rng = np.random.default_rng()
-        prototypes = X[rng.choice(n, size=K, replace=False)].copy()
+    if rng is None:
+        rng = np.random.default_rng()
+    prototypes = X[rng.choice(n, size=K, replace=False)]
     labels = None
     converged = False
     n_iters = 0

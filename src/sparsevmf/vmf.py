@@ -1,18 +1,16 @@
-"""Single von Mises-Fisher distribution: log-density, weighted maximum
-likelihood estimation, and exact rejection sampling."""
+"""Single von Mises-Fisher distribution: parameters and exact rejection
+sampling."""
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroMeanError
-from .special import KAPPA_CAP, kappa_from_rho, log_vmf_normalizer
+from .special import KAPPA_CAP
 
-__all__ = ["KAPPA_CAP", "VmfParams", "log_density", "mle_fit", "sample"]
+__all__ = ["KAPPA_CAP", "VmfParams", "sample"]
 
 
 @dataclass
@@ -34,48 +32,6 @@ class VmfParams:
     @property
     def d(self) -> int:
         return self.mu.shape[0]
-
-
-def log_density(x: np.ndarray, p: VmfParams) -> float:
-    """log f(x | mu, kappa) = log c_d(kappa) + kappa * <mu, x>."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != p.mu.shape:
-        raise ValueError(f"dimension mismatch: x has shape {x.shape}, mu {p.mu.shape}")
-    if abs(np.linalg.norm(x) - 1.0) > 1e-6:
-        raise ValueError("x must be unit-norm")
-    return log_vmf_normalizer(p.d, p.kappa) + p.kappa * float(p.mu @ x)
-
-
-def mle_fit(X: np.ndarray, weights: np.ndarray | None = None) -> VmfParams:
-    """Weighted maximum likelihood estimate of (mu, kappa).
-
-    mu is the normalized weighted resultant; kappa comes from the closed-form
-    inverse-ratio approximation applied to rbar = ||resultant|| / sum(weights),
-    clamped to KAPPA_CAP. Unit weights recover the plain MLE.
-
-    Raises ZeroMeanError when the resultant norm is below 1e-12. When
-    rbar >= 1 - 1e-12 the data are degenerate (all mass on one point); a
-    warning is emitted and kappa is set to KAPPA_CAP.
-    """
-    X = np.asarray(X, dtype=float)
-    n, d = X.shape
-    if weights is None:
-        weights = np.ones(n)
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    wsum = weights.sum()
-    if wsum <= 0:
-        raise ValueError("weights must have positive sum")
-    resultant = weights @ X
-    norm = float(np.linalg.norm(resultant))
-    if norm < 1e-12:
-        raise ZeroMeanError(f"weighted resultant norm {norm:g} < 1e-12")
-    mu = resultant / norm
-    rbar = norm / wsum
-    if rbar >= 1.0 - 1e-12:
-        warnings.warn("degenerate concentration: rbar >= 1 - 1e-12, capping kappa")
-    return VmfParams(mu=mu, kappa=kappa_from_rho(d, rbar))
 
 
 def _sample_tangent_weights(kappa: float, d: int, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: Bessel quantities come
 from mpmath arbitrary precision, the plain mixture EM is a standalone
-implementation with closed-form M steps, the l1 mean update is checked against
+implementation with closed-form M steps, the single-vMF estimate is the
+closed-form approximation, the l1 mean update is checked against
 an iterative proximal maximizer, the ARI against O(N^2) pair counting, and
 the dense-CSV loader against a line-by-line float() scan.
 """
@@ -120,6 +121,19 @@ def plain_movmf_em(X, alpha, means, kappas, max_iters=500, tol=1e-6, kappa_cap=1
     return alpha, means, kappas, ll, it + 1
 
 
+def closed_form_vmf_fit(X):
+    """Single-vMF estimate (mu, kappa) in closed form (Banerjee et al. 2005,
+    JMLR 6:1345): mu is the normalized resultant and, with
+    rbar = ||resultant|| / n, kappa = rbar (d - rbar^2) / (1 - rbar^2), with
+    no Newton refinement and no cap."""
+    X = np.asarray(X, dtype=float)
+    n, d = X.shape
+    r = X.sum(axis=0)
+    norm = float(np.linalg.norm(r))
+    rbar = norm / n
+    return r / norm, rbar * (d - rbar * rbar) / (1.0 - rbar * rbar)
+
+
 # ---------------------------------------------------------------- l1 mean update
 
 def proximal_mu_maximizer(r, kappa, beta, n_starts=8, n_iters=4000, step=None, seed=0):
@@ -211,24 +225,29 @@ def scan_dense_csv(path):
     """Reference dense-CSV parser: one float() per field, line by line.
 
     Line 1 is a header when it is not blank and does not parse; blank lines
-    are skipped. Malformed content raises ParseError with the file line."""
+    are skipped. Malformed content, a line that is not UTF-8 included, raises
+    ParseError with the file line."""
     from sparsevmf.errors import ParseError
 
     rows = []
     linenos = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()  # splits at \n, \r\n and \r
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError:
+            raise ParseError("not UTF-8 text", line=lineno) from None
+        if not line:
+            continue
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError:
+            if lineno == 1:
                 continue
-            try:
-                row = [float(v) for v in line.split(",")]
-            except ValueError:
-                if lineno == 1:
-                    continue
-                raise ParseError(f"non-numeric value in {line!r}", line=lineno)
-            rows.append(row)
-            linenos.append(lineno)
+            raise ParseError(f"non-numeric value in {line!r}", line=lineno)
+        rows.append(row)
+        linenos.append(lineno)
     if not rows:
         raise ParseError("empty file")
     for lineno, row in zip(linenos, rows):

@@ -117,6 +117,20 @@ class TestFit:
         assert rc == 1
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("fmt,data", [
+        ("dense-csv", b"1,2\n3,\xff4\n"),
+        ("sparse-triplet", b"0 0 1.0\n1 1 \xff4\n"),
+    ])
+    def test_non_utf8_input_exits_one(self, tmp_path, capsys, fmt, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        rc = run(["fit", "--input", str(path), "--format", fmt, "--k", "1",
+                  "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ParseError"
+        assert err["message"].startswith("line 2: ")
+
     def test_missing_input_exits_one(self, tmp_path):
         rc = run(["fit", "--input", str(tmp_path / "nope.csv"), "--k", "2",
                   "--out", str(tmp_path / "m.json")])

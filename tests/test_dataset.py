@@ -94,6 +94,16 @@ class TestLoadMatrix:
             assert err.value.line == 1
             assert "malformed shape comment" in str(err.value)
 
+    @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-triplet"])
+    def test_non_utf8_line_rejected(self, tmp_path, fmt):
+        p = tmp_path / "m.txt"
+        lines = {"dense-csv": b"1,2\n3,\xff4\n", "sparse-triplet": b"0 0 1.0\n1 1 \xff4\n"}
+        p.write_bytes(lines[fmt])
+        with pytest.raises(ParseError) as err:
+            load_matrix(p, format=fmt)
+        assert err.value.line == 2
+        assert "not UTF-8" in str(err.value)
+
     @pytest.mark.parametrize("fmt,text,line", [
         ("dense-csv", "1,0\n0,1\nnan,1\n", 3),
         ("dense-csv", "a,b\n1,inf\n", 2),
@@ -111,6 +121,7 @@ class TestLoadMatrix:
         "1,2\n\n3,4\n\n",            # blank lines
         "1,2\n \t \n3,4\n",          # a line of only whitespace
         "1,2\r\n3,4\r\n",            # CRLF line endings
+        "1,2\r3,4\r",                # CR line endings
         " 1 , 2 \n3 ,\t4\n",          # spaces around fields
         "a,b\n1,2\n3,4\n",            # header
         "a,b\n",                      # only a header
@@ -128,10 +139,11 @@ class TestLoadMatrix:
         "1,2\n#3,4\n",                 # a line starting with '#'
         "#x,y\n1,2\n",
         "5\n\n-6e-3\n",                # one column
+        b"1,2\n3,\xff4\n",              # not UTF-8
     ])
     def test_dense_csv_agrees_with_line_scan(self, tmp_path, text):
         p = tmp_path / "m.csv"
-        p.write_bytes(text.encode())
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
         try:
             expected = scan_dense_csv(p)
         except ParseError as err:

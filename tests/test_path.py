@@ -7,7 +7,7 @@ from sparsevmf.dataset import SimulationConfig, simulate_mixture
 from sparsevmf.em import (FitOptions, FitStatus, MixtureParams, e_step, fit_em, load_model,
                           save_model, soft_threshold_mu)
 from sparsevmf.errors import NoIncrementAvailableError
-from sparsevmf.path import PathOptions, follow_path, next_beta, save_path
+from sparsevmf.path import PathOptions, follow_path, next_beta, path_to_dict, save_path
 from sparsevmf.selection import best_of_restarts
 
 
@@ -226,12 +226,11 @@ class TestSavePath:
     def test_json_and_csv(self, small_problem, tmp_path):
         X, fit = small_problem
         res = follow_path(X, 2, PathOptions(max_steps=4), fit)
-        jp, cp = tmp_path / "p.json", tmp_path / "p.csv"
-        save_path(res, json_path=jp, csv_path=cp)
+        cp = tmp_path / "p.csv"
+        save_path(res, cp)
         import csv as csvmod
-        import json
 
-        doc = json.loads(jp.read_text())
+        doc = path_to_dict(res)
         assert doc["termination_reason"] == res.termination_reason
         assert len(doc["steps"]) == len(res.steps)
         assert doc["steps"][0]["beta"] == 0.0

@@ -65,23 +65,16 @@ class TestCriterion:
         assert Criterion("RICc").phi(n, d) == pytest.approx(
             2 * (math.log(100) + math.log(math.log(100)))
         )
-        assert Criterion("EBIC", 0.5).phi(n, d) == pytest.approx(2 * math.log(100))
+        assert Criterion("EBIC").phi(n, d) == pytest.approx(2 * math.log(100))
 
     def test_bic_matches_aic_at_n_e_squared(self):
         # log n crosses the AIC constant 2 exactly at n = e^2 ~ 7.389, so the
         # two integer sample sizes around it bracket the AIC penalty.
         assert Criterion("BIC").phi(7, 5) < 2.0 < Criterion("BIC").phi(8, 5)
 
-    def test_ebic_gamma_zero_is_bic(self):
-        assert Criterion("EBIC", 0.0).phi(50, 30) == pytest.approx(
-            Criterion("BIC").phi(50, 30)
-        )
-
     def test_invalid_kind_and_gamma(self):
         with pytest.raises(ValueError):
             Criterion("AICc")
-        with pytest.raises(ValueError):
-            Criterion("EBIC", 1.5)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
