@@ -33,7 +33,6 @@ __all__ = [
     "sample_mixture",
     "estimate_overlap",
     "ground_truth_to_dict",
-    "save_ground_truth",
     "load_ground_truth",
 ]
 
@@ -320,36 +319,51 @@ def _reduced_overlap(means: np.ndarray, alpha: np.ndarray, n_samples: int,
     mu_k's complement, <v, mu_l> needs v only in the part of span(means)
     orthogonal to mu_k (r = min(K, d) - 1 dimensions): v's coordinates there
     are z / |g|, with z ~ N(0, I_r) and |g|^2 = |z|^2 + chi^2_{d-1-r}.
-    Labels, z and the chi^2 draws do not depend on kappa, so they are drawn
-    once and every call reuses them; a call draws only t, by Wood's scheme,
-    in O(n K)."""
+    Label counts, z and the chi^2 draws do not depend on kappa, and neither
+    do Wood's proposals for t, so every call reuses them (common random
+    numbers). Each component keeps its draws as one K x n_k block and a
+    pool of proposals; a call takes the first n_k proposals accepted at its
+    kappa, which are exact i.i.d. draws of t, and draws more proposals only
+    when the pool runs short. A call costs O(n K)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     K, d = means.shape
-    labels = rng.choice(K, size=n_samples, p=alpha)
-    groups = [np.nonzero(labels == k)[0] for k in range(K)]
+    counts = np.bincount(rng.choice(K, size=n_samples, p=alpha), minlength=K)
     # Coordinates of the means in an orthonormal basis of a subspace that
     # holds them all: means = u diag(sv) vt, so means @ vt.T = u * sv.
     u, sv, _ = np.linalg.svd(means, full_matrices=False)
     coords = u * sv
     r = coords.shape[1] - 1
-    tangent = np.empty((K, n_samples))
-    for k, idx in enumerate(groups):
+    gram = means @ means.T
+    tangents = []
+    for k, n_k in enumerate(counts):
         # Householder: the last r columns span the complement of mu_k there.
         perp = np.linalg.qr(coords[k][:, None], mode="complete")[0][:, 1:]
-        z = rng.standard_normal((idx.size, r))
-        rest = rng.chisquare(d - 1 - r, idx.size) if d - 1 > r else 0.0
+        z = rng.standard_normal((n_k, r))
+        rest = rng.chisquare(d - 1 - r, n_k) if d - 1 > r else 0.0
         norm = np.sqrt(np.einsum("ij,ij->i", z, z) + rest)
-        tangent[:, idx] = ((z @ (perp.T @ coords.T)) / norm[:, None]).T
-    gram = (means @ means.T)[labels].T
+        tangents.append(((z @ (perp.T @ coords.T)) / norm[:, None]).T)
+    pools = [vmf._wood_proposals(d, n_k, rng) for n_k in counts]
 
     def error(params: MixtureParams) -> float:
-        t = np.empty(n_samples)
-        for k, idx in enumerate(groups):
-            t[idx] = vmf._sample_tangent_weights(params.kappas[k], d, idx.size, rng)
-        # K x n inner products; argmax down the components, ties to the lowest.
-        inner = t * gram + np.sqrt(np.maximum(1.0 - t * t, 0.0)) * tangent
-        return float(np.mean(np.argmax(_log_joint(inner, params), axis=0) != labels))
+        wrong = 0
+        for k, n_k in enumerate(counts):
+            if not n_k:
+                continue
+            w, accept = vmf._wood_accept(params.kappas[k], d, *pools[k])
+            while (short := n_k - np.count_nonzero(accept)) > 0:
+                more = vmf._wood_proposals(d, max(short, n_k // 4), rng)
+                pools[k] = tuple(np.concatenate(pair) for pair in zip(pools[k], more))
+                w, accept = vmf._wood_accept(params.kappas[k], d, *pools[k])
+            t = w[accept][:n_k]
+            # K x n_k inner products. A draw is misassigned when the argmax down
+            # the components, ties to the lowest, is not k: an earlier row
+            # reaches row k or a later row exceeds it.
+            inner = t * gram[k][:, None] + np.sqrt(np.maximum(1.0 - t * t, 0.0)) * tangents[k]
+            lj = _log_joint(inner, params)
+            wrong += int(np.count_nonzero((lj[:k] >= lj[k]).any(axis=0)
+                                          | (lj[k + 1:] > lj[k]).any(axis=0)))
+        return wrong / n_samples
 
     return error
 
@@ -425,18 +439,18 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
     }
 
 
-def save_ground_truth(truth: GroundTruth, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(ground_truth_to_dict(truth), fh, indent=1)
-
-
 def load_ground_truth(path) -> GroundTruth:
+    """Read a truth file written by ground_truth_to_dict; a missing key raises
+    ParseError."""
     with open(path) as fh:
         doc = json.load(fh)
-    params = MixtureParams(
-        alpha=np.array(doc["alpha"]),
-        means=means_from_sparse(doc["mu"], doc["d"]),
-        kappas=np.array(doc["kappa"]),
-        kappa_mode="free",
-    )
-    return GroundTruth(params=params, labels=np.array(doc["labels"]))
+    try:
+        params = MixtureParams(
+            alpha=np.array(doc["alpha"]),
+            means=means_from_sparse(doc["mu"], doc["d"]),
+            kappas=np.array(doc["kappa"]),
+            kappa_mode="free",
+        )
+        return GroundTruth(params=params, labels=np.array(doc["labels"]))
+    except KeyError as err:
+        raise ParseError(f"not a truth file: no {err.args[0]!r} key") from None

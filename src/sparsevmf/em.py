@@ -17,6 +17,7 @@ from .errors import (
     DegenerateUniformError,
     EmptyComponentError,
     InitFailureError,
+    ParseError,
     ZeroMeanError,
 )
 from .special import KAPPA_CAP, kappa_from_rho, log_vmf_normalizer
@@ -422,24 +423,28 @@ def fit_result_to_dict(fit: FitResult, seed=None) -> dict:
 
 
 def fit_result_from_dict(doc: dict) -> FitResult:
-    d = doc["d"]
-    kappa = doc["kappa"]
-    kappas = np.full(doc["K"], kappa) if np.isscalar(kappa) else np.array(kappa)
-    params = MixtureParams(
-        alpha=np.array(doc["alpha"]),
-        means=means_from_sparse(doc["means"], d),
-        kappas=kappas,
-        kappa_mode=doc["kappa_mode"],
-    )
-    return FitResult(
-        params=params,
-        beta=doc["beta"],
-        log_likelihood=doc["log_likelihood"],
-        penalized_log_likelihood=doc["penalized_log_likelihood"],
-        trace=[],
-        n_iters=doc["n_iters"],
-        status=FitStatus(doc["status"]),
-    )
+    """Inverse of fit_result_to_dict; a missing key raises ParseError."""
+    try:
+        d = doc["d"]
+        kappa = doc["kappa"]
+        kappas = np.full(doc["K"], kappa) if np.isscalar(kappa) else np.array(kappa)
+        params = MixtureParams(
+            alpha=np.array(doc["alpha"]),
+            means=means_from_sparse(doc["means"], d),
+            kappas=kappas,
+            kappa_mode=doc["kappa_mode"],
+        )
+        return FitResult(
+            params=params,
+            beta=doc["beta"],
+            log_likelihood=doc["log_likelihood"],
+            penalized_log_likelihood=doc["penalized_log_likelihood"],
+            trace=[],
+            n_iters=doc["n_iters"],
+            status=FitStatus(doc["status"]),
+        )
+    except KeyError as err:
+        raise ParseError(f"not a model file: no {err.args[0]!r} key") from None
 
 
 def save_model(fit: FitResult, path, seed=None) -> None:

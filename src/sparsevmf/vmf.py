@@ -34,20 +34,31 @@ class VmfParams:
         return self.mu.shape[0]
 
 
-def _sample_tangent_weights(kappa: float, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n values of t = <mu, x> by Wood's rejection scheme."""
+def _wood_proposals(d: int, n: int, rng: np.random.Generator):
+    """n proposals of Wood's (1994) rejection scheme for t = <mu, x>: Beta
+    ((d-1)/2, (d-1)/2) draws z and the logs of uniforms. They do not depend
+    on kappa."""
+    half_m = 0.5 * (d - 1)
+    z = rng.beta(half_m, half_m, size=n)
+    return z, np.log(rng.uniform(size=n))
+
+
+def _wood_accept(kappa: float, d: int, z: np.ndarray, log_u: np.ndarray):
+    """Wood's candidates w for t and which of them are accepted at kappa."""
     m = d - 1
     b = m / (math.sqrt(4.0 * kappa * kappa + m * m) + 2.0 * kappa)
     x0 = (1.0 - b) / (1.0 + b)
     c = kappa * x0 + m * math.log(1.0 - x0 * x0)
+    w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+    return w, kappa * w + m * np.log1p(-x0 * w) - c >= log_u
+
+
+def _sample_tangent_weights(kappa: float, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n values of t = <mu, x> by Wood's rejection scheme."""
     out = np.empty(n)
     filled = 0
     while filled < n:
-        todo = n - filled
-        z = rng.beta(0.5 * m, 0.5 * m, size=todo)
-        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        u = rng.uniform(size=todo)
-        accept = kappa * w + m * np.log1p(-x0 * w) - c >= np.log(u)
+        w, accept = _wood_accept(kappa, d, *_wood_proposals(d, n - filled, rng))
         nacc = int(accept.sum())
         out[filled : filled + nacc] = w[accept]
         filled += nacc

@@ -237,6 +237,36 @@ class TestVizMetrics:
         assert -1.0 <= doc["ari"] <= 1.0
         assert "support_precision" in doc
 
+    @pytest.mark.parametrize("command", ["metrics", "viz"])
+    def test_non_model_file_exits_one(self, sim_files, tmp_path, capsys, command):
+        data, truth = sim_files
+        model = tmp_path / "not_a_model.json"
+        model.write_text("{}")
+        argv = [command, "--model", str(model), "--out", str(tmp_path / "out")]
+        if command == "metrics":
+            argv += ["--truth", str(truth)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        doc = json.loads(err[0])
+        assert doc["error"] == "ParseError"
+        assert "'d'" in doc["message"]
+
+    def test_non_truth_file_exits_one(self, sim_files, tmp_path, capsys):
+        data, _ = sim_files
+        model = self._fit_model(data, tmp_path)
+        truth = tmp_path / "not_truth.json"
+        truth.write_text(json.dumps({"alpha": [1.0]}))
+        capsys.readouterr()
+        assert run(["metrics", "--truth", str(truth), "--model", str(model),
+                    "--out", str(tmp_path / "m.json")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        doc = json.loads(err[0])
+        assert doc["error"] == "ParseError"
+        assert "'mu'" in doc["message"]
+
 
 class TestConfigFile:
     def test_json_config_applies(self, tmp_path):

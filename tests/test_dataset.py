@@ -17,8 +17,8 @@ from sparsevmf.dataset import (
     save_matrix,
     simulate_mixture,
     sparsify_means,
+    ground_truth_to_dict,
     load_ground_truth,
-    save_ground_truth,
 )
 from sparsevmf.em import MixtureParams
 from sparsevmf.errors import (
@@ -285,7 +285,7 @@ class TestSimulate:
         cfg = SimulationConfig(K=3, d=10, N=40, base_kappa=8.0, sparsity=0.2, seed=13)
         _, truth = simulate_mixture(cfg)
         p = tmp_path / "gt.json"
-        save_ground_truth(truth, p)
+        p.write_text(json.dumps(ground_truth_to_dict(truth)))
         loaded = load_ground_truth(p)
         assert np.array_equal(loaded.params.means, truth.params.means)
         assert np.array_equal(loaded.labels, truth.labels)
@@ -346,9 +346,9 @@ class TestCalibrateOverlap:
         rng = np.random.default_rng(24)
         means = np.eye(2, 5)
         with pytest.raises(NotBracketedError):
-            # Orthogonal well-separated means: even kappa=0.01 after the 2x
-            # rescale cannot reach 49.9% error? It can; use target below
-            # reachable floor instead: kappa=1e4 leaves error ~0.
+            # Nearly all mass on one of two orthogonal means: even the
+            # smallest kappa of the bracket misassigns at most the other
+            # component's 1e-6 share, far below the 49.9% target.
             calibrate_overlap(means, 0.499, np.array([0.999999, 1e-6]), rng,
                               n_samples=5_000)
 
@@ -379,6 +379,29 @@ class TestReducedOverlap:
         p = 0.5 * (reduced + full)
         se = np.sqrt(p * (1 - p) * (1 / n_red + 1 / n_full))
         assert abs(reduced - full) < 4 * se
+
+    def test_same_params_same_estimate(self):
+        # Every call reuses the same draws, so an estimate is a function of
+        # the parameters alone, whatever was evaluated in between.
+        rng = np.random.default_rng(32)
+        means = np.eye(3, 10)
+        alpha = np.full(3, 1.0 / 3.0)
+        error = _reduced_overlap(means, alpha, 20_000, rng)
+        first = error(MixtureParams(alpha, means, np.full(3, 4.0)))
+        error(MixtureParams(alpha, means, np.full(3, 0.02)))  # grows the pools
+        assert error(MixtureParams(alpha, means, np.full(3, 4.0))) == first
+
+    def test_twin_means_tie_to_the_lower_index(self):
+        # Components 0 and 1 share mean, kappa and weight, so every draw of
+        # either ties between them and goes to 0: all of twin 1's draws are
+        # errors. Component 2 is far off, so it adds almost nothing.
+        means = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        alpha = np.array([0.3, 0.3, 0.4])
+        n = 20_000
+        n_twin = np.count_nonzero(np.random.default_rng(33).choice(3, size=n, p=alpha) == 1)
+        error = _reduced_overlap(means, alpha, n, np.random.default_rng(33))
+        est = error(MixtureParams(alpha, means, np.full(3, 50.0)))
+        assert n_twin / n <= est < n_twin / n + 0.01
 
     def test_seeded_overlap_run_reproducible(self):
         cfg = SimulationConfig(K=3, d=20, N=200, overlap_target=0.05, sparsity=0.25, seed=3)

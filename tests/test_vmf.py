@@ -6,7 +6,7 @@ import pytest
 from sparsevmf.em import FitOptions, MixtureParams, Responsibilities, m_step
 from sparsevmf.errors import ZeroMeanError
 from sparsevmf.special import bessel_ratio
-from sparsevmf.vmf import KAPPA_CAP, VmfParams, sample
+from sparsevmf.vmf import KAPPA_CAP, VmfParams, _sample_tangent_weights, sample
 
 from oracles import closed_form_vmf_fit
 
@@ -118,3 +118,33 @@ class TestSample:
         # Angle accuracy is limited by the Fisher information of mu.
         angle_floor = 4.0 * math.sqrt((d - 1) / (n * kappa * a))
         assert math.acos(min(1.0, float(est_mu @ mu))) < max(0.02, angle_floor)
+
+
+def wood_loop_before_split(kappa, d, n, rng):
+    """Wood's rejection loop as it stood before its acceptance step moved
+    into vmf._wood_accept."""
+    m = d - 1
+    b = m / (math.sqrt(4.0 * kappa * kappa + m * m) + 2.0 * kappa)
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + m * math.log(1.0 - x0 * x0)
+    out = np.empty(n)
+    filled = 0
+    while filled < n:
+        todo = n - filled
+        z = rng.beta(0.5 * m, 0.5 * m, size=todo)
+        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        u = rng.uniform(size=todo)
+        accept = kappa * w + m * np.log1p(-x0 * w) - c >= np.log(u)
+        nacc = int(accept.sum())
+        out[filled : filled + nacc] = w[accept]
+        filled += nacc
+    return out
+
+
+@pytest.mark.parametrize("d, kappa", [(2, 0.5), (3, 50.0), (200, 1e5), (2000, 60.0)])
+def test_tangent_weights_match_the_loop_before_the_split(d, kappa):
+    rng_a, rng_b = np.random.default_rng(41), np.random.default_rng(41)
+    got = _sample_tangent_weights(kappa, d, 5_000, rng_a)
+    want = wood_loop_before_split(kappa, d, 5_000, rng_b)
+    assert got.tobytes() == want.tobytes()
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
