@@ -348,8 +348,6 @@ def _reduced_overlap(means: np.ndarray, alpha: np.ndarray, n_samples: int,
     def error(params: MixtureParams) -> float:
         wrong = 0
         for k, n_k in enumerate(counts):
-            if not n_k:
-                continue
             w, accept = vmf._wood_accept(params.kappas[k], d, *pools[k])
             while (short := n_k - np.count_nonzero(accept)) > 0:
                 more = vmf._wood_proposals(d, max(short, n_k // 4), rng)
