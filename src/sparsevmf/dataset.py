@@ -371,8 +371,9 @@ def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
     """Find a base kappa whose mixture (jitter off, separability rescaling on)
     has a crisp-assignment error rate close to target, by bisection.
 
-    The error rate is estimated on n_samples draws whose kappa-free part is
-    shared by every bisection step (_reduced_overlap). Stops when
+    The error rate is estimated on n_samples draws whose kappa-free parts,
+    Wood's proposals included, are shared by every bisection step
+    (_reduced_overlap). Stops when
     |error - target| < 0.1*target or after 40 bisections. Raises
     NotBracketedError when the target is unreachable in [0.01, 1e4]."""
     if not 0.0 < target < 0.5:
