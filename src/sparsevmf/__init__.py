@@ -14,7 +14,6 @@ from .em import (  # noqa: F401
     init_random,
     load_model,
     m_step,
-    save_model,
     soft_threshold_mu,
 )
 from .dataset import (  # noqa: F401
@@ -38,7 +37,7 @@ from .metrics import (  # noqa: F401
     sparsity,
     support_precision_recall,
 )
-from .vmf import KAPPA_CAP, VmfParams, sample  # noqa: F401
+from .vmf import KAPPA_CAP, sample  # noqa: F401
 from .special import (  # noqa: F401
     bessel_ratio,
     invert_bessel_ratio,

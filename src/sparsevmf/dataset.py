@@ -3,7 +3,6 @@ simulation of sparse vMF mixtures and its Monte Carlo overlap estimates."""
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -14,6 +13,7 @@ from . import vmf
 from .em import (
     MixtureParams,
     _log_joint,
+    _read_json_doc,
     e_step,
     hard_assign,
     means_from_sparse,
@@ -55,6 +55,9 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, low in (("K", 1), ("N", 1), ("d", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if (self.overlap_target is None) == (self.base_kappa is None):
             raise ValueError("exactly one of overlap_target / base_kappa must be given")
         if self.overlap_target is not None and not 0.0 < self.overlap_target < 0.5:
@@ -269,8 +272,8 @@ def sample_mixture(params: MixtureParams, n: int, rng: np.random.Generator):
     for k in range(params.K):
         idx = np.nonzero(labels == k)[0]
         if idx.size:
-            p = vmf.VmfParams(mu=params.means[k], kappa=params.kappas[k])
-            X[idx] = vmf.sample(p, idx.size, rng)
+            # n by keyword: perfbench's tracer reads the row count by name.
+            X[idx] = vmf.sample(params.means[k], params.kappas[k], n=idx.size, rng=rng)
     return X, labels
 
 
@@ -438,18 +441,16 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
     }
 
 
+def _ground_truth_from_dict(doc: dict) -> GroundTruth:
+    params = MixtureParams(
+        alpha=np.array(doc["alpha"]),
+        means=means_from_sparse(doc["mu"], doc["d"]),
+        kappas=np.array(doc["kappa"]),
+        kappa_mode="free",
+    )
+    return GroundTruth(params=params, labels=np.array(doc["labels"]))
+
+
 def load_ground_truth(path) -> GroundTruth:
-    """Read a truth file written by ground_truth_to_dict; a missing key raises
-    ParseError."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    try:
-        params = MixtureParams(
-            alpha=np.array(doc["alpha"]),
-            means=means_from_sparse(doc["mu"], doc["d"]),
-            kappas=np.array(doc["kappa"]),
-            kappa_mode="free",
-        )
-        return GroundTruth(params=params, labels=np.array(doc["labels"]))
-    except KeyError as err:
-        raise ParseError(f"not a truth file: no {err.args[0]!r} key") from None
+    """Read a ground_truth_to_dict file; malformed content raises ParseError."""
+    return _read_json_doc(path, "truth", _ground_truth_from_dict)

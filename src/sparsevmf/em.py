@@ -34,7 +34,6 @@ __all__ = [
     "m_step",
     "fit_em",
     "hard_assign",
-    "save_model",
     "load_model",
     "means_to_sparse",
     "means_from_sparse",
@@ -326,6 +325,8 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if n < K:
         raise ValueError("need at least K observations")
     if resp is not None and init is None:
@@ -423,37 +424,48 @@ def fit_result_to_dict(fit: FitResult, seed=None) -> dict:
 
 
 def fit_result_from_dict(doc: dict) -> FitResult:
-    """Inverse of fit_result_to_dict; a missing key raises ParseError."""
+    """Inverse of fit_result_to_dict."""
+    d = doc["d"]
+    kappa = doc["kappa"]
+    kappas = np.full(doc["K"], kappa) if np.isscalar(kappa) else np.array(kappa)
+    params = MixtureParams(
+        alpha=np.array(doc["alpha"]),
+        means=means_from_sparse(doc["means"], d),
+        kappas=kappas,
+        kappa_mode=doc["kappa_mode"],
+    )
+    return FitResult(
+        params=params,
+        beta=doc["beta"],
+        log_likelihood=doc["log_likelihood"],
+        penalized_log_likelihood=doc["penalized_log_likelihood"],
+        n_iters=doc["n_iters"],
+        status=FitStatus(doc["status"]),
+    )
+
+
+def _read_json_doc(path, kind: str, from_dict):
+    """from_dict of the JSON object in the file at path. Text that is not UTF-8
+    or not JSON (with its line), a non-object, a missing key, and a TypeError,
+    IndexError or ValueError from from_dict all raise ParseError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        d = doc["d"]
-        kappa = doc["kappa"]
-        kappas = np.full(doc["K"], kappa) if np.isscalar(kappa) else np.array(kappa)
-        params = MixtureParams(
-            alpha=np.array(doc["alpha"]),
-            means=means_from_sparse(doc["means"], d),
-            kappas=kappas,
-            kappa_mode=doc["kappa_mode"],
-        )
-        return FitResult(
-            params=params,
-            beta=doc["beta"],
-            log_likelihood=doc["log_likelihood"],
-            penalized_log_likelihood=doc["penalized_log_likelihood"],
-            trace=[],
-            n_iters=doc["n_iters"],
-            status=FitStatus(doc["status"]),
-        )
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ParseError("not UTF-8 text", line=raw.count(b"\n", 0, err.start) + 1) from None
+    except json.JSONDecodeError as err:
+        raise ParseError(f"not JSON: {err.msg}", line=err.lineno) from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"not a {kind} file: not a JSON object")
+    try:
+        return from_dict(doc)
     except KeyError as err:
-        raise ParseError(f"not a model file: no {err.args[0]!r} key") from None
-
-
-def save_model(fit: FitResult, path, seed=None) -> None:
-    """Write a model JSON; floats use shortest round-trip decimals so loading
-    reproduces the parameters bit-for-bit."""
-    with open(path, "w") as fh:
-        json.dump(fit_result_to_dict(fit, seed=seed), fh, indent=1)
+        raise ParseError(f"not a {kind} file: no {err.args[0]!r} key") from None
+    except (TypeError, IndexError, ValueError) as err:
+        raise ParseError(f"not a {kind} file: {err}") from None
 
 
 def load_model(path) -> FitResult:
-    with open(path) as fh:
-        return fit_result_from_dict(json.load(fh))
+    """Read a fit_result_to_dict file; malformed content raises ParseError."""
+    return _read_json_doc(path, "model", fit_result_from_dict)

@@ -28,6 +28,8 @@ def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
     coherence contribution. Assignment ties break to the lowest cluster index."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
     if n < K:
         raise ValueError("need at least K observations")
     if rng is None:

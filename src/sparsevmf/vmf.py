@@ -1,37 +1,14 @@
-"""Single von Mises-Fisher distribution: parameters and exact rejection
-sampling."""
+"""Single von Mises-Fisher distribution: exact rejection sampling."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .special import KAPPA_CAP
 
-__all__ = ["KAPPA_CAP", "VmfParams", "sample"]
-
-
-@dataclass
-class VmfParams:
-    """Directional mean (unit vector) and concentration of a vMF distribution."""
-
-    mu: np.ndarray
-    kappa: float
-
-    def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float)
-        if self.mu.ndim != 1:
-            raise ValueError("mu must be a vector")
-        if abs(np.linalg.norm(self.mu) - 1.0) > 1e-10:
-            raise ValueError("mu must be unit-norm")
-        if not 0.0 <= self.kappa <= KAPPA_CAP:
-            raise ValueError(f"kappa must be in [0, {KAPPA_CAP:g}], got {self.kappa}")
-
-    @property
-    def d(self) -> int:
-        return self.mu.shape[0]
+__all__ = ["KAPPA_CAP", "sample"]
 
 
 def _wood_proposals(d: int, n: int, rng: np.random.Generator):
@@ -65,23 +42,27 @@ def _sample_tangent_weights(kappa: float, d: int, n: int, rng: np.random.Generat
     return out
 
 
-def sample(p: VmfParams, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n i.i.d. unit-norm samples from vMF(mu, kappa).
+def sample(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n i.i.d. unit-norm samples from vMF(mu, kappa), 0 <= kappa <= KAPPA_CAP.
 
-    kappa = 0 yields the uniform distribution on the sphere. The tangent
-    component t = <mu, x> is drawn by rejection sampling; the orthogonal part
-    is a uniform direction in the complement of mu.
+    t = <mu, x> comes from Wood's rejection scheme, exact at kappa = 0 too: every
+    proposal is accepted there and t = 1 - 2z, z ~ Beta((d-1)/2, (d-1)/2), the
+    uniform marginal. The orthogonal part is a uniform direction in mu's complement.
     """
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim != 1 or mu.size < 2:
+        raise ValueError("mu must be a vector of length >= 2")
+    if abs(np.linalg.norm(mu) - 1.0) > 1e-10:
+        raise ValueError("mu must be unit-norm")
+    if not 0.0 <= kappa <= KAPPA_CAP:
+        raise ValueError(f"kappa must be in [0, {KAPPA_CAP:g}], got {kappa}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = p.d
-    if p.kappa == 0.0:
-        g = rng.standard_normal((n, d))
-        return g / np.linalg.norm(g, axis=1, keepdims=True)
-    t = _sample_tangent_weights(p.kappa, d, n, rng)
+    d = mu.shape[0]
+    t = _sample_tangent_weights(kappa, d, n, rng)
     # Uniform tangent directions: Gaussian draws orthogonalized against mu.
     g = rng.standard_normal((n, d))
-    g -= np.outer(g @ p.mu, p.mu)
+    g -= np.outer(g @ mu, mu)
     g /= np.linalg.norm(g, axis=1, keepdims=True)
-    x = t[:, None] * p.mu[None, :] + np.sqrt(np.maximum(1.0 - t * t, 0.0))[:, None] * g
+    x = t[:, None] * mu[None, :] + np.sqrt(np.maximum(1.0 - t * t, 0.0))[:, None] * g
     return x / np.linalg.norm(x, axis=1, keepdims=True)

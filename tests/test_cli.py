@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sparsevmf.cli import main
+from sparsevmf.dataset import GroundTruth, ground_truth_to_dict
+from sparsevmf.em import FitResult, MixtureParams, fit_result_to_dict
 
 
 def run(argv):
@@ -268,6 +270,73 @@ class TestVizMetrics:
         assert "'mu'" in doc["message"]
 
 
+def _good_docs():
+    """A valid model and a valid truth document at K = 3, d = 5."""
+    params = MixtureParams(np.array([0.5, 0.3, 0.2]), np.eye(3, 5), np.array([5.0, 6.0, 7.0]))
+    model = fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))
+    truth = ground_truth_to_dict(GroundTruth(params, labels=np.array([0, 1, 2])))
+    return {"model": model, "truth": truth}
+
+
+# Per malformed case: the file's text, or the keys to overwrite in a good
+# model / truth document.
+MALFORMED = {
+    "not-an-object": "[]",
+    "csv": "1,2\n3,4\n",
+    "alpha-sums-to-0.6": ({"alpha": [0.3, 0.2, 0.1]}, {"alpha": [0.3, 0.2, 0.1]}),
+    "mean-index-99": ({"means": [[[99, 1.0]], [[1, 1.0]], [[2, 1.0]]]},
+                      {"mu": [[[99, 1.0]], [[1, 1.0]], [[2, 1.0]]]}),
+    "bad-status-or-d": ({"status": "Bogus"}, {"d": "five"}),
+    "kappa-string": ({"kappa": "abc"}, {"kappa": "abc"}),
+    "means-null": ({"means": None}, {"mu": None}),
+}
+
+
+class TestMalformedJson:
+    @pytest.mark.parametrize("case", MALFORMED)
+    @pytest.mark.parametrize("command, kind", [
+        ("metrics", "model"), ("viz", "model"), ("metrics", "truth"),
+    ])
+    def test_exits_one_with_parse_error(self, tmp_path, capsys, case, command, kind):
+        docs = _good_docs()
+        files = {}
+        for name, doc in docs.items():
+            files[name] = tmp_path / f"{name}.json"
+            files[name].write_text(json.dumps(doc))
+        spec = MALFORMED[case]
+        if isinstance(spec, str):
+            files[kind].write_text(spec)
+        else:
+            files[kind].write_text(json.dumps({**docs[kind], **spec[kind == "truth"]}))
+        argv = [command, "--model", str(files["model"]), "--out", str(tmp_path / "out")]
+        if command == "metrics":
+            argv += ["--truth", str(files["truth"])]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        doc = json.loads(err[0])
+        assert doc["error"] == "ParseError"
+        if case == "csv":
+            assert doc["message"].startswith("line 1: not JSON")
+
+    def test_good_documents_load(self, tmp_path):
+        docs = _good_docs()
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        assert run(["metrics", "--model", str(tmp_path / "model.json"),
+                    "--truth", str(tmp_path / "truth.json"),
+                    "--out", str(tmp_path / "m.json")]) == 0
+
+    def test_non_utf8_model_names_the_line(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{\n "K": 1,\n "d": "\xff"\n}\n')
+        capsys.readouterr()
+        assert run(["viz", "--model", str(model), "--out", str(tmp_path / "x.ppm")]) == 1
+        doc = json.loads(capsys.readouterr().err)
+        assert doc == {"error": "ParseError", "message": "line 3: not UTF-8 text"}
+
+
 class TestConfigFile:
     def test_json_config_applies(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -408,11 +477,34 @@ class TestUsageErrors:
             run(["transmogrify"])
         assert ex.value.code == 2
 
-    def test_bad_value_exits_two(self, sim_files, tmp_path):
+    def test_bad_value_exits_two(self, sim_files, tmp_path, capsys):
         data, _ = sim_files
         rc = run(["fit", "--input", str(data), "--k", "0",
                   "--out", str(tmp_path / "m.json")])
         assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": "K must be >= 1, got 0"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--k", "0", "--n", "10", "--d", "5"], "K must be >= 1, got 0"),
+        (["simulate", "--k", "2", "--n", "0", "--d", "5"], "N must be >= 1, got 0"),
+        (["simulate", "--k", "2", "--n", "10", "--d", "1"], "d must be >= 2, got 1"),
+    ])
+    def test_impossible_simulation_size_exits_two(self, tmp_path, capsys, argv, message):
+        rc = run([*argv, "--base-kappa", "5", "--out", str(tmp_path / "x.csv"),
+                  "--truth-out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": message}
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_skmeans_zero_components_exits_two(self, sim_files, tmp_path, capsys):
+        data, _ = sim_files
+        rc = run(["skmeans", "--input", str(data), "--k", "0",
+                  "--out", str(tmp_path / "o.json")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ConfigError", "message": "K must be >= 1, got 0"}
 
     @pytest.mark.parametrize("command", [
         ["fit", "--k", "3"],

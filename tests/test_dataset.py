@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from oracles import scan_dense_csv
 
+import sparsevmf.vmf
 from sparsevmf.dataset import (
     SimulationConfig,
     _build_truth_params,
@@ -430,3 +431,20 @@ class TestSampleMixture:
         params = MixtureParams(np.array([0.8, 0.2]), np.eye(2, 6), np.array([50.0, 50.0]))
         _, labels = sample_mixture(params, 5_000, rng)
         assert abs(np.mean(labels == 0) - 0.8) < 0.03
+
+    def test_sample_mixture_passes_n_by_keyword(self, monkeypatch):
+        # perfbench's tracer reads vmf.sample's n by name (else at position 1)
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 6), np.array([50.0, 50.0]))
+        sample = sparsevmf.vmf.sample
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(sparsevmf.vmf, "sample", recording)
+        _, labels = sample_mixture(params, 40, np.random.default_rng(31))
+        assert len(calls) == 2
+        for k, (args, kwargs) in enumerate(calls):
+            assert len(args) == 2
+            assert kwargs["n"] == np.count_nonzero(labels == k)

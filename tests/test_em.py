@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -23,12 +24,11 @@ from sparsevmf.em import (
     init_random,
     load_model,
     m_step,
-    save_model,
     soft_threshold_mu,
 )
 from sparsevmf.errors import InitFailureError, ZeroMeanError
 from sparsevmf.metrics import adjusted_rand_index
-from sparsevmf.vmf import KAPPA_CAP, VmfParams, sample
+from sparsevmf.vmf import KAPPA_CAP, sample
 
 from oracles import closed_form_vmf_fit, plain_movmf_em, proximal_mu_maximizer
 
@@ -116,7 +116,7 @@ class TestEStep:
     def test_single_component(self):
         rng = np.random.default_rng(2)
         params = random_params(rng, 1, 5)
-        X = sample(VmfParams(mu=params.means[0], kappa=5.0), 20, rng)
+        X = sample(params.means[0], 5.0, 20, rng)
         resp = e_step(X, params)
         assert np.allclose(resp.tau, 1.0)
 
@@ -281,7 +281,7 @@ class TestMStep:
 
     def test_single_component_reduces_to_mle(self):
         rng = np.random.default_rng(9)
-        X = sample(VmfParams(mu=unit([1, 2, 0, 0, 1]), kappa=12.0), 200, rng)
+        X = sample(unit([1, 2, 0, 0, 1]), 12.0, 200, rng)
         params = MixtureParams(np.ones(1), unit([1, 0, 0, 0, 0])[None, :], np.array([1.0]))
         resp = e_step(X, params)
         out = m_step(resp, params, FitOptions())
@@ -348,8 +348,8 @@ class TestFitEm:
         rng = np.random.default_rng(13)
         mus = np.eye(2, 5)
         X = np.vstack([
-            sample(VmfParams(mu=mus[0], kappa=80.0), 60, rng),
-            sample(VmfParams(mu=mus[1], kappa=80.0), 60, rng),
+            sample(mus[0], 80.0, 60, rng),
+            sample(mus[1], 80.0, 60, rng),
         ])
         truth = np.repeat([0, 1], 60)
         fit = fit_em(X, 2, FitOptions(beta=0.0), rng=rng)
@@ -394,7 +394,7 @@ class TestFitEm:
 
     def test_no_op_at_optimum(self):
         rng = np.random.default_rng(15)
-        X = sample(VmfParams(mu=unit([1, 1, 1, 0]), kappa=20.0), 500, rng)
+        X = sample(unit([1, 1, 1, 0]), 20.0, 500, rng)
         from sparsevmf.special import invert_bessel_ratio
 
         r = X.sum(axis=0)
@@ -536,7 +536,7 @@ class TestConcentrationRange:
         means[0, :50] = 1.0
         means[1, 50:100] = 1.0
         means /= np.linalg.norm(means, axis=1, keepdims=True)
-        X = np.vstack([sample(VmfParams(mu, 4000.0), 100, rng) for mu in means])
+        X = np.vstack([sample(mu, 4000.0, 100, rng) for mu in means])
         resp = e_step(X, MixtureParams(np.array([0.5, 0.5]), means, np.array([4000.0, 4000.0])))
         assert np.isfinite(resp.log_likelihood)
         assert np.all(np.isfinite(resp.tau))
@@ -582,7 +582,7 @@ class TestPersistence:
         X, _ = simulate_mixture(cfg)
         fit = fit_em(X, 3, FitOptions(beta=0.0), rng=41)
         p = tmp_path / "model.json"
-        save_model(fit, p, seed=41)
+        p.write_text(json.dumps(fit_result_to_dict(fit, seed=41), indent=1))
         loaded = load_model(p)
         assert np.array_equal(loaded.params.alpha, fit.params.alpha)
         assert np.array_equal(loaded.params.means, fit.params.means)

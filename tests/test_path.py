@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 import sparsevmf.em
 import sparsevmf.path
 from sparsevmf.dataset import SimulationConfig, simulate_mixture
-from sparsevmf.em import (FitOptions, FitStatus, MixtureParams, e_step, fit_em, load_model,
-                          save_model, soft_threshold_mu)
+from sparsevmf.em import (FitOptions, FitStatus, MixtureParams, e_step, fit_em,
+                          fit_result_to_dict, load_model, soft_threshold_mu)
 from sparsevmf.errors import NoIncrementAvailableError
 from sparsevmf.path import PathOptions, follow_path, next_beta, path_to_dict, save_path
 from sparsevmf.selection import best_of_restarts
@@ -187,7 +189,7 @@ class TestOneEStepPerPoint:
     @pytest.mark.parametrize("epsilon", [1e-8, 1e-3])
     def test_loaded_start_matches_fresh(self, small_problem, tmp_path, epsilon):
         X, fit = small_problem
-        save_model(fit, tmp_path / "m.json")
+        (tmp_path / "m.json").write_text(json.dumps(fit_result_to_dict(fit), indent=1))
         loaded = load_model(tmp_path / "m.json")
         assert loaded.resp is None
         opts = PathOptions(max_steps=6, epsilon=epsilon)

@@ -4,14 +4,14 @@ import pytest
 from sparsevmf.em import soft_threshold_mu
 from sparsevmf.metrics import adjusted_rand_index
 from sparsevmf.skmeans import skmeans_fit
-from sparsevmf.vmf import VmfParams, sample
+from sparsevmf.vmf import sample
 
 
 class TestSkmeans:
     def test_orthogonal_recovery(self):
         rng = np.random.default_rng(0)
         mus = np.eye(3, 8)
-        X = np.vstack([sample(VmfParams(mu=m, kappa=60.0), 50, rng) for m in mus])
+        X = np.vstack([sample(m, 60.0, 50, rng) for m in mus])
         truth = np.repeat(np.arange(3), 50)
         res = skmeans_fit(X, 3, rng=np.random.default_rng(1))
         assert res.converged
@@ -21,7 +21,7 @@ class TestSkmeans:
 
     def test_k1_is_normalized_resultant(self):
         rng = np.random.default_rng(2)
-        X = sample(VmfParams(mu=np.eye(1, 5)[0], kappa=4.0), 100, rng)
+        X = sample(np.eye(1, 5)[0], 4.0, 100, rng)
         res = skmeans_fit(X, 1, rng=np.random.default_rng(3))
         r = X.sum(axis=0)
         assert np.allclose(res.prototypes[0], r / np.linalg.norm(r), atol=1e-12)

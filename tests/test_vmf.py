@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from sparsevmf.em import FitOptions, MixtureParams, Responsibilities, m_step
 from sparsevmf.errors import ZeroMeanError
 from sparsevmf.special import bessel_ratio
-from sparsevmf.vmf import KAPPA_CAP, VmfParams, _sample_tangent_weights, sample
+from sparsevmf.vmf import KAPPA_CAP, _sample_tangent_weights, sample
 
 from oracles import closed_form_vmf_fit
 
@@ -17,13 +18,20 @@ def unit(v):
 
 
 class TestParams:
+    """sample checks its own inputs."""
+
     def test_rejects_non_unit_mu(self):
-        with pytest.raises(ValueError):
-            VmfParams(mu=np.array([1.0, 1.0]), kappa=1.0)
+        with pytest.raises(ValueError, match="unit-norm"):
+            sample(np.array([1.0, 1.0]), 1.0, 5, np.random.default_rng(0))
 
     def test_rejects_kappa_above_cap(self):
-        with pytest.raises(ValueError):
-            VmfParams(mu=np.array([1.0, 0.0]), kappa=2 * KAPPA_CAP)
+        with pytest.raises(ValueError, match="kappa"):
+            sample(np.array([1.0, 0.0]), 2 * KAPPA_CAP, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mu", [np.eye(3), np.array(1.0), np.array([1.0])])
+    def test_rejects_non_vector_mu(self, mu):
+        with pytest.raises(ValueError, match="vector"):
+            sample(mu, 1.0, 5, np.random.default_rng(0))
 
 
 def m_step_estimate(X, tau=None):
@@ -54,15 +62,14 @@ class TestMleFit:
     def test_monte_carlo_consistency(self):
         rng = np.random.default_rng(11)
         mu = unit(rng.standard_normal(10))
-        p = VmfParams(mu=mu, kappa=50.0)
-        X = sample(p, 10_000, rng)
+        X = sample(mu, 50.0, 10_000, rng)
         est = m_step_estimate(X)
         assert abs(est.kappas[0] - 50.0) / 50.0 < 0.05
         assert float(est.means[0] @ mu) > 0.99
 
     def test_orthogonal_equivariance(self):
         rng = np.random.default_rng(4)
-        X = sample(VmfParams(mu=unit(rng.standard_normal(5)), kappa=8.0), 200, rng)
+        X = sample(unit(rng.standard_normal(5)), 8.0, 200, rng)
         q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
         a = m_step_estimate(X)
         b = m_step_estimate(X @ q.T)
@@ -73,8 +80,8 @@ class TestMleFit:
         rng = np.random.default_rng(5)
         mu1, mu2 = np.eye(4)[0], np.eye(4)[1]
         X = np.vstack([
-            sample(VmfParams(mu=mu1, kappa=100.0), 50, rng),
-            sample(VmfParams(mu=mu2, kappa=100.0), 50, rng),
+            sample(mu1, 100.0, 50, rng),
+            sample(mu2, 100.0, 50, rng),
         ])
         w = np.concatenate([np.ones(50), np.zeros(50)])
         est = m_step_estimate(X, tau=np.stack([w, 1.0 - w], axis=1))
@@ -84,18 +91,29 @@ class TestMleFit:
 class TestSample:
     def test_uniform_has_small_resultant(self):
         rng = np.random.default_rng(6)
-        X = sample(VmfParams(mu=np.eye(3)[0], kappa=0.0), 100_000, rng)
+        X = sample(np.eye(3)[0], 0.0, 100_000, rng)
         assert np.linalg.norm(X.mean(axis=0)) < 0.01
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 200])
+    def test_uniform_cosine_matches_normalized_gaussians(self, d):
+        # At kappa = 0 Wood's scheme accepts every proposal; <mu, x> must
+        # have the marginal of a uniform point, drawn here independently as
+        # a normalized Gaussian.
+        rng = np.random.default_rng(60 + d)
+        mu = unit(rng.standard_normal(d))
+        t = sample(mu, 0.0, 20_000, rng) @ mu
+        g = rng.standard_normal((20_000, d))
+        assert ks_2samp(t, g[:, 0] / np.linalg.norm(g, axis=1)).pvalue > 1e-3
 
     def test_mean_cosine_matches_ratio(self):
         rng = np.random.default_rng(7)
         mu = unit(np.arange(1, 11))
-        X = sample(VmfParams(mu=mu, kappa=50.0), 100_000, rng)
+        X = sample(mu, 50.0, 100_000, rng)
         assert (X @ mu).mean() == pytest.approx(bessel_ratio(10, 50.0), abs=0.005)
 
     def test_rows_unit_norm(self):
         rng = np.random.default_rng(8)
-        X = sample(VmfParams(mu=unit([2, 1, -1, 3]), kappa=3.0), 7, rng)
+        X = sample(unit([2, 1, -1, 3]), 3.0, 7, rng)
         assert np.allclose(np.linalg.norm(X, axis=1), 1.0, atol=1e-10)
 
     @pytest.mark.parametrize("kappa", [5.0, 50.0, 500.0])
@@ -106,7 +124,7 @@ class TestSample:
         n = 100_000
         rng = np.random.default_rng(1000 + d)
         mu = unit(rng.standard_normal(d))
-        X = sample(VmfParams(mu=mu, kappa=kappa), n, rng)
+        X = sample(mu, kappa, n, rng)
         est_mu, est_kappa = closed_form_vmf_fit(X)
         # The closed-form estimator carries a small deterministic bias (up to
         # ~5% at low d); check the Monte Carlo part against its population
