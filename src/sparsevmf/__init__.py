@@ -41,7 +41,6 @@ from .vmf import KAPPA_CAP, sample  # noqa: F401
 from .special import (  # noqa: F401
     bessel_ratio,
     invert_bessel_ratio,
-    kappa_from_rho,
     log_bessel_i,
     log_vmf_normalizer,
 )

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, dataset, em, metrics, selection, skmeans, viz
 from .em import FitOptions
-from .errors import SparseVmfError
+from .errors import ParseError, SparseVmfError
 from .path import PathOptions, follow_path, path_to_dict, save_path
 from .selection import CRITERIA, make_ic_fn
 
@@ -46,11 +46,12 @@ def _write_json(path, doc) -> None:
         json.dump(doc, fh, indent=1)
 
 
-class _ConfigParser(argparse.ArgumentParser):
-    """Reports a bad config value as a ConfigError (exit 2), not as usage."""
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, which main reports as one JSON
+    ConfigError line (exit 2) instead of usage text and SystemExit."""
 
     def error(self, message):
-        raise ValueError(f"config file: {message}")
+        raise ValueError(message)
 
 
 def _apply_config_file(args, argv):
@@ -89,7 +90,10 @@ def _apply_config_file(args, argv):
         flag = "--" + dest.replace("_", "-")
         tokens += [flag, *map(str, val)] if isinstance(val, list) else [f"{flag}={val}"]
     at = argv.index(args.command) + 1
-    return build_parser(_ConfigParser).parse_args(argv[:at] + tokens + argv[at:])
+    try:
+        return build_parser().parse_args(argv[:at] + tokens + argv[at:])
+    except ValueError as err:
+        raise ValueError(f"config file: {err}") from None
 
 
 def _load_dataset(args) -> np.ndarray:
@@ -116,7 +120,7 @@ def cmd_fit(args) -> int:
     opts = FitOptions(beta=args.beta, max_em_iters=args.max_em_iters,
                       em_tol=args.em_tol, kappa_mode=args.kappa_mode)
     fit = selection.best_of_restarts(X, args.k, args.restarts, opts, seed=args.seed)
-    doc = em.fit_result_to_dict(fit, seed=args.seed)
+    doc = em.fit_result_to_dict(fit)
     doc["run"] = _run_meta(args)
     _write_json(args.out, doc)
     if args.trace_out:
@@ -163,7 +167,7 @@ def cmd_select(args) -> int:
         "chosen_K": report.chosen_K,
         "best_steps": {str(k): v for k, v in report.best_steps.items()},
         "skipped": {str(k): v for k, v in report.skipped.items()},
-        "final_model": em.fit_result_to_dict(report.final_model, seed=args.seed),
+        "final_model": em.fit_result_to_dict(report.final_model),
     }
     _write_json(args.out, doc)
     if args.ic_csv:
@@ -214,6 +218,9 @@ def cmd_metrics(args) -> int:
     record = {"run": _run_meta(args), "sparsity": metrics.sparsity(fit.params)}
     if args.input:
         X = _load_dataset(args)
+        if truth.labels.size != X.shape[0]:
+            raise ParseError(f"--truth has {truth.labels.size} labels, "
+                             f"--input has {X.shape[0]} rows")
         pred = em.hard_assign(em.e_step(X, fit.params))
         record["ari"] = metrics.adjusted_rand_index(truth.labels, pred)
     if fit.params.K == truth.params.K:
@@ -250,8 +257,8 @@ def _add_path_opts(p):
     p.add_argument("--min-rel-increase", type=float, default=0.0)
 
 
-def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
-    parser = parser_class(
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="sparsevmf",
         description="Sparse von Mises-Fisher mixture clustering",
     )
@@ -338,14 +345,10 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config_file(args, argv)
-        if args.command == "simulate" and (args.overlap is None) == (args.base_kappa is None):
-            parser.error("exactly one of --overlap / --base-kappa is required")
+        args = _apply_config_file(build_parser().parse_args(argv), argv)
         return args.func(args)
     except (SparseVmfError, OSError) as err:
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)

@@ -289,10 +289,11 @@ def estimate_overlap(truth: MixtureParams, n_samples: int,
 
 
 def _rescale_for_separability(means: np.ndarray, kappas: np.ndarray) -> np.ndarray:
-    """kappa'_k = 2 kappa_k / (1 - max_{l != k} <mu_k, mu_l>)."""
+    """kappa'_k = 2 kappa_k / (1 - max_{l != k} <mu_k, mu_l>), the max taken
+    as -1 when there is no other component, so K = 1 keeps its kappa."""
     gram = means @ means.T
     np.fill_diagonal(gram, -np.inf)
-    cross = gram.max(axis=1)
+    cross = gram.max(axis=1, initial=-1.0)
     return 2.0 * kappas / (1.0 - cross)
 
 
@@ -394,7 +395,6 @@ def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
         raise NotBracketedError(
             f"target {target} outside reachable range [{err_hi:.4f}, {err_lo:.4f}]"
         )
-    kappa = float(np.sqrt(lo * hi))
     for _ in range(40):
         # Geometric midpoint: kappa acts on a multiplicative scale.
         kappa = float(np.sqrt(lo * hi))
@@ -448,7 +448,11 @@ def _ground_truth_from_dict(doc: dict) -> GroundTruth:
         kappas=np.array(doc["kappa"]),
         kappa_mode="free",
     )
-    return GroundTruth(params=params, labels=np.array(doc["labels"]))
+    labels = np.array(doc["labels"])
+    if labels.ndim != 1 or labels.dtype.kind not in "iu" or not np.all(
+            (labels >= 0) & (labels < params.K)):
+        raise ValueError(f"labels must be a list of integers in [0, {params.K})")
+    return GroundTruth(params=params, labels=labels)
 
 
 def load_ground_truth(path) -> GroundTruth:

@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     ZeroMeanError,
 )
-from .special import KAPPA_CAP, kappa_from_rho, log_vmf_normalizer
+from .special import KAPPA_CAP, invert_bessel_ratio, log_vmf_normalizer
 
 __all__ = [
     "MixtureParams",
@@ -41,6 +41,8 @@ __all__ = [
 
 # Random initialisations fit_em tries before it gives up.
 MAX_INIT_RETRIES = 50
+# Passes of the M phase's fixed-point loop before it stops unconverged.
+INNER_MAX_ITERS = 100
 
 
 class FitStatus(str, Enum):
@@ -131,7 +133,6 @@ class FitOptions:
     beta: float = 0.0
     max_em_iters: int = 500
     em_tol: float = 1e-6
-    inner_max_iters: int = 100
     inner_tol: float = 1e-8
     kappa_mode: str = "free"
 
@@ -246,7 +247,8 @@ def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarra
                             n: int, kappa_mode: str, refine: bool) -> np.ndarray:
     """Concentrations from the K x d resultants r: rho_k = <mu_k, r_k> / w_k
     per component, or the pooled rho = sum_k <mu_k, r_k> / n in shared mode,
-    each solved under the cap.
+    each solved under the cap: rho >= 1 - 1e-12 means all mass sits on one
+    point and gives KAPPA_CAP.
 
     Raises DegenerateUniformError when a rho is <= 0."""
     K, d = means.shape
@@ -254,7 +256,9 @@ def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarra
     def solve(rho):
         if rho <= 0.0:
             raise DegenerateUniformError(f"rho = {rho:g} <= 0: component drifting to uniform")
-        return kappa_from_rho(d, rho, refine=refine)
+        if rho >= 1.0 - 1e-12:
+            return KAPPA_CAP
+        return invert_bessel_ratio(d, rho, refine=refine)
 
     if kappa_mode == "shared":
         return np.full(K, solve(float(np.einsum("kj,kj->", means, r)) / n))
@@ -275,7 +279,7 @@ def m_step(resp: Responsibilities, prev_params: MixtureParams,
     r = resp.resultants
     kappas = prev_params.kappas.copy()
     means = prev_params.means.copy()
-    for _ in range(opts.inner_max_iters):
+    for _ in range(INNER_MAX_ITERS):
         new_means = np.empty_like(means)
         for k in range(K):
             new_means[k] = soft_threshold_mu(r[k], kappas[k], opts.beta)
@@ -404,7 +408,7 @@ def means_from_sparse(entries: list, d: int) -> np.ndarray:
     return means
 
 
-def fit_result_to_dict(fit: FitResult, seed=None) -> dict:
+def fit_result_to_dict(fit: FitResult) -> dict:
     p = fit.params
     kappa = float(p.kappas[0]) if p.kappa_mode == "shared" else [float(v) for v in p.kappas]
     return {
@@ -419,7 +423,6 @@ def fit_result_to_dict(fit: FitResult, seed=None) -> dict:
         "penalized_log_likelihood": fit.penalized_log_likelihood,
         "status": fit.status.value,
         "n_iters": fit.n_iters,
-        "seed": seed,
     }
 
 

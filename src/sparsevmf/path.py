@@ -138,8 +138,6 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
             break
         steps.append(make_step(beta, fit))
         prev_fit = fit
-    else:
-        reason = "MaxSteps"
     return PathResult(steps=steps, termination_reason=reason)
 
 

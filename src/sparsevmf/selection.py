@@ -45,8 +45,6 @@ class Criterion:
         if self.kind == "RIC":
             return 2.0 * math.log(d)
         if self.kind == "RICc":
-            if d < 3:
-                raise ValueError("RICc requires d >= 3 (log log d)")
             return 2.0 * (math.log(d) + math.log(math.log(d)))
         return math.log(n) + math.log(d)  # EBIC, gamma = 1/2
 
@@ -83,16 +81,11 @@ class SelectionReport:
     best_steps: dict          # K -> {criterion kind -> step index minimizing it}
     skipped: dict             # K -> reason string
     chosen_K: dict            # criterion kind -> K*
-    final_models: dict        # criterion kind -> FitResult (best sparse at K*)
-    beta_criterion: str
-
-    @property
-    def final_model(self) -> FitResult:
-        return self.final_models[self.beta_criterion]
+    final_model: FitResult    # beta_criterion-best step of the k_criterion K*'s path
 
 
 def best_of_restarts(X: np.ndarray, K: int, n_restarts: int, opts: FitOptions,
-                     seed: int | None = None) -> FitResult:
+                     seed: int = 0) -> FitResult:
     """Run n_restarts random initialisations and keep the best penalized
     log-likelihood among non-failed fits. n_restarts must be >= 1."""
     if n_restarts < 1:
@@ -100,7 +93,7 @@ def best_of_restarts(X: np.ndarray, K: int, n_restarts: int, opts: FitOptions,
     best = None
     errors = []
     for r in range(n_restarts):
-        rng = np.random.default_rng([0 if seed is None else seed, r])
+        rng = np.random.default_rng([seed, r])
         try:
             fit = fit_em(X, K, opts, rng=rng)
         except InitFailureError as err:
@@ -119,7 +112,7 @@ def best_of_restarts(X: np.ndarray, K: int, n_restarts: int, opts: FitOptions,
 def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
                  path_opts: PathOptions | None = None,
                  k_criterion: str = "BIC", beta_criterion: str = "BIC",
-                 seed: int | None = None) -> SelectionReport:
+                 seed: int = 0) -> SelectionReport:
     """Two-stage selection: for each K fit the dense model (best of restarts)
     and follow the path; pick K* from the information criterion on the dense
     models, then the final model is the criterion-best step of K*'s path."""
@@ -150,7 +143,6 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
         kind: min(dense_ic, key=lambda K: dense_ic[K][kind]) for kind in CRITERIA
     }
     kstar = chosen_K[k_criterion]
-    final_models = {kind: paths[kstar].steps[best_steps[kstar][kind]].fit for kind in CRITERIA}
     return SelectionReport(
         dense_ic=dense_ic,
         dense_fits=dense_fits,
@@ -158,6 +150,5 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
         best_steps=best_steps,
         skipped=skipped,
         chosen_K=chosen_K,
-        final_models=final_models,
-        beta_criterion=beta_criterion,
+        final_model=paths[kstar].steps[best_steps[kstar][beta_criterion]].fit,
     )

@@ -22,7 +22,6 @@ __all__ = [
     "bessel_ratio",
     "log_vmf_normalizer",
     "invert_bessel_ratio",
-    "kappa_from_rho",
 ]
 
 # Top of the domain; caps kappa so a component cannot collapse onto one point.
@@ -158,14 +157,3 @@ def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
         kappa = new
     return kappa
 
-
-def kappa_from_rho(d: int, rho: float, *, refine: bool = False) -> float:
-    """Concentration solving A_d(kappa) = rho, clamped to KAPPA_CAP.
-
-    rho >= 1 - 1e-12 means all mass sits on one point and returns KAPPA_CAP;
-    otherwise the invert_bessel_ratio estimate (Newton-polished when refine
-    is true), which never exceeds KAPPA_CAP.
-    """
-    if rho >= 1.0 - 1e-12:
-        return KAPPA_CAP
-    return invert_bessel_ratio(d, rho, refine=refine)

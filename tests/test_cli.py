@@ -45,16 +45,24 @@ class TestSimulate:
         assert a == b
         assert a["run"]["config_hash"] == b["run"]["config_hash"]
 
-    def test_requires_exactly_one_knob(self, tmp_path, capsys):
-        base = ["simulate", "--d", "5", "--k", "2", "--n", "20",
-                "--out", str(tmp_path / "x.csv"),
-                "--truth-out", str(tmp_path / "x.json")]
-        with pytest.raises(SystemExit) as ex:
-            run(base)
-        assert ex.value.code == 2
-        with pytest.raises(SystemExit) as ex:
-            run(base + ["--overlap", "0.05", "--base-kappa", "3"])
-        assert ex.value.code == 2
+    def test_one_component(self, tmp_path):
+        data, truth = tmp_path / "data.csv", tmp_path / "truth.json"
+        assert run(["simulate", "--d", "6", "--k", "1", "--n", "40", "--base-kappa", "10",
+                    "--out", str(data), "--truth-out", str(truth), "--seed", "2"]) == 0
+        # No other component: the rescaling 2 / (1 - (-1)) keeps the base
+        # kappa, up to its 2.5% jitter.
+        [kappa] = json.loads(truth.read_text())["kappa"]
+        assert kappa == pytest.approx(10.0, rel=0.15)
+        assert run(["fit", "--input", str(data), "--k", "1",
+                    "--out", str(tmp_path / "m.json")]) == 0
+
+    def test_one_component_overlap_is_not_bracketed(self, tmp_path, capsys):
+        # One component is never misassigned: the reachable range is [0, 0].
+        rc = run(["simulate", "--d", "6", "--k", "1", "--n", "40", "--overlap", "0.1",
+                  "--out", str(tmp_path / "x.csv"), "--truth-out", str(tmp_path / "x.json")])
+        assert rc == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "NotBracketedError"
 
     def test_generation_failure_exits_one(self, tmp_path):
         # identical repeated means make pairwise-distinct sparsification
@@ -84,6 +92,7 @@ class TestFit:
         assert doc["K"] == 3
         assert doc["status"] in ("Converged", "MaxIters")
         assert doc["run"]["command"] == "fit"
+        assert "seed" not in doc  # run.seed is the one seed a model file holds
         lines = trace.read_text().strip().splitlines()
         assert lines[0] == "iteration,penalized_log_likelihood"
         assert len(lines) >= 2
@@ -183,7 +192,22 @@ class TestPathSelectSkmeans:
         doc = json.loads(out.read_text())
         assert set(doc["chosen_K"]) == {"AIC", "BIC", "RIC", "RICc", "EBIC"}
         assert doc["final_model"]["K"] == doc["chosen_K"]["BIC"]
+        assert "seed" not in doc["final_model"]
         assert ic_csv.read_text().startswith("K,AIC,BIC,RIC,RICc,EBIC")
+
+    def test_two_dimensional_data(self, tmp_path):
+        # RICc's log log d is negative at d = 2 but its coefficient
+        # 2 (log d + log log d) is positive, so every criterion scores a step.
+        data = tmp_path / "d2.csv"
+        assert run(["simulate", "--d", "2", "--k", "2", "--n", "200", "--base-kappa", "20",
+                    "--seed", "1", "--out", str(data),
+                    "--truth-out", str(tmp_path / "t.json")]) == 0
+        assert run(["path", "--input", str(data), "--k", "2",
+                    "--out", str(tmp_path / "p.json")]) == 0
+        sel = tmp_path / "s.json"
+        assert run(["select", "--input", str(data), "--k-min", "1", "--k-max", "3",
+                    "--out", str(sel)]) == 0
+        assert json.loads(sel.read_text())["chosen_K"]["BIC"] == 2
 
     def test_skmeans_flow(self, sim_files, tmp_path):
         data, _ = sim_files
@@ -279,7 +303,7 @@ def _good_docs():
 
 
 # Per malformed case: the file's text, or the keys to overwrite in a good
-# model / truth document.
+# model / truth document (None: the case has no model form).
 MALFORMED = {
     "not-an-object": "[]",
     "csv": "1,2\n3,4\n",
@@ -289,14 +313,22 @@ MALFORMED = {
     "bad-status-or-d": ({"status": "Bogus"}, {"d": "five"}),
     "kappa-string": ({"kappa": "abc"}, {"kappa": "abc"}),
     "means-null": ({"means": None}, {"mu": None}),
+    "labels-string": (None, {"labels": "abc"}),
+    "labels-out-of-range": (None, {"labels": [0, 1, 3]}),
+    # Valid labels, one more than the rows of --input.
+    "labels-count": (None, {"labels": [0, 1, 2, 0]}),
 }
+
+MALFORMED_CASES = [
+    pytest.param(case, command, kind, id=f"{command}-{kind}-{case}")
+    for command, kind in [("metrics", "model"), ("viz", "model"), ("metrics", "truth")]
+    for case, spec in MALFORMED.items()
+    if isinstance(spec, str) or spec[kind == "truth"] is not None
+]
 
 
 class TestMalformedJson:
-    @pytest.mark.parametrize("case", MALFORMED)
-    @pytest.mark.parametrize("command, kind", [
-        ("metrics", "model"), ("viz", "model"), ("metrics", "truth"),
-    ])
+    @pytest.mark.parametrize("case, command, kind", MALFORMED_CASES)
     def test_exits_one_with_parse_error(self, tmp_path, capsys, case, command, kind):
         docs = _good_docs()
         files = {}
@@ -310,7 +342,10 @@ class TestMalformedJson:
             files[kind].write_text(json.dumps({**docs[kind], **spec[kind == "truth"]}))
         argv = [command, "--model", str(files["model"]), "--out", str(tmp_path / "out")]
         if command == "metrics":
-            argv += ["--truth", str(files["truth"])]
+            # Three rows, one per label of the good truth document.
+            data = tmp_path / "data.csv"
+            data.write_text("1,0,0,0,0\n0,1,0,0,0\n0,0,1,0,0\n")
+            argv += ["--truth", str(files["truth"]), "--input", str(data)]
         capsys.readouterr()
         assert run(argv) == 1
         err = capsys.readouterr().err.splitlines()
@@ -319,6 +354,8 @@ class TestMalformedJson:
         assert doc["error"] == "ParseError"
         if case == "csv":
             assert doc["message"].startswith("line 1: not JSON")
+        if case == "labels-count":
+            assert doc["message"] == "--truth has 4 labels, --input has 3 rows"
 
     def test_good_documents_load(self, tmp_path):
         docs = _good_docs()
@@ -424,6 +461,7 @@ class TestConfigFile:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+        assert err["message"].startswith("config file: ")
         assert flag in err["message"]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
@@ -466,16 +504,38 @@ class TestConfigFile:
         assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
-class TestUsageErrors:
-    def test_missing_required_flag(self):
-        with pytest.raises(SystemExit) as ex:
-            run(["fit", "--k", "2", "--out", "x.json"])
-        assert ex.value.code == 2
+SIMULATE = ["simulate", "--d", "5", "--k", "2", "--n", "20",
+            "--out", "x.csv", "--truth-out", "x.json"]
 
-    def test_unknown_subcommand(self):
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fit", "--k", "2", "--out", "x.json"], id="missing-flag"),
+        pytest.param(["fit", "--input", "d.csv", "--k", "abc", "--out", "x.json"],
+                     id="ill-typed-flag"),
+        pytest.param(["fit", "--input", "d.csv", "--k", "2", "--kappa-mode", "bogus",
+                      "--out", "x.json"], id="bad-choice"),
+        pytest.param(["transmogrify"], id="unknown-subcommand"),
+        pytest.param(SIMULATE, id="neither-knob"),
+        pytest.param([*SIMULATE, "--overlap", "0.05", "--base-kappa", "3"], id="both-knobs"),
+    ])
+    def test_usage_error_is_one_json_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "ConfigError"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_help_and_version_exit_zero(self, capsys, flag):
         with pytest.raises(SystemExit) as ex:
-            run(["transmogrify"])
-        assert ex.value.code == 2
+            run([flag])
+        assert ex.value.code == 0
+        out, err = capsys.readouterr()
+        assert out and not err
 
     def test_bad_value_exits_two(self, sim_files, tmp_path, capsys):
         data, _ = sim_files

@@ -302,7 +302,7 @@ class TestMStep:
         params = fit_em(X, 2, FitOptions(beta=0.0), rng=rng).params
         resp = e_step(X, params)
         beta = 0.5
-        opts = FitOptions(beta=beta, inner_tol=1e-12, inner_max_iters=500)
+        opts = FitOptions(beta=beta, inner_tol=1e-12)
         out = m_step(resp, params, opts)
         r = resp.tau.T @ X
         sums = resp.tau.sum(axis=0)
@@ -582,13 +582,27 @@ class TestPersistence:
         X, _ = simulate_mixture(cfg)
         fit = fit_em(X, 3, FitOptions(beta=0.0), rng=41)
         p = tmp_path / "model.json"
-        p.write_text(json.dumps(fit_result_to_dict(fit, seed=41), indent=1))
+        p.write_text(json.dumps(fit_result_to_dict(fit), indent=1))
         loaded = load_model(p)
         assert np.array_equal(loaded.params.alpha, fit.params.alpha)
         assert np.array_equal(loaded.params.means, fit.params.means)
         assert np.array_equal(loaded.params.kappas, fit.params.kappas)
         assert loaded.log_likelihood == fit.log_likelihood
         assert loaded.status == fit.status
+
+    def test_model_file_with_seed_key_loads(self, tmp_path):
+        # Older model files hold a top-level "seed" next to run.seed; they
+        # still load, and a new file has no such key.
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 4), np.array([7.0, 9.0]))
+        from sparsevmf.em import FitResult
+
+        doc = fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))
+        assert "seed" not in doc
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({**doc, "seed": 41}))
+        loaded = load_model(p)
+        assert np.array_equal(loaded.params.kappas, params.kappas)
+        assert np.array_equal(loaded.params.means, params.means)
 
     def test_shared_kappa_scalar_in_json(self):
         params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 4),

@@ -80,7 +80,11 @@ class TestCriterion:
         with pytest.raises(ValueError):
             Criterion("RIC").phi(10, 1)
         with pytest.raises(ValueError):
-            Criterion("RICc").phi(10, 2)
+            Criterion("RICc").phi(10, 1)
+        # 2 (log d + log log d) is defined and positive from d = 2 on
+        assert Criterion("RICc").phi(10, 2) == pytest.approx(
+            2 * (math.log(2) + math.log(math.log(2))))
+        assert Criterion("RICc").phi(10, 2) > 0
 
 
 class TestInformationCriterion:
@@ -164,7 +168,7 @@ class TestSelectModel:
         rep = select_model(X, [3], n_restarts=3,
                           path_opts=PathOptions(max_steps=10), seed=62)
         assert set(rep.chosen_K.values()) == {3}
-        assert rep.final_model is rep.final_models["BIC"]
+        assert rep.final_model is rep.paths[3].steps[rep.best_steps[3]["BIC"]].fit
 
     def test_chosen_k_is_argmin(self, data):
         X, _ = data
@@ -189,7 +193,19 @@ class TestSelectModel:
                           path_opts=PathOptions(max_steps=12), seed=65)
         kstar = rep.chosen_K["BIC"]
         idx = rep.best_steps[kstar]["BIC"]
-        assert rep.final_models["BIC"] is rep.paths[kstar].steps[idx].fit
+        assert rep.final_model is rep.paths[kstar].steps[idx].fit
+
+    def test_final_model_follows_beta_criterion(self, data):
+        X, _ = data
+        rep = select_model(X, [2, 3], n_restarts=3, beta_criterion="AIC",
+                           path_opts=PathOptions(max_steps=12), seed=65)
+        kstar = rep.chosen_K["BIC"]
+        steps = rep.paths[kstar].steps
+        aic = [s.ic_values["AIC"] for s in steps]
+        assert rep.final_model is steps[aic.index(min(aic))].fit
+        # AIC penalises each parameter less than BIC here, so it keeps a
+        # denser step: the report holds the AIC choice, not the BIC one.
+        assert rep.best_steps[kstar]["AIC"] != rep.best_steps[kstar]["BIC"]
 
     def test_empty_candidates(self, data):
         X, _ = data

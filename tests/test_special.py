@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sparsevmf import special
+from sparsevmf import em, special
 from sparsevmf.special import (
     KAPPA_CAP,
     bessel_ratio,
     invert_bessel_ratio,
-    kappa_from_rho,
     log_bessel_i,
     log_vmf_normalizer,
 )
@@ -218,22 +217,36 @@ class TestInvertRatio:
             invert_bessel_ratio(10, -0.1)
 
 
+def solve_kappa(d, rho, refine=False):
+    """em's rho -> kappa solve for one component whose rho is exactly rho."""
+    mu = np.eye(1, d)
+    return float(em._kappas_from_resultants(mu, rho * mu, np.ones(1), 1, "free", refine)[0])
+
+
 class TestKappaFromRho:
-    def test_cap_near_one(self):
-        assert kappa_from_rho(10, 1.0 - 1e-12) == KAPPA_CAP
-        assert kappa_from_rho(10, 1.0) == KAPPA_CAP
+    """The rho -> kappa rule of the M step: the cap near rho = 1, otherwise
+    invert_bessel_ratio, which stays under the cap."""
+
+    def test_cap_near_one(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("invert_bessel_ratio called at rho near 1")
+
+        monkeypatch.setattr(em, "invert_bessel_ratio", unreachable)
+        for rho in (1.0 - 1e-12, 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-9):
+            for refine in (False, True):
+                assert solve_kappa(10, rho, refine) == KAPPA_CAP
 
     def test_clamped_to_cap(self):
         # closed form (rho*3 - rho^3) / (1 - rho^2) is about 1e7 at rho = 1 - 1e-7
         rho = 1.0 - 1e-7
         assert invert_bessel_ratio(3, rho) == KAPPA_CAP
-        assert kappa_from_rho(3, rho) == KAPPA_CAP
-        assert kappa_from_rho(3, rho, refine=True) == KAPPA_CAP
-        assert kappa_from_rho(3, 0.99) == invert_bessel_ratio(3, 0.99)
+        assert solve_kappa(3, rho) == KAPPA_CAP
+        assert solve_kappa(3, rho, refine=True) == KAPPA_CAP
+        assert solve_kappa(3, 0.99) == invert_bessel_ratio(3, 0.99)
 
     def test_refine_passed_through(self):
-        rough = kappa_from_rho(10, 0.5)
-        refined = kappa_from_rho(10, 0.5, refine=True)
+        rough = solve_kappa(10, 0.5)
+        refined = solve_kappa(10, 0.5, refine=True)
         assert rough == invert_bessel_ratio(10, 0.5)
         assert refined == invert_bessel_ratio(10, 0.5, refine=True)
         assert rough != refined
