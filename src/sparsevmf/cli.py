@@ -96,8 +96,13 @@ def _apply_config_file(args, argv):
         raise ValueError(f"config file: {err}") from None
 
 
-def _load_dataset(args) -> np.ndarray:
-    return dataset.load_matrix(args.input, format=args.format, normalize=True)
+def _load_dataset(args, d: int | None = None) -> np.ndarray:
+    """The --input matrix, row-normalised; given a model's d, a file with
+    another column count raises ParseError."""
+    X = dataset.load_matrix(args.input, format=args.format, normalize=True)
+    if d is not None and X.shape[1] != d:
+        raise ParseError(f"--input has {X.shape[1]} columns, --model has d = {d}")
+    return X
 
 
 def cmd_simulate(args) -> int:
@@ -204,7 +209,7 @@ def cmd_viz(args) -> int:
     if args.csv_out:
         viz.save_ordering_csv(ordering, args.csv_out)
     if args.input and args.data_out:
-        X = _load_dataset(args)
+        X = _load_dataset(args, fit.params.d)
         labels = em.hard_assign(em.e_step(X, fit.params))
         data_perm = viz.data_row_order(labels, row_perm)
         viz.render_pixel_map(X, ordering, data_perm, args.data_out,
@@ -217,7 +222,7 @@ def cmd_metrics(args) -> int:
     truth = dataset.load_ground_truth(args.truth)
     record = {"run": _run_meta(args), "sparsity": metrics.sparsity(fit.params)}
     if args.input:
-        X = _load_dataset(args)
+        X = _load_dataset(args, fit.params.d)
         if truth.labels.size != X.shape[0]:
             raise ParseError(f"--truth has {truth.labels.size} labels, "
                              f"--input has {X.shape[0]} rows")

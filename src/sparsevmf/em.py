@@ -193,12 +193,15 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
 
 
 def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
-    """K x N matrix of log alpha_k + log f_k(x_i), from the K x N inner
-    products <mu_k, x_i>."""
+    """K x N matrix of log alpha_k + log f_k(x_i), built in place over the
+    K x N inner products <mu_k, x_i>: inner is overwritten and returned."""
     with np.errstate(divide="ignore"):
         log_alpha = np.log(params.alpha)
     log_norm = np.array([log_vmf_normalizer(params.d, k) for k in params.kappas])
-    return log_alpha[:, None] + (log_norm[:, None] + inner * params.kappas[:, None])
+    inner *= params.kappas[:, None]
+    inner += log_norm[:, None]
+    inner += log_alpha[:, None]
+    return inner
 
 
 def _logsumexp_cols(a: np.ndarray) -> np.ndarray:
@@ -208,17 +211,30 @@ def _logsumexp_cols(a: np.ndarray) -> np.ndarray:
     a_max = a.max(axis=0)
     at_max = a == a_max
     m = at_max.sum(axis=0)
-    s = np.exp(np.where(at_max, -np.inf, a) - a_max).sum(axis=0) / m
+    rest = np.where(at_max, -np.inf, a)
+    rest -= a_max
+    s = np.exp(rest, out=rest).sum(axis=0)
+    s /= m
     return np.log1p(s) + np.log(m) + a_max
 
 
-def e_step(X: np.ndarray, params: MixtureParams) -> Responsibilities:
+def e_step(X: np.ndarray, params: MixtureParams,
+           prev: Responsibilities | None = None) -> Responsibilities:
     """Posterior responsibilities tau_ik, computed in log space component by
-    component, and the resultants they weight."""
-    log_joint = _log_joint(params.means @ X.T, params)
-    log_marginals = _logsumexp_cols(log_joint)
-    tau = np.exp(log_joint - log_marginals)
-    return Responsibilities(tau=tau.T, log_marginals=log_marginals, resultants=tau @ X)
+    component, and the resultants they weight.
+
+    prev, when given, must be an E-step on the same X: if the new tau is
+    bitwise equal to prev.tau, the result shares prev.resultants instead of
+    recomputing tau @ X, which would give the same bits."""
+    tau = _log_joint(params.means @ X.T, params)
+    log_marginals = _logsumexp_cols(tau)
+    tau -= log_marginals
+    np.exp(tau, out=tau)
+    if prev is not None and np.array_equal(tau, prev.tau.T):
+        resultants = prev.resultants
+    else:
+        resultants = tau @ X
+    return Responsibilities(tau=tau.T, log_marginals=log_marginals, resultants=resultants)
 
 
 def soft_threshold_mu(r_k: np.ndarray, kappa: float, beta: float) -> np.ndarray:
@@ -320,8 +336,9 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
 
     resp, given only with init, must be e_step(X, init): a warm start that
     already holds it skips the first E-step, with the same result. Each
-    parameter point is evaluated once, and the result carries the E-step at
-    its params.
+    parameter point is evaluated once, each E-step is given the one before it
+    as prev, and the result carries the E-step at its params. Neither init
+    nor resp is written to.
 
     Degenerate situations (zero mean, uniform drift, empty component) are not
     raised: the result carries the corresponding status and the last valid
@@ -377,7 +394,7 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
         except EmptyComponentError:
             status = FitStatus.EMPTY_COMPONENT
             break
-        resp = e_step(X, params)
+        resp = e_step(X, params, prev=resp)
     return FitResult(
         params=params,
         beta=opts.beta,

@@ -93,7 +93,7 @@ def _truncate_means(fit: FitResult, X: np.ndarray, epsilon: float) -> FitResult:
     if np.any(norms == 0.0):
         return replace(fit, status=FitStatus.ZERO_MEAN)
     params = replace(fit.params, means=means / norms)
-    resp = e_step(X, params)
+    resp = e_step(X, params, prev=fit.resp)
     ll = resp.log_likelihood
     return replace(fit, params=params, log_likelihood=ll,
                    penalized_log_likelihood=_penalized(ll, params, fit.beta), resp=resp)
@@ -130,7 +130,7 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
             reason = "NoIncrementAvailable"
             break
         opts = replace(path_opts.fit_options, beta=beta)
-        fit = fit_em(X, K, opts, init=prev_fit.params.copy(), resp=prev_fit.resp)
+        fit = fit_em(X, K, opts, init=prev_fit.params, resp=prev_fit.resp)
         if not fit.status.failed:
             fit = _truncate_means(fit, X, path_opts.epsilon)
         if fit.status.failed:

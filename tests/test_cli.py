@@ -264,6 +264,26 @@ class TestVizMetrics:
         assert "support_precision" in doc
 
     @pytest.mark.parametrize("command", ["metrics", "viz"])
+    def test_input_column_count_differs_from_model(self, sim_files, tmp_path, capsys,
+                                                   command):
+        data, truth = sim_files
+        model = self._fit_model(data, tmp_path)
+        # Same rows as the model's data, so metrics' label check passes.
+        wide = tmp_path / "wide.csv"
+        X = np.loadtxt(data, delimiter=",")
+        np.savetxt(wide, np.hstack([X, X[:, :1]]), delimiter=",")
+        argv = [command, "--model", str(model), "--input", str(wide),
+                "--out", str(tmp_path / "out")]
+        argv += ["--truth", str(truth)] if command == "metrics" else [
+            "--data-out", str(tmp_path / "data.ppm")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ParseError",
+                                      "message": "--input has 9 columns, --model has d = 8"}
+
+    @pytest.mark.parametrize("command", ["metrics", "viz"])
     def test_non_model_file_exits_one(self, sim_files, tmp_path, capsys, command):
         data, truth = sim_files
         model = tmp_path / "not_a_model.json"

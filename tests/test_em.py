@@ -14,6 +14,7 @@ from sparsevmf.em import (
     FitOptions,
     FitStatus,
     MixtureParams,
+    Responsibilities,
     _logsumexp_cols,
     _penalized,
     e_step,
@@ -184,6 +185,42 @@ class TestEStep:
             assert resp.resultants.shape == (K, d)
             # Relative to the largest entry: BLAS may round single entries near 0 apart.
             assert np.abs(resp.resultants - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestEStepReusesResultants:
+    """Given the previous E-step on the same X, e_step shares its resultants
+    when tau comes back bitwise equal, and recomputes them otherwise."""
+
+    @pytest.fixture()
+    def problem(self):
+        rng = np.random.default_rng(8)
+        params = random_params(rng, 3, 6)
+        X = rng.standard_normal((50, 6))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        return X, params
+
+    def test_equal_tau_shares_resultants(self, problem):
+        X, params = problem
+        first = e_step(X, params)
+        again = e_step(X, params, prev=first)
+        assert again.resultants is first.resultants
+        assert np.array_equal(again.tau, first.tau)
+        assert np.array_equal(again.resultants, np.ascontiguousarray(again.tau.T) @ X)
+
+    def test_other_tau_is_recomputed(self, problem):
+        X, params = problem
+        first = e_step(X, params)
+        # Sentinel resultants show whether prev's were taken.
+        sentinel = np.zeros_like(first.resultants)
+        bumped = first.tau.copy()
+        bumped[7, 1] = np.nextafter(bumped[7, 1], 2.0)
+        shorter = e_step(X[:-1], params)
+        for tau in (bumped, shorter.tau):
+            prev = Responsibilities(tau=tau, log_marginals=first.log_marginals,
+                                    resultants=sentinel)
+            resp = e_step(X, params, prev=prev)
+            assert resp.resultants is not sentinel
+            assert np.array_equal(resp.resultants, first.resultants)
 
 
 class TestSoftThreshold:

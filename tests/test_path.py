@@ -167,9 +167,9 @@ class TestOneEStepPerPoint:
         X, fit = small_problem
         calls = []
 
-        def counting(X, params):
+        def counting(X, params, prev=None):
             calls.append(1)
-            return e_step(X, params)
+            return e_step(X, params, prev=prev)
 
         monkeypatch.setattr(sparsevmf.em, "e_step", counting)
         monkeypatch.setattr(sparsevmf.path, "e_step", counting)
@@ -203,6 +203,48 @@ class TestOneEStepPerPoint:
             assert np.array_equal(a.fit.params.kappas, b.fit.params.kappas)
             assert a.fit.log_likelihood == b.fit.log_likelihood
             assert a.fit.penalized_log_likelihood == b.fit.penalized_log_likelihood
+
+
+class TestResultantReuse:
+    """Sharing the previous E-step's resultants when tau repeats bitwise, as
+    it does on tight clusters, changes no bit of a fit or a path."""
+
+    def test_tight_mixture_matches_recomputing(self, monkeypatch):
+        cfg = SimulationConfig(K=3, d=20, N=300, base_kappa=2e4, sparsity=0.5, seed=60)
+        X, truth = simulate_mixture(cfg)
+        assert truth.params.kappas.min() >= 1e4
+        shared = []
+
+        def run(e_step_fn):
+            monkeypatch.setattr(sparsevmf.em, "e_step", e_step_fn)
+            monkeypatch.setattr(sparsevmf.path, "e_step", e_step_fn)
+            dense = best_of_restarts(X, 3, 3, FitOptions(), seed=61)
+            return dense, follow_path(X, 3, PathOptions(max_steps=8), dense)
+
+        def recording(X, params, prev=None):
+            resp = e_step(X, params, prev=prev)
+            shared.append(prev is not None and resp.resultants is prev.resultants)
+            return resp
+
+        def ignoring_prev(X, params, prev=None):
+            return e_step(X, params)
+
+        reused_dense, reused = run(recording)
+        fresh_dense, fresh = run(ignoring_prev)
+        assert any(shared)
+        assert np.array_equal(reused_dense.resp.resultants, fresh_dense.resp.resultants)
+        assert reused.termination_reason == fresh.termination_reason
+        assert len(reused.steps) == len(fresh.steps) > 1
+        pairs = [(reused_dense, fresh_dense)]
+        pairs += [(a.fit, b.fit) for a, b in zip(reused.steps, fresh.steps)]
+        for a, b in pairs:
+            for name in ("alpha", "means", "kappas"):
+                assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
+            assert a.log_likelihood == b.log_likelihood
+            assert a.penalized_log_likelihood == b.penalized_log_likelihood
+            assert a.beta == b.beta
+            assert a.status is b.status
+            assert a.trace == b.trace
 
 
 class TestLargeEpsilon:
