@@ -202,14 +202,14 @@ def cmd_skmeans(args) -> int:
 
 def cmd_viz(args) -> int:
     fit = em.load_model(args.model)
+    X = _load_dataset(args, fit.params.d) if args.input and args.data_out else None
     ordering = viz.order_dimensions(fit.params, epsilon=args.epsilon)
     row_perm = viz.order_rows(fit.params)
     viz.render_pixel_map(fit.params.means, ordering, row_perm, args.out,
                          mode="means", scale=args.scale)
     if args.csv_out:
         viz.save_ordering_csv(ordering, args.csv_out)
-    if args.input and args.data_out:
-        X = _load_dataset(args, fit.params.d)
+    if X is not None:
         labels = em.hard_assign(em.e_step(X, fit.params))
         data_perm = viz.data_row_order(labels, row_perm)
         viz.render_pixel_map(X, ordering, data_perm, args.data_out,

@@ -107,11 +107,6 @@ class MixtureParams:
     def d(self) -> int:
         return self.means.shape[1]
 
-    def copy(self) -> "MixtureParams":
-        return MixtureParams(
-            self.alpha.copy(), self.means.copy(), self.kappas.copy(), self.kappa_mode
-        )
-
 
 @dataclass
 class Responsibilities:

@@ -1,5 +1,5 @@
 """Information criteria, sparse free-parameter counting, and the two-stage
-model selection protocol (K from dense fits, beta along the path at fixed K)."""
+model selection protocol (K* from the dense fits, beta along K*'s path alone)."""
 
 from __future__ import annotations
 
@@ -77,8 +77,8 @@ def make_ic_fn(N: int, d: int):
 class SelectionReport:
     dense_ic: dict            # K -> {criterion kind -> IC of the dense fit}
     dense_fits: dict          # K -> FitResult at beta = 0
-    paths: dict               # K -> PathResult
-    best_steps: dict          # K -> {criterion kind -> step index minimizing it}
+    paths: dict               # K* -> PathResult; K* = chosen_K[k_criterion] only
+    best_steps: dict          # K* -> {criterion kind -> step index minimizing it}
     skipped: dict             # K -> reason string
     chosen_K: dict            # criterion kind -> K*
     final_model: FitResult    # beta_criterion-best step of the k_criterion K*'s path
@@ -113,16 +113,17 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
                  path_opts: PathOptions | None = None,
                  k_criterion: str = "BIC", beta_criterion: str = "BIC",
                  seed: int = 0) -> SelectionReport:
-    """Two-stage selection: for each K fit the dense model (best of restarts)
-    and follow the path; pick K* from the information criterion on the dense
-    models, then the final model is the criterion-best step of K*'s path."""
+    """Two-stage selection: fit the dense model (best of restarts) for every
+    candidate K and pick K* from the information criterion on those fits;
+    then follow K*'s path alone, and the final model is its criterion-best
+    step. paths and best_steps hold K* only."""
     X = np.asarray(X, dtype=float)
     if not len(K_candidates):
         raise ValueError("K_candidates must be nonempty")
     if path_opts is None:
         path_opts = PathOptions()
     ic_fn = make_ic_fn(*X.shape)
-    dense_ic, dense_fits, paths, best_steps, skipped = {}, {}, {}, {}, {}
+    dense_ic, dense_fits, skipped = {}, {}, {}
     for K in K_candidates:
         try:
             dense = best_of_restarts(X, K, n_restarts, path_opts.fit_options, seed=seed)
@@ -131,24 +132,23 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
             continue
         dense_fits[K] = dense
         dense_ic[K] = ic_fn(dense)
-        path = follow_path(X, K, path_opts, dense, ic_fn=ic_fn)
-        paths[K] = path
-        best_steps[K] = {
-            kind: min(range(len(path.steps)), key=lambda i: path.steps[i].ic_values[kind])
-            for kind in CRITERIA
-        }
     if not dense_fits:
         raise InitFailureError(f"every candidate K failed: {skipped}")
     chosen_K = {
         kind: min(dense_ic, key=lambda K: dense_ic[K][kind]) for kind in CRITERIA
     }
     kstar = chosen_K[k_criterion]
+    path = follow_path(X, kstar, path_opts, dense_fits[kstar], ic_fn=ic_fn)
+    best = {
+        kind: min(range(len(path.steps)), key=lambda i: path.steps[i].ic_values[kind])
+        for kind in CRITERIA
+    }
     return SelectionReport(
         dense_ic=dense_ic,
         dense_fits=dense_fits,
-        paths=paths,
-        best_steps=best_steps,
+        paths={kstar: path},
+        best_steps={kstar: best},
         skipped=skipped,
         chosen_K=chosen_K,
-        final_model=paths[kstar].steps[best_steps[kstar][beta_criterion]].fit,
+        final_model=path.steps[best[beta_criterion]].fit,
     )

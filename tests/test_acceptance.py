@@ -93,7 +93,7 @@ def test_criterion_01_oracle_equivalence_beta0():
                     except Exception:
                         continue
                 fit = fit_em(X, K, FitOptions(beta=0.0, em_tol=1e-10,
-                                                 max_em_iters=2000), init=init.copy())
+                                                 max_em_iters=2000), init=init)
                 oa, om, ok_, oll, _ = plain_movmf_em(
                     X, init.alpha, init.means, init.kappas,
                     max_iters=2000, tol=1e-10,
@@ -158,7 +158,7 @@ def test_criterion_03_monotonicity_suite():
         for beta in (0.0, 0.5 * beta1, beta1):
             if n_fits >= 50:
                 break
-            fit = fit_em(X, K, FitOptions(beta=beta), init=dense.params.copy())
+            fit = fit_em(X, K, FitOptions(beta=beta), init=dense.params)
             n_fits += 1
             if fit.status is FitStatus.CONVERGED:
                 t = np.array(fit.trace)
@@ -238,7 +238,7 @@ def test_criterion_05_path_reproduction():
     for step in res.steps[1:6]:
         cold = fit_em(X, 4, FitOptions(beta=step.beta, em_tol=1e-13,
                                           inner_tol=1e-12, max_em_iters=5000),
-                      init=dense.params.copy())
+                      init=dense.params)
         if not (
             np.allclose(cold.params.means, step.fit.params.means, atol=1e-6)
             and np.allclose(cold.params.alpha, step.fit.params.alpha, atol=1e-6)

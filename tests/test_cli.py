@@ -192,6 +192,7 @@ class TestPathSelectSkmeans:
         doc = json.loads(out.read_text())
         assert set(doc["chosen_K"]) == {"AIC", "BIC", "RIC", "RICc", "EBIC"}
         assert doc["final_model"]["K"] == doc["chosen_K"]["BIC"]
+        assert list(doc["best_steps"]) == [str(doc["chosen_K"]["BIC"])]
         assert "seed" not in doc["final_model"]
         assert ic_csv.read_text().startswith("K,AIC,BIC,RIC,RICc,EBIC")
 
@@ -282,6 +283,9 @@ class TestVizMetrics:
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "ParseError",
                                       "message": "--input has 9 columns, --model has d = 8"}
+        # every input is checked before any output is written
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "data.ppm").exists()
 
     @pytest.mark.parametrize("command", ["metrics", "viz"])
     def test_non_model_file_exits_one(self, sim_files, tmp_path, capsys, command):

@@ -397,7 +397,7 @@ class TestFitEm:
         cfg = SimulationConfig(K=3, d=6, N=300, base_kappa=10.0, seed=30)
         X, _ = simulate_mixture(cfg)
         init = init_random(X, 3, np.random.default_rng(31))
-        fit = fit_em(X, 3, FitOptions(beta=0.0, em_tol=1e-9), init=init.copy())
+        fit = fit_em(X, 3, FitOptions(beta=0.0, em_tol=1e-9), init=init)
         oa, om, ok, oll, _ = plain_movmf_em(
             X, init.alpha, init.means, init.kappas, tol=1e-9
         )
@@ -464,7 +464,7 @@ class TestFitEm:
         cfg = SimulationConfig(K=2, d=5, N=80, base_kappa=8.0, seed=34)
         X, _ = simulate_mixture(cfg)
         dense = fit_em(X, 2, FitOptions(beta=0.0), rng=35)
-        fit = fit_em(X, 2, FitOptions(beta=1e9), init=dense.params.copy())
+        fit = fit_em(X, 2, FitOptions(beta=1e9), init=dense.params)
         assert fit.status is FitStatus.CONVERGED
         assert np.all(np.diff(fit.trace) >= -1e-9 * np.abs(fit.trace[:-1]))
         r = fit.resp.resultants
@@ -500,7 +500,7 @@ class TestFitResultResp:
     ])
     def test_resp_is_e_step_at_params(self, problem, opts, status):
         X, dense = problem
-        fit = fit_em(X, 2, opts, init=dense.params.copy())
+        fit = fit_em(X, 2, opts, init=dense.params)
         assert fit.status is status
         self.assert_resp_equal(fit.resp, e_step(X, fit.params))
 
@@ -513,8 +513,11 @@ class TestFitResultResp:
         X, dense = problem
         opts = FitOptions(beta=beta, max_em_iters=max_em_iters)
         p = dense.params
-        plain = fit_em(X, 2, opts, init=p.copy())
-        warm = fit_em(X, 2, opts, init=p.copy(), resp=e_step(X, p))
+        before = {name: getattr(p, name).copy() for name in ("alpha", "means", "kappas")}
+        plain = fit_em(X, 2, opts, init=p)
+        warm = fit_em(X, 2, opts, init=p, resp=e_step(X, p))
+        for name, value in before.items():
+            assert np.array_equal(getattr(p, name), value)
         for name in ("alpha", "means", "kappas"):
             assert np.array_equal(getattr(warm.params, name), getattr(plain.params, name))
         assert warm.trace == plain.trace

@@ -90,7 +90,7 @@ class TestNextBeta:
 class TestFollowPath:
     def test_requires_dense_start(self, small_problem):
         X, fit = small_problem
-        sparse_start = fit_em(X, 2, FitOptions(beta=0.5), init=fit.params.copy())
+        sparse_start = fit_em(X, 2, FitOptions(beta=0.5), init=fit.params)
         with pytest.raises(ValueError):
             follow_path(X, 2, PathOptions(), sparse_start)
 
@@ -134,7 +134,7 @@ class TestFollowPath:
         res = follow_path(X, 2, PathOptions(max_steps=5), fit)
         for prev, step in zip(res.steps, res.steps[1:]):
             cold = fit_em(
-                X, 2, FitOptions(beta=step.beta), init=prev.fit.params.copy()
+                X, 2, FitOptions(beta=step.beta), init=prev.fit.params
             )
             # cold restart from the same predecessor model reproduces the
             # pre-truncation fit; compare supports and likelihood

@@ -6,13 +6,14 @@ import pytest
 import sparsevmf.selection
 from sparsevmf.dataset import SimulationConfig, simulate_mixture
 from sparsevmf.em import FitOptions, FitResult, MixtureParams, fit_em
-from sparsevmf.path import PathOptions
+from sparsevmf.path import PathOptions, follow_path
 from sparsevmf.selection import (
     CRITERIA,
     Criterion,
     best_of_restarts,
     count_free_params,
     information_criterion,
+    make_ic_fn,
     select_model,
 )
 
@@ -177,6 +178,22 @@ class TestSelectModel:
         for kind, kstar in rep.chosen_K.items():
             vals = {K: rep.dense_ic[K][kind] for K in rep.dense_ic}
             assert vals[kstar] == min(vals.values())
+        assert set(rep.paths) == set(rep.best_steps) == {rep.chosen_K["BIC"]}
+
+    def test_only_k_criterion_choice_has_a_path(self, data):
+        X, _ = data
+        opts = PathOptions(max_steps=8)
+        rep = select_model(X, [2, 3, 4], n_restarts=3, path_opts=opts,
+                           k_criterion="AIC", seed=63)
+        kstar = rep.chosen_K["AIC"]
+        assert set(rep.paths) == set(rep.best_steps) == {kstar}
+        # K*'s path is the one follow_path gives from K*'s dense fit
+        path = follow_path(X, kstar, opts, rep.dense_fits[kstar], ic_fn=make_ic_fn(*X.shape))
+        bic = [s.ic_values["BIC"] for s in path.steps]
+        expected = path.steps[bic.index(min(bic))].fit.params
+        for name in ("alpha", "means", "kappas"):
+            assert np.array_equal(getattr(rep.final_model.params, name),
+                                  getattr(expected, name))
 
     def test_best_step_is_argmin_on_path(self, data):
         X, _ = data
