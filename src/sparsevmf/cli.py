@@ -201,8 +201,10 @@ def cmd_skmeans(args) -> int:
 
 
 def cmd_viz(args) -> int:
+    if bool(args.input) != bool(args.data_out):
+        raise ValueError("viz: --input and --data-out must be given together")
     fit = em.load_model(args.model)
-    X = _load_dataset(args, fit.params.d) if args.input and args.data_out else None
+    X = _load_dataset(args, fit.params.d) if args.input else None
     ordering = viz.order_dimensions(fit.params, epsilon=args.epsilon)
     row_perm = viz.order_rows(fit.params)
     viz.render_pixel_map(fit.params.means, ordering, row_perm, args.out,

@@ -1,8 +1,9 @@
 """Penalized EM for mixtures of von Mises-Fisher distributions.
 
-The M phase couples the directional means and the concentrations through the
-l1 penalty, so it is solved approximately by a fixed-point loop that
-soft-thresholds each mean and then re-estimates kappa, in that order.
+The l1 penalty couples the directional means and the concentrations, so each
+M step is one conditional-maximisation cycle (ECM, Meng & Rubin 1993): it
+soft-thresholds each mean at the previous kappa, then re-solves kappa at the
+new means, and the penalized log-likelihood still ascends.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ __all__ = [
 
 # Random initialisations fit_em tries before it gives up.
 MAX_INIT_RETRIES = 50
-# Passes of the M phase's fixed-point loop before it stops unconverged.
-INNER_MAX_ITERS = 100
 
 
 class FitStatus(str, Enum):
@@ -128,11 +127,10 @@ class FitOptions:
     beta: float = 0.0
     max_em_iters: int = 500
     em_tol: float = 1e-6
-    inner_tol: float = 1e-8
     kappa_mode: str = "free"
 
     def __post_init__(self):
-        for name in ("beta", "em_tol", "inner_tol"):
+        for name in ("beta", "em_tol"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
@@ -140,9 +138,8 @@ class FitOptions:
             raise ValueError("beta must be >= 0")
         if self.max_em_iters < 0:
             raise ValueError("max_em_iters must be >= 0")
-        for name in ("em_tol", "inner_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        if self.em_tol <= 0:
+            raise ValueError("em_tol must be > 0")
 
 
 @dataclass
@@ -278,32 +275,26 @@ def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarra
 
 def m_step(resp: Responsibilities, prev_params: MixtureParams,
            opts: FitOptions) -> MixtureParams:
-    """Approximate M phase at opts.beta and opts.kappa_mode, from the E-step's
-    column sums and resultants alone: closed-form alpha, then a fixed-point
-    loop that updates the means (soft-thresholding) and then the kappas,
-    seeded with the previous kappas."""
+    """One conditional-maximisation cycle of the M phase at opts.beta and
+    opts.kappa_mode, from the E-step's column sums and resultants alone:
+    closed-form alpha, the means soft-thresholded at prev_params.kappas, then
+    the kappas solved at those means.
+
+    Each block update maximises the expected complete-data objective Q with
+    the other block fixed, so Q does not decrease. A single call does not
+    make the means and kappas jointly stationary; a converged fit_em does."""
     n, K = resp.tau.shape
     col_sums = resp.tau.sum(axis=0)
     if np.any(col_sums < 1e-12):
         raise EmptyComponentError("component with vanishing total responsibility")
     alpha = col_sums / n
     r = resp.resultants
-    kappas = prev_params.kappas.copy()
-    means = prev_params.means.copy()
-    for _ in range(INNER_MAX_ITERS):
-        new_means = np.empty_like(means)
-        for k in range(K):
-            new_means[k] = soft_threshold_mu(r[k], kappas[k], opts.beta)
-        # Newton-refined solve of the stationarity equation A_d(kappa) = rho; the
-        # closed-form estimate alone leaves enough bias to break the monotone
-        # ascent of the penalized log-likelihood.
-        new_kappas = _kappas_from_resultants(new_means, r, col_sums, n, opts.kappa_mode,
-                                             refine=True)
-        dk = np.max(np.abs(new_kappas - kappas) / np.maximum(kappas, 1e-300))
-        dm = np.max(np.abs(new_means - means))
-        means, kappas = new_means, new_kappas
-        if dk <= opts.inner_tol and dm <= opts.inner_tol:
-            break
+    means = np.array([soft_threshold_mu(r[k], prev_params.kappas[k], opts.beta)
+                      for k in range(K)])
+    # Newton-refined solve of the stationarity equation A_d(kappa) = rho; the
+    # closed-form estimate alone leaves enough bias to break the monotone
+    # ascent of the penalized log-likelihood.
+    kappas = _kappas_from_resultants(means, r, col_sums, n, opts.kappa_mode, refine=True)
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=opts.kappa_mode)
 
 

@@ -220,7 +220,7 @@ def test_criterion_05_path_reproduction():
     cfg = SimulationConfig(K=4, d=10, N=500, base_kappa=5.37, sparsity=0.0, seed=4000)
     X, _ = simulate_mixture(cfg)
     N, d = X.shape
-    tight = FitOptions(beta=0.0, em_tol=1e-13, inner_tol=1e-12, max_em_iters=5000)
+    tight = FitOptions(beta=0.0, em_tol=1e-13, max_em_iters=5000)
     dense = best_of_restarts(X, 4, 10, tight, seed=4001)
     bic = Criterion("BIC")
     ic_fn = lambda fit: {"BIC": information_criterion(fit, N, d, bic)}  # noqa: E731
@@ -236,8 +236,7 @@ def test_criterion_05_path_reproduction():
     # warm vs cold restart from the shared dense starting point
     warm_cold_ok = True
     for step in res.steps[1:6]:
-        cold = fit_em(X, 4, FitOptions(beta=step.beta, em_tol=1e-13,
-                                          inner_tol=1e-12, max_em_iters=5000),
+        cold = fit_em(X, 4, FitOptions(beta=step.beta, em_tol=1e-13, max_em_iters=5000),
                       init=dense.params)
         if not (
             np.allclose(cold.params.means, step.fit.params.means, atol=1e-6)

@@ -287,6 +287,22 @@ class TestVizMetrics:
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "data.ppm").exists()
 
+    @pytest.mark.parametrize("half", [["--input", "data.csv"], ["--data-out", "data.ppm"]])
+    def test_viz_input_and_data_out_go_together(self, tmp_path, capsys, half):
+        # Neither the model nor the data file exists: the pair rule is checked
+        # before any file is read or written.
+        out = tmp_path / "means.ppm"
+        argv = ["viz", "--model", str(tmp_path / "model.json"), "--out", str(out),
+                half[0], str(tmp_path / half[1])]
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "ConfigError",
+            "message": "viz: --input and --data-out must be given together"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["metrics", "viz"])
     def test_non_model_file_exits_one(self, sim_files, tmp_path, capsys, command):
         data, truth = sim_files

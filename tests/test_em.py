@@ -15,6 +15,7 @@ from sparsevmf.em import (
     FitStatus,
     MixtureParams,
     Responsibilities,
+    _kappas_from_resultants,
     _logsumexp_cols,
     _penalized,
     e_step,
@@ -39,12 +40,14 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def random_params(rng, K, d, kappa_lo=2.0, kappa_hi=30.0):
+def random_params(rng, K, d, kappa_lo=2.0, kappa_hi=30.0, kappa_mode="free"):
     means = rng.standard_normal((K, d))
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     alpha = rng.dirichlet(np.ones(K))
     kappas = rng.uniform(kappa_lo, kappa_hi, size=K)
-    return MixtureParams(alpha=alpha, means=means, kappas=kappas)
+    if kappa_mode == "shared":
+        kappas = kappas[:1]
+    return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
 
 class TestInitRandom:
@@ -339,7 +342,7 @@ class TestMStep:
         params = fit_em(X, 2, FitOptions(beta=0.0), rng=rng).params
         resp = e_step(X, params)
         beta = 0.5
-        opts = FitOptions(beta=beta, inner_tol=1e-12)
+        opts = FitOptions(beta=beta)
         out = m_step(resp, params, opts)
         r = resp.tau.T @ X
         sums = resp.tau.sum(axis=0)
@@ -354,6 +357,70 @@ class TestMStep:
             rho = float(out.means[k] @ r[k]) / sums[k]
             d = X.shape[1]
             assert bessel_ratio(d, out.kappas[k]) == pytest.approx(rho, rel=1e-6)
+
+    def test_converged_fit_is_stationary(self):
+        # One m_step is one ECM cycle; the joint stationarity equations hold at
+        # EM's fixed point.
+        rng = np.random.default_rng(10)
+        cfg = SimulationConfig(K=2, d=5, N=20, base_kappa=8.0, seed=21)
+        X, _ = simulate_mixture(cfg)
+        dense = fit_em(X, 2, FitOptions(beta=0.0), rng=rng).params
+        beta = 0.5
+        fit = fit_em(X, 2, FitOptions(beta=beta, em_tol=1e-13, max_em_iters=5000), init=dense)
+        assert fit.status is FitStatus.CONVERGED
+        r = fit.resp.resultants
+        sums = fit.resp.tau.sum(axis=0)
+        for k in range(2):
+            shrunk = np.maximum(fit.params.kappas[k] * np.abs(r[k]) - beta, 0.0)
+            mu_expected = np.sign(r[k]) * shrunk / np.linalg.norm(shrunk)
+            assert np.max(np.abs(fit.params.means[k] - mu_expected)) < 1e-6
+            rho = float(fit.params.means[k] @ r[k]) / sums[k]
+            assert special.bessel_ratio(X.shape[1], fit.params.kappas[k]) == pytest.approx(
+                rho, rel=1e-6)
+
+    @pytest.mark.parametrize("kappa_mode", ["free", "shared"])
+    def test_one_cycle_means_then_kappas(self, kappa_mode):
+        # The means are soft-thresholded at the previous kappas, and the kappas
+        # solved at those means, once.
+        rng = np.random.default_rng(15)
+        cfg = SimulationConfig(K=3, d=6, N=100, base_kappa=9.0, seed=24)
+        X, _ = simulate_mixture(cfg)
+        params = random_params(rng, 3, 6, kappa_mode=kappa_mode)
+        resp = e_step(X, params)
+        r = resp.resultants
+        out = m_step(resp, params, FitOptions(beta=0.7, kappa_mode=kappa_mode))
+        for k in range(3):
+            assert np.array_equal(out.means[k], soft_threshold_mu(r[k], params.kappas[k], 0.7))
+        expected = _kappas_from_resultants(out.means, r, resp.tau.sum(axis=0), X.shape[0],
+                                           kappa_mode, refine=True)
+        assert np.array_equal(out.kappas, expected)
+
+    @pytest.mark.parametrize("kappa_mode", ["free", "shared"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_each_block_update_ascends_q(self, seed, beta, kappa_mode):
+        # Q_k = w_k log c_d(kappa_k) + kappa_k <mu_k, r_k> - beta ||mu_k||_1 per
+        # component; the shared kappa maximises the sum over k, not each term.
+        rng = np.random.default_rng(seed)
+        cfg = SimulationConfig(K=3, d=8, N=200, base_kappa=10.0, seed=40 + seed)
+        X, _ = simulate_mixture(cfg)
+        params = random_params(rng, 3, 8, kappa_mode=kappa_mode)
+        resp = e_step(X, params)
+        r, w = resp.resultants, resp.tau.sum(axis=0)
+
+        def q(means, kappas):
+            per_k = np.array([
+                w[k] * special.log_vmf_normalizer(8, kappas[k]) + kappas[k] * (means[k] @ r[k])
+                - beta * np.abs(means[k]).sum() for k in range(3)])
+            return per_k if kappa_mode == "free" else per_k.sum()
+
+        out = m_step(resp, params, FitOptions(beta=beta, kappa_mode=kappa_mode))
+        before = q(params.means, params.kappas)
+        means_only = q(out.means, params.kappas)
+        after = q(out.means, out.kappas)
+        slack = 1e-12 * np.maximum(np.abs(before), 1.0)
+        assert np.all(means_only >= before - slack)
+        assert np.all(after >= means_only - slack)
 
     def test_shared_mode_single_kappa(self):
         rng = np.random.default_rng(11)
@@ -556,7 +623,7 @@ class TestInvalidValuesRejected:
         with pytest.raises(ValueError, match=field):
             MixtureParams(**values)
 
-    @pytest.mark.parametrize("name", ["beta", "em_tol", "inner_tol"])
+    @pytest.mark.parametrize("name", ["beta", "em_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_fit_options(self, name, value):
         with pytest.raises(ValueError, match=name):
