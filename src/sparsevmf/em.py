@@ -43,6 +43,11 @@ __all__ = [
 # Random initialisations fit_em tries before it gives up.
 MAX_INIT_RETRIES = 50
 
+# Bytes of X per row block in the products of X with K-row matrices. OpenBLAS
+# packs the whole X operand of each product; a block this size keeps the
+# packed copy in L2 (Goto & van de Geijn 2008).
+_BLOCK_BYTES = 256 * 1024
+
 
 class FitStatus(str, Enum):
     CONVERGED = "Converged"
@@ -171,7 +176,7 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     idx = rng.choice(n, size=K, replace=False)
     means = X[idx].copy()
     means /= np.linalg.norm(means, axis=1, keepdims=True)
-    labels = np.argmax(X @ means.T, axis=1)
+    labels = np.argmax(_inner_products(means, X), axis=0)
     counts = np.bincount(labels, minlength=K)
     if np.any(counts == 0):
         raise InitFailureError("empty crisp cluster during initialisation")
@@ -182,6 +187,22 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     except DegenerateUniformError as err:
         raise InitFailureError(f"initialisation: {err}") from err
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
+
+
+def _row_blocks(X: np.ndarray) -> list:
+    """Slices of at most max(1, _BLOCK_BYTES // (8 d)) consecutive rows that
+    cover the N x d matrix X in order; one empty slice when N = 0."""
+    n, d = X.shape
+    rows = max(1, _BLOCK_BYTES // (8 * d))
+    return [slice(i, i + rows) for i in range(0, max(n, 1), rows)]
+
+
+def _inner_products(means: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """K x N matrix of <mu_k, x_i>, one product per row block of X."""
+    inner = np.empty((means.shape[0], X.shape[0]))
+    for b in _row_blocks(X):
+        np.matmul(means, X[b].T, out=inner[:, b])
+    return inner
 
 
 def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
@@ -215,17 +236,25 @@ def e_step(X: np.ndarray, params: MixtureParams,
     """Posterior responsibilities tau_ik, computed in log space component by
     component, and the resultants they weight.
 
+    Both products with X, the inner products <mu_k, x_i> and the resultants
+    tau^T X, run over row blocks of at most _BLOCK_BYTES of X, so OpenBLAS's
+    packed copy of each block stays in L2. The resultants add the blocks in
+    order. When X fits in one block, each product is one BLAS call.
+
     prev, when given, must be an E-step on the same X: if the new tau is
     bitwise equal to prev.tau, the result shares prev.resultants instead of
-    recomputing tau @ X, which would give the same bits."""
-    tau = _log_joint(params.means @ X.T, params)
+    recomputing them, which would give the same bits."""
+    tau = _log_joint(_inner_products(params.means, X), params)
     log_marginals = _logsumexp_cols(tau)
     tau -= log_marginals
     np.exp(tau, out=tau)
     if prev is not None and np.array_equal(tau, prev.tau.T):
         resultants = prev.resultants
     else:
-        resultants = tau @ X
+        first, *rest = _row_blocks(X)
+        resultants = tau[:, first] @ X[first]
+        for b in rest:
+            resultants += tau[:, b] @ X[b]
     return Responsibilities(tau=tau.T, log_marginals=log_marginals, resultants=resultants)
 
 

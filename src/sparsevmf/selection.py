@@ -55,7 +55,7 @@ def count_free_params(params: MixtureParams) -> int:
     alpha contributes K-1; kappa contributes K (free mode) or 1 (shared);
     each mean contributes max(1, nnz - 1) because of its unit-norm constraint."""
     K = params.K
-    nnz = np.count_nonzero(params.means, axis=1)
+    nnz = (params.means != 0).sum(axis=1)
     mean_count = int(np.maximum(1, nnz - 1).sum())
     kappa_count = 1 if params.kappa_mode == "shared" else K
     return (K - 1) + kappa_count + mean_count
@@ -68,9 +68,15 @@ def information_criterion(fit: FitResult, N: int, d: int, c: Criterion) -> float
 
 def make_ic_fn(N: int, d: int):
     """Function mapping a FitResult to {criterion kind: value}, for every
-    kind in CRITERIA, for N observations in d dimensions."""
-    crits = {kind: Criterion(kind) for kind in CRITERIA}
-    return lambda fit: {kind: information_criterion(fit, N, d, c) for kind, c in crits.items()}
+    kind in CRITERIA, for N observations in d dimensions. Each value equals
+    information_criterion's; the free parameters are counted once per fit."""
+    phis = {kind: Criterion(kind).phi(N, d) for kind in CRITERIA}
+
+    def ic_fn(fit: FitResult) -> dict:
+        n_params, ll = count_free_params(fit.params), fit.log_likelihood
+        return {kind: phi * n_params - 2.0 * ll for kind, phi in phis.items()}
+
+    return ic_fn
 
 
 @dataclass

@@ -15,9 +15,12 @@ from sparsevmf.em import (
     FitStatus,
     MixtureParams,
     Responsibilities,
+    _inner_products,
     _kappas_from_resultants,
+    _log_joint,
     _logsumexp_cols,
     _penalized,
+    _row_blocks,
     e_step,
     fit_em,
     fit_result_from_dict,
@@ -104,6 +107,23 @@ class TestInitRandom:
             np.add.at(ref, labels, X)
             assert seen[-1].tobytes() == ref.tobytes()
 
+    def test_labels_from_blocked_inner_products(self, monkeypatch):
+        # The crisp labels are the argmax of the e_step's blocked <mu_k, x_i>.
+        seen = []
+
+        def record(means, X):
+            seen.append(_inner_products(means, X))
+            return seen[-1]
+
+        monkeypatch.setattr(sparsevmf.em, "_inner_products", record)
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((1000, 200))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        params = init_random(X, 3, rng)
+        assert len(seen) == 1 and seen[0].shape == (3, 1000)
+        counts = np.bincount(np.argmax(seen[0], axis=0), minlength=3)
+        assert np.array_equal(params.alpha, counts / 1000)
+
     def test_nonpositive_resultant_fails(self):
         # Means at rows 0 and 1: rows 2 and 3 join cluster 0, whose resultant
         # (-0.2, -1.6) has <mu_0, r_0> = -0.2 < 0.
@@ -188,6 +208,85 @@ class TestEStep:
             assert resp.resultants.shape == (K, d)
             # Relative to the largest entry: BLAS may round single entries near 0 apart.
             assert np.abs(resp.resultants - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def one_call_e_step(X, params):
+    """The E-step with each product of X as one BLAS call: tau, the log
+    marginals, the resultants, and the largest |log joint| entry."""
+    log_joint = _log_joint(params.means @ X.T, params)
+    log_marginals = _logsumexp_cols(log_joint)
+    tau = np.exp(log_joint - log_marginals)
+    return tau.T, log_marginals, tau @ X, np.abs(log_joint).max()
+
+
+class TestEStepRowBlocks:
+    """e_step forms <mu_k, x_i> and the resultants over row blocks of X that
+    hold at most 256 KiB each: 163 rows at d = 200."""
+
+    @staticmethod
+    def problem(n, d=200, K=3, seed=9):
+        rng = np.random.default_rng(seed)
+        params = random_params(rng, K, d)
+        X = rng.standard_normal((n, d))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        return X, params
+
+    @pytest.mark.parametrize("n, sizes", [
+        (100, [100]),
+        (163, [163]),
+        (326, [163, 163]),
+        (1000, [163] * 6 + [22]),
+        (0, [0]),
+    ])
+    def test_blocks_cover_rows_in_order(self, n, sizes):
+        X = np.zeros((n, 200))
+        blocks = _row_blocks(X)
+        assert [len(range(n)[b]) for b in blocks] == sizes
+        assert np.concatenate([np.arange(n)[b] for b in blocks]).tolist() == list(range(n))
+        # Rows wider than the block still go one at a time.
+        assert _row_blocks(np.zeros((3, 40_000))) == [slice(i, i + 1) for i in range(3)]
+
+    @pytest.mark.parametrize("n", [100, 326, 1000])
+    def test_agrees_with_one_call_products(self, n):
+        X, params = self.problem(n)
+        resp = e_step(X, params)
+        tau, log_marginals, resultants, log_joint_max = one_call_e_step(X, params)
+        for got, ref in ((resp.log_marginals, log_marginals), (resp.resultants, resultants)):
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+        # tau is exp of log joint entries near 245 at d = 200, whose last bit
+        # is 2.8e-14, so it is compared relative to them.
+        assert resp.tau.shape == tau.shape
+        assert np.abs(resp.tau - tau).max() <= 1e-14 * log_joint_max
+
+    @pytest.mark.parametrize("n", [326, 1000])
+    def test_blocks_add_in_order(self, n):
+        X, params = self.problem(n)
+        resp = e_step(X, params)
+        tau = resp.tau.T
+        first, *rest = _row_blocks(X)
+        ref = tau[:, first] @ X[first]
+        for b in rest:
+            ref += tau[:, b] @ X[b]
+        assert resp.resultants.tobytes() == ref.tobytes()
+        inner = np.concatenate([params.means @ X[b].T for b in _row_blocks(X)], axis=1)
+        assert _inner_products(params.means, X).tobytes() == inner.tobytes()
+
+    @pytest.mark.parametrize("n", [100, 163])
+    def test_one_block_is_one_call(self, n):
+        X, params = self.problem(n)
+        resp = e_step(X, params)
+        assert resp.resultants.tobytes() == (resp.tau.T @ X).tobytes()
+        for got, ref in zip((resp.tau, resp.log_marginals), one_call_e_step(X, params)[:2]):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_multi_block_prev_shares_resultants(self):
+        X, params = self.problem(1000)
+        first = e_step(X, params)
+        again = e_step(X, params, prev=first)
+        assert again.resultants is first.resultants
+        assert np.array_equal(again.tau, first.tau)
+        assert np.array_equal(again.resultants, e_step(X, params).resultants)
 
 
 class TestEStepReusesResultants:

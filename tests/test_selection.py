@@ -115,6 +115,27 @@ class TestInformationCriterion:
         slopes = np.diff(vals) / np.diff(counts)
         assert np.allclose(slopes, math.log(n))
 
+    def test_ic_fn_counts_once_per_fit(self, monkeypatch):
+        # make_ic_fn gives information_criterion's values, bitwise, from one
+        # count of the free parameters per fit.
+        calls = []
+        count = sparsevmf.selection.count_free_params
+
+        def record(params):
+            calls.append(params)
+            return count(params)
+
+        rng = np.random.default_rng(2)
+        means = rng.standard_normal((3, 30))
+        means[:, ::3] = 0.0
+        fit = self._fit(means, -4321.5)
+        want = {kind: information_criterion(fit, 700, 30, Criterion(kind)) for kind in CRITERIA}
+        monkeypatch.setattr(sparsevmf.selection, "count_free_params", record)
+        got = make_ic_fn(700, 30)(fit)
+        assert len(calls) == 1
+        assert list(got) == list(CRITERIA)
+        assert all(got[kind] == want[kind] for kind in CRITERIA)
+
     def test_lower_ll_raises_ic(self):
         a = self._fit(np.eye(2, 5), -100.0)
         b = self._fit(np.eye(2, 5), -110.0)
