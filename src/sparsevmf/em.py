@@ -4,6 +4,12 @@ The l1 penalty couples the directional means and the concentrations, so each
 M step is one conditional-maximisation cycle (ECM, Meng & Rubin 1993): it
 soft-thresholds each mean at the previous kappa, then re-solves kappa at the
 new means, and the penalized log-likelihood still ascends.
+
+The E-step's two products of X (N x d) with K-row matrices run over row
+blocks of max(1, 256 KiB // (8 d)) rows, 163 at d = 200: OpenBLAS packs the
+whole X operand of a product, and past L2 the packed copy costs more than
+the arithmetic for K of a few (Goto & van de Geijn 2008 size packed panels
+to the cache the same way).
 """
 
 from __future__ import annotations
@@ -43,9 +49,7 @@ __all__ = [
 # Random initialisations fit_em tries before it gives up.
 MAX_INIT_RETRIES = 50
 
-# Bytes of X per row block in the products of X with K-row matrices. OpenBLAS
-# packs the whole X operand of each product; a block this size keeps the
-# packed copy in L2 (Goto & van de Geijn 2008).
+# Bytes of X per row block of the E-step's products (see above).
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -237,9 +241,10 @@ def e_step(X: np.ndarray, params: MixtureParams,
     component, and the resultants they weight.
 
     Both products with X, the inner products <mu_k, x_i> and the resultants
-    tau^T X, run over row blocks of at most _BLOCK_BYTES of X, so OpenBLAS's
-    packed copy of each block stays in L2. The resultants add the blocks in
-    order. When X fits in one block, each product is one BLAS call.
+    tau^T X, run over row blocks of max(1, _BLOCK_BYTES // (8 d)) rows, so
+    OpenBLAS's packed copy of each block stays in L2. The resultants add the
+    blocks in order, so equal tau gives equal bits. When X fits in one block,
+    each product is one BLAS call.
 
     prev, when given, must be an E-step on the same X: if the new tau is
     bitwise equal to prev.tau, the result shares prev.resultants instead of

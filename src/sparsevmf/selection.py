@@ -55,8 +55,8 @@ def count_free_params(params: MixtureParams) -> int:
     alpha contributes K-1; kappa contributes K (free mode) or 1 (shared);
     each mean contributes max(1, nnz - 1) because of its unit-norm constraint."""
     K = params.K
-    nnz = (params.means != 0).sum(axis=1)
-    mean_count = int(np.maximum(1, nnz - 1).sum())
+    nnz = (params.means != 0).sum(axis=1).tolist()
+    mean_count = sum(max(1, n - 1) for n in nnz)
     kappa_count = 1 if params.kappa_mode == "shared" else K
     return (K - 1) + kappa_count + mean_count
 
