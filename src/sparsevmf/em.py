@@ -67,6 +67,14 @@ class FitStatus(str, Enum):
         return self not in (FitStatus.CONVERGED, FitStatus.MAX_ITERS)
 
 
+# The failed status fit_em reports for each error an M step raises.
+_STATUS_OF_ERROR = {
+    ZeroMeanError: FitStatus.ZERO_MEAN,
+    DegenerateUniformError: FitStatus.DEGENERATE_UNIFORM,
+    EmptyComponentError: FitStatus.EMPTY_COMPONENT,
+}
+
+
 @dataclass
 class MixtureParams:
     """Full parameter vector of a K-component vMF mixture.
@@ -153,8 +161,12 @@ class FitOptions:
 
 @dataclass
 class FitResult:
-    """Outcome of fit_em. resp is the E-step at params; it is None on fits
-    loaded from JSON and on the steps a path records."""
+    """Outcome of fit_em. trace holds the penalized log-likelihood of each
+    parameter point evaluated, the last at params. n_iters is len(trace) on
+    every status but MaxIters, and len(trace) - 1 = max_em_iters on MaxIters,
+    whose last evaluation only records the pll at params. resp is the E-step
+    at params; it is None on fits loaded from JSON and on the steps a path
+    records."""
 
     params: MixtureParams
     beta: float
@@ -337,11 +349,10 @@ def _penalized(ll: float, params: MixtureParams, beta: float) -> float:
     return ll - beta * float(np.abs(params.means).sum())
 
 
-def hard_assign(resp_or_tau) -> np.ndarray:
+def hard_assign(resp: Responsibilities) -> np.ndarray:
     """Crisp cluster per observation: argmax responsibility, ties to the
     lowest component index."""
-    tau = resp_or_tau.tau if isinstance(resp_or_tau, Responsibilities) else np.asarray(resp_or_tau)
-    return np.argmax(tau, axis=1)
+    return np.argmax(resp.tau, axis=1)
 
 
 def fit_em(X: np.ndarray, K: int, opts: FitOptions,
@@ -387,41 +398,28 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     if resp is None:
         resp = e_step(X, params)
     trace: list[float] = []
-    status = FitStatus.MAX_ITERS
-    prev_pll = -np.inf
-    n_iters = 0
-    # The extra last pass only records the pll at the final parameters (MaxIters).
-    for it in range(opts.max_em_iters + 1):
-        ll = resp.log_likelihood
-        pll = _penalized(ll, params, opts.beta)
-        trace.append(pll)
-        if it == opts.max_em_iters:
+    while True:
+        trace.append(_penalized(resp.log_likelihood, params, opts.beta))
+        if len(trace) > opts.max_em_iters:
+            status = FitStatus.MAX_ITERS
             break
-        n_iters = it + 1
-        if it > 0 and abs(pll - prev_pll) <= opts.em_tol * (abs(prev_pll) + 1e-12):
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= opts.em_tol * (abs(trace[-2]) + 1e-12):
             status = FitStatus.CONVERGED
             break
-        prev_pll = pll
         try:
             # By keyword: perfbench's tracer reads the resp argument by name.
             params = m_step(resp=resp, prev_params=params, opts=opts)
-        except ZeroMeanError:
-            status = FitStatus.ZERO_MEAN
-            break
-        except DegenerateUniformError:
-            status = FitStatus.DEGENERATE_UNIFORM
-            break
-        except EmptyComponentError:
-            status = FitStatus.EMPTY_COMPONENT
+        except tuple(_STATUS_OF_ERROR) as err:
+            status = _STATUS_OF_ERROR[type(err)]
             break
         resp = e_step(X, params, prev=resp)
     return FitResult(
         params=params,
         beta=opts.beta,
-        log_likelihood=ll,
-        penalized_log_likelihood=pll,
+        log_likelihood=resp.log_likelihood,
+        penalized_log_likelihood=trace[-1],
         trace=trace,
-        n_iters=n_iters,
+        n_iters=len(trace) - (status is FitStatus.MAX_ITERS),
         status=status,
         resp=resp,
     )
@@ -437,10 +435,15 @@ def means_to_sparse(means: np.ndarray) -> list:
 
 
 def means_from_sparse(entries: list, d: int) -> np.ndarray:
-    """Inverse of means_to_sparse: a dense len(entries) x d matrix."""
+    """Inverse of means_to_sparse: a dense len(entries) x d matrix. A negative
+    or repeated index raises ValueError."""
     means = np.zeros((len(entries), d))
     for k, row in enumerate(entries):
+        seen = set()
         for j, v in row:
+            if j < 0 or j in seen:
+                raise ValueError(f"mean {k}: index {j} is negative or repeated")
+            seen.add(j)
             means[k, j] = v
     return means
 
@@ -464,7 +467,8 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 
 
 def fit_result_from_dict(doc: dict) -> FitResult:
-    """Inverse of fit_result_to_dict."""
+    """Inverse of fit_result_to_dict. A K that disagrees with the arrays
+    raises ValueError."""
     d = doc["d"]
     kappa = doc["kappa"]
     kappas = np.full(doc["K"], kappa) if np.isscalar(kappa) else np.array(kappa)
@@ -474,6 +478,8 @@ def fit_result_from_dict(doc: dict) -> FitResult:
         kappas=kappas,
         kappa_mode=doc["kappa_mode"],
     )
+    if params.K != doc["K"]:
+        raise ValueError(f"K = {doc['K']}, but the arrays hold {params.K} components")
     return FitResult(
         params=params,
         beta=doc["beta"],

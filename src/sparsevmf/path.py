@@ -41,13 +41,17 @@ class PathOptions:
             raise ValueError("epsilon must be > 0")
         if self.min_rel_increase < 0:
             raise ValueError("min_rel_increase must be >= 0")
+        if self.fit_options.beta != 0.0:
+            raise ValueError("fit_options.beta must be 0: the path sets beta at each step")
 
 
 @dataclass
 class PathStep:
-    beta: float
+    """One point of a path: its fit, without the E-step, and the criterion
+    values ic_fn gave it. The step's beta is fit.beta and its sparsity is
+    metrics.sparsity(fit.params)."""
+
     fit: FitResult
-    sparsity: float
     ic_values: dict = field(default_factory=dict)
 
 
@@ -106,38 +110,33 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
     Each step computes the next beta from the resultants of the previous
     converged model, warm-restarts EM from that model and its E-step,
     truncates mean coordinates below epsilon, and records the step without
-    its E-step. ic_fn, when given, maps a FitResult to a dict of
+    its E-step. A start without its E-step (a fit loaded from JSON) gets one
+    before the first step. ic_fn, when given, maps a FitResult to a dict of
     information-criterion values stored on the step."""
     if initial.beta != 0.0:
         raise ValueError("path must start from a beta = 0 fit")
     X = np.asarray(X, dtype=float)
-
-    def make_step(beta, fit):
-        ic = {} if ic_fn is None else ic_fn(fit)
-        return PathStep(beta=beta, fit=replace(fit, resp=None),
-                        sparsity=sparsity(fit.params), ic_values=ic)
-
-    steps = [make_step(0.0, initial)]
+    fit = initial if initial.resp is not None else replace(initial, resp=e_step(X, initial.params))
+    steps = []
     reason = "MaxSteps"
-    prev_fit = initial
-    while len(steps) < path_opts.max_steps:
-        if prev_fit.resp is None:  # a fit loaded from JSON
-            prev_fit = replace(prev_fit, resp=e_step(X, prev_fit.params))
+    while True:
+        ic = {} if ic_fn is None else ic_fn(fit)
+        steps.append(PathStep(fit=replace(fit, resp=None), ic_values=ic))
+        if len(steps) == path_opts.max_steps:
+            break
         try:
-            beta = next_beta(prev_fit.params, prev_fit.resp.resultants, prev_fit.beta,
+            beta = next_beta(fit.params, fit.resp.resultants, fit.beta,
                              path_opts.min_rel_increase)
         except NoIncrementAvailableError:
             reason = "NoIncrementAvailable"
             break
         opts = replace(path_opts.fit_options, beta=beta)
-        fit = fit_em(X, K, opts, init=prev_fit.params, resp=prev_fit.resp)
+        fit = fit_em(X, K, opts, init=fit.params, resp=fit.resp)
         if not fit.status.failed:
             fit = _truncate_means(fit, X, path_opts.epsilon)
         if fit.status.failed:
             reason = "EmFailure"
             break
-        steps.append(make_step(beta, fit))
-        prev_fit = fit
     return PathResult(steps=steps, termination_reason=reason)
 
 
@@ -147,8 +146,8 @@ def path_to_dict(result: PathResult) -> dict:
     for i, step in enumerate(result.steps):
         rec = {
             "step": i,
-            "beta": step.beta,
-            "sparsity": step.sparsity,
+            "beta": step.fit.beta,
+            "sparsity": sparsity(step.fit.params),
             "log_likelihood": step.fit.log_likelihood,
             "penalized_log_likelihood": step.fit.penalized_log_likelihood,
             "status": step.fit.status.value,

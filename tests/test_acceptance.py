@@ -25,7 +25,7 @@ from sparsevmf.em import (
     m_step,
     soft_threshold_mu,
 )
-from sparsevmf.metrics import adjusted_rand_index
+from sparsevmf.metrics import adjusted_rand_index, sparsity
 from sparsevmf.path import PathOptions, follow_path, next_beta
 from sparsevmf.selection import (
     CRITERIA,
@@ -228,7 +228,7 @@ def test_criterion_05_path_reproduction():
                       dense, ic_fn=ic_fn)
     n_steps = len(res.steps)
     steps_ok = 5 <= n_steps <= 40
-    sp = [s.sparsity for s in res.steps]
+    sp = [sparsity(s.fit.params) for s in res.steps]
     incr = sum(b >= a for a, b in zip(sp, sp[1:]))
     sparsity_ok = incr >= 0.95 * (len(sp) - 1)
     dense_bic = res.steps[0].ic_values["BIC"]
@@ -236,7 +236,7 @@ def test_criterion_05_path_reproduction():
     # warm vs cold restart from the shared dense starting point
     warm_cold_ok = True
     for step in res.steps[1:6]:
-        cold = fit_em(X, 4, FitOptions(beta=step.beta, em_tol=1e-13, max_em_iters=5000),
+        cold = fit_em(X, 4, FitOptions(beta=step.fit.beta, em_tol=1e-13, max_em_iters=5000),
                       init=dense.params)
         if not (
             np.allclose(cold.params.means, step.fit.params.means, atol=1e-6)

@@ -350,6 +350,14 @@ MALFORMED = {
     "alpha-sums-to-0.6": ({"alpha": [0.3, 0.2, 0.1]}, {"alpha": [0.3, 0.2, 0.1]}),
     "mean-index-99": ({"means": [[[99, 1.0]], [[1, 1.0]], [[2, 1.0]]]},
                       {"mu": [[[99, 1.0]], [[1, 1.0]], [[2, 1.0]]]}),
+    # NumPy would wrap -1 to the last coordinate, a unit mean.
+    "mean-index-negative": ({"means": [[[0, 1.0]], [[-1, 1.0]], [[2, 1.0]]]},
+                            {"mu": [[[0, 1.0]], [[-1, 1.0]], [[2, 1.0]]]}),
+    # The second pair would overwrite the first, a unit mean.
+    "mean-index-repeated": ({"means": [[[0, 1.0], [0, 1.0]], [[1, 1.0]], [[2, 1.0]]]},
+                            {"mu": [[[0, 1.0], [0, 1.0]], [[1, 1.0]], [[2, 1.0]]]}),
+    # alpha, kappa (a list) and means hold 3 components.
+    "K-disagrees": ({"K": 5}, None),
     "bad-status-or-d": ({"status": "Bogus"}, {"d": "five"}),
     "kappa-string": ({"kappa": "abc"}, {"kappa": "abc"}),
     "means-null": ({"means": None}, {"mu": None}),

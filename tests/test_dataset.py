@@ -291,6 +291,21 @@ class TestSimulate:
         assert np.array_equal(loaded.params.means, truth.params.means)
         assert np.array_equal(loaded.labels, truth.labels)
 
+    @pytest.mark.parametrize("mu", [
+        # NumPy would wrap -1 to the last coordinate.
+        [[[0, 0.6], [2, 0.8]], [[-1, 1.0]]],
+        # The second pair would overwrite the first.
+        [[[0, 0.6], [2, 0.8]], [[1, 1.0], [1, 1.0]]],
+    ], ids=["negative-index", "repeated-index"])
+    def test_malformed_mean_index_raises_parse_error(self, tmp_path, mu):
+        doc = {"alpha": [0.25, 0.75], "kappa": [8.5, 7.5], "d": 3, "labels": [1, 0, 1]}
+        p = tmp_path / "gt.json"
+        p.write_text(json.dumps({**doc, "mu": [[[0, 0.6], [2, 0.8]], [[1, 1.0]]]}))
+        assert load_ground_truth(p).params.K == 2
+        p.write_text(json.dumps({**doc, "mu": mu}))
+        with pytest.raises(ParseError, match="negative or repeated"):
+            load_ground_truth(p)
+
     def test_loads_truth_with_seed_and_config_keys(self, tmp_path):
         # Earlier versions also wrote the simulation seed and config; the
         # loader ignores them.

@@ -31,7 +31,13 @@ from sparsevmf.em import (
     m_step,
     soft_threshold_mu,
 )
-from sparsevmf.errors import InitFailureError, ZeroMeanError
+from sparsevmf.errors import (
+    DegenerateUniformError,
+    EmptyComponentError,
+    InitFailureError,
+    ParseError,
+    ZeroMeanError,
+)
 from sparsevmf.metrics import adjusted_rand_index
 from sparsevmf.vmf import KAPPA_CAP, sample
 
@@ -699,6 +705,77 @@ class TestFitResultResp:
             fit_em(X, 2, FitOptions(), rng=1, resp=dense.resp)
 
 
+class TestFitEmExits:
+    """Every way fit_em stops, pinned by status, n_iters, the trace, and the
+    likelihoods of the params it returns."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        X, _ = simulate_mixture(SimulationConfig(K=3, d=8, N=200, base_kappa=6.0, seed=37))
+        return X, init_random(X, 3, np.random.default_rng(38))
+
+    @staticmethod
+    def fit_recording(monkeypatch, X, init, opts, fail_at=None, error=None):
+        """fit_em from init, recording what each M step returned; with
+        fail_at, the M step raises error at that call (1-based)."""
+        returned = []
+
+        def recording(**kwargs):
+            if len(returned) + 1 == fail_at:
+                returned.append(None)
+                raise error(f"raised at call {fail_at}")
+            returned.append(m_step(**kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(sparsevmf.em, "m_step", recording)
+        return fit_em(X, 3, opts, init=init), returned
+
+    @staticmethod
+    def assert_evaluated_at_params(X, fit, beta):
+        ll = e_step(X, fit.params).log_likelihood
+        assert fit.log_likelihood == ll
+        assert fit.trace[-1] == fit.penalized_log_likelihood == _penalized(ll, fit.params, beta)
+
+    def test_converged(self, problem, monkeypatch):
+        X, init = problem
+        opts = FitOptions(beta=0.2)
+        fit, returned = self.fit_recording(monkeypatch, X, init, opts)
+        assert fit.status is FitStatus.CONVERGED
+        assert fit.n_iters == len(fit.trace) == len(returned) + 1 > 3
+        assert fit.params is returned[-1]
+        t = fit.trace
+        assert abs(t[-1] - t[-2]) <= opts.em_tol * (abs(t[-2]) + 1e-12)
+        assert all(abs(b - a) > opts.em_tol * (abs(a) + 1e-12) for a, b in zip(t[:-2], t[1:-1]))
+        self.assert_evaluated_at_params(X, fit, 0.2)
+
+    @pytest.mark.parametrize("max_em_iters", [0, 1, 3])
+    def test_max_iters(self, problem, monkeypatch, max_em_iters):
+        X, init = problem
+        opts = FitOptions(beta=0.2, max_em_iters=max_em_iters, em_tol=1e-14)
+        fit, returned = self.fit_recording(monkeypatch, X, init, opts)
+        assert fit.status is FitStatus.MAX_ITERS
+        assert fit.n_iters == len(returned) == max_em_iters
+        assert len(fit.trace) == max_em_iters + 1
+        assert fit.params is (returned[-1] if returned else init)
+        self.assert_evaluated_at_params(X, fit, 0.2)
+
+    @pytest.mark.parametrize("error, status", [
+        (ZeroMeanError, FitStatus.ZERO_MEAN),
+        (DegenerateUniformError, FitStatus.DEGENERATE_UNIFORM),
+        (EmptyComponentError, FitStatus.EMPTY_COMPONENT),
+    ])
+    @pytest.mark.parametrize("fail_at", [1, 3])
+    def test_failed_m_step(self, problem, monkeypatch, error, status, fail_at):
+        X, init = problem
+        fit, returned = self.fit_recording(monkeypatch, X, init, FitOptions(beta=0.2),
+                                           fail_at=fail_at, error=error)
+        assert fit.status is status
+        assert fit.n_iters == len(fit.trace) == len(returned) == fail_at
+        # The last valid params: those of the M step before the failed one.
+        assert fit.params is (returned[-2] if fail_at > 1 else init)
+        self.assert_evaluated_at_params(X, fit, 0.2)
+
+
 class TestSeedArgument:
     def test_seed_equals_generator(self):
         X, _ = simulate_mixture(SimulationConfig(K=3, d=6, N=120, base_kappa=9.0, seed=36))
@@ -771,15 +848,21 @@ class TestConcentrationRange:
         assert seen and max(seen) <= KAPPA_CAP
 
 
+def resp_of(tau):
+    """A Responsibilities holding tau (N x K); hard_assign reads tau alone."""
+    n, k = tau.shape
+    return Responsibilities(tau=tau, log_marginals=np.zeros(n), resultants=np.zeros((k, 1)))
+
+
 class TestHardAssign:
     def test_argmax(self):
-        assert hard_assign(np.array([[0.2, 0.7, 0.1]]))[0] == 1
+        assert hard_assign(resp_of(np.array([[0.2, 0.7, 0.1]])))[0] == 1
 
     def test_tie_lowest_index(self):
-        assert hard_assign(np.array([[0.5, 0.5]]))[0] == 0
+        assert hard_assign(resp_of(np.array([[0.5, 0.5]])))[0] == 0
 
     def test_single_component(self):
-        assert np.all(hard_assign(np.ones((4, 1))) == 0)
+        assert np.all(hard_assign(resp_of(np.ones((4, 1)))) == 0)
 
 
 class TestPersistence:
@@ -809,6 +892,27 @@ class TestPersistence:
         loaded = load_model(p)
         assert np.array_equal(loaded.params.kappas, params.kappas)
         assert np.array_equal(loaded.params.means, params.means)
+
+    @pytest.mark.parametrize("change", [
+        # K says 5, while alpha, kappa and means hold 2 components.
+        {"K": 5},
+        # NumPy would wrap -1 to the last coordinate.
+        {"means": [[[0, 1.0]], [[-1, 1.0]]]},
+        # The second pair would overwrite the first.
+        {"means": [[[0, 1.0], [0, 1.0]], [[1, 1.0]]]},
+    ], ids=["K-disagrees", "negative-index", "repeated-index"])
+    def test_malformed_means_or_K_raise_parse_error(self, tmp_path, change):
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2), np.array([7.0, 9.0]))
+        from sparsevmf.em import FitResult
+
+        doc = fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(doc))
+        assert load_model(good).params.K == 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(ParseError, match="not a model file"):
+            load_model(bad)
 
     def test_shared_kappa_scalar_in_json(self):
         params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 4),

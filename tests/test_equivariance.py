@@ -84,7 +84,7 @@ def test_path_columns_permuted_and_signs_flipped(problem):
     path = follow_path(Y, 3, opts, fit_em(Y, 3, FitOptions(), init=move_columns(init, cols, signs)))
     assert len(path.steps) == len(ref.steps) == 30
     for step, ref_step in zip(path.steps[1:], ref.steps[1:]):
-        assert abs(step.beta / ref_step.beta - 1.0) <= BETAS_RTOL
+        assert abs(step.fit.beta / ref_step.fit.beta - 1.0) <= BETAS_RTOL
         expected_zeros = ref_step.fit.params.means[:, cols] == 0
         assert np.array_equal(step.fit.params.means == 0, expected_zeros)
     assert np.count_nonzero(path.steps[-1].fit.params.means) < np.count_nonzero(

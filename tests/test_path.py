@@ -98,14 +98,14 @@ class TestFollowPath:
         X, fit = small_problem
         res = follow_path(X, 2, PathOptions(max_steps=3), fit)
         step0 = res.steps[0]
-        assert step0.beta == 0.0
+        assert step0.fit.beta == 0.0
         assert np.array_equal(step0.fit.params.means, fit.params.means)
         assert step0.fit.log_likelihood == fit.log_likelihood
 
     def test_betas_strictly_increasing(self, small_problem):
         X, fit = small_problem
         res = follow_path(X, 2, PathOptions(max_steps=50), fit)
-        betas = [s.beta for s in res.steps]
+        betas = [s.fit.beta for s in res.steps]
         assert all(b2 > b1 for b1, b2 in zip(betas, betas[1:]))
 
     def test_termination_reason_valid(self, small_problem):
@@ -134,7 +134,7 @@ class TestFollowPath:
         res = follow_path(X, 2, PathOptions(max_steps=5), fit)
         for prev, step in zip(res.steps, res.steps[1:]):
             cold = fit_em(
-                X, 2, FitOptions(beta=step.beta), init=prev.fit.params
+                X, 2, FitOptions(beta=step.fit.beta), init=prev.fit.params
             )
             # cold restart from the same predecessor model reproduces the
             # pre-truncation fit; compare supports and likelihood
@@ -148,7 +148,7 @@ class TestFollowPath:
         r2 = follow_path(X, 2, PathOptions(max_steps=20), fit)
         assert len(r1.steps) == len(r2.steps)
         for a, b in zip(r1.steps, r2.steps):
-            assert a.beta == b.beta
+            assert a.fit.beta == b.fit.beta
             assert np.array_equal(a.fit.params.means, b.fit.params.means)
 
     def test_ic_fn_recorded(self, small_problem):
@@ -198,7 +198,7 @@ class TestOneEStepPerPoint:
         assert again.termination_reason == fresh.termination_reason
         assert len(again.steps) == len(fresh.steps)
         for a, b in zip(again.steps, fresh.steps):
-            assert a.beta == b.beta
+            assert a.fit.beta == b.fit.beta
             assert np.array_equal(a.fit.params.means, b.fit.params.means)
             assert np.array_equal(a.fit.params.kappas, b.fit.params.kappas)
             assert a.fit.log_likelihood == b.fit.log_likelihood
@@ -265,6 +265,13 @@ class TestLargeEpsilon:
         with pytest.raises(ValueError, match=name):
             PathOptions(**{name: value})
 
+    def test_nonzero_fit_options_beta_rejected(self):
+        # follow_path sets beta at every step and needs a dense start, so the
+        # options refuse a nonzero beta before any fit runs.
+        with pytest.raises(ValueError, match="beta"):
+            PathOptions(fit_options=FitOptions(beta=0.5))
+        assert PathOptions(fit_options=FitOptions(beta=0.0)).fit_options.beta == 0.0
+
 
 class TestSavePath:
     def test_json_and_csv(self, small_problem, tmp_path):
@@ -281,7 +288,7 @@ class TestSavePath:
         with open(cp) as fh:
             rows = list(csvmod.DictReader(fh))
         assert len(rows) == len(res.steps)
-        assert float(rows[1]["beta"]) == res.steps[1].beta
+        assert float(rows[1]["beta"]) == res.steps[1].fit.beta
 
 
 class TestNoCreep:
@@ -293,7 +300,7 @@ class TestNoCreep:
         res = follow_path(X, 3, PathOptions(), best_of_restarts(X, 3, 10, FitOptions(), seed=1))
         assert len(res.steps) > 20
         for prev, step in zip(res.steps, res.steps[1:]):
-            crept = step.beta - prev.beta <= 1e-6 * prev.beta
+            crept = step.fit.beta - prev.fit.beta <= 1e-6 * prev.fit.beta
             zeroed = np.count_nonzero(step.fit.params.means) < np.count_nonzero(prev.fit.params.means)
             assert zeroed or not crept
 
