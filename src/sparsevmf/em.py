@@ -9,7 +9,15 @@ The E-step's two products of X (N x d) with K-row matrices run over row
 blocks of max(1, 256 KiB // (8 d)) rows, 163 at d = 200: OpenBLAS packs the
 whole X operand of a product, and past L2 the packed copy costs more than
 the arithmetic for K of a few (Goto & van de Geijn 2008 size packed panels
-to the cache the same way).
+to the cache the same way). From K = 8 components up, one product over all
+of X is faster at d = 200, so the E-step makes one call there.
+
+exp(x) rounds to +0 for every x below -745.14, and NumPy's exp takes a slow
+path on such lanes. Both exps of the E-step set the lanes below -746 to 0
+without evaluating exp there, which gives the same bits. When each column of
+the log joint has one entry more than 746 above the rest, every other term
+underflows: then the log-sum-exp is the column maximum and tau is one-hot,
+and the E-step writes both down without evaluating exp.
 """
 
 from __future__ import annotations
@@ -49,8 +57,13 @@ __all__ = [
 # Random initialisations fit_em tries before it gives up.
 MAX_INIT_RETRIES = 50
 
-# Bytes of X per row block of the E-step's products (see above).
+# Bytes of X per row block of the E-step's products, and the number of
+# components from which they are one product over all of X (see above).
 _BLOCK_BYTES = 256 * 1024
+_ONE_BLOCK_K = 8
+
+# exp(x) is +0 for every x below this (see above).
+_EXP_ZERO_BELOW = -746.0
 
 
 class FitStatus(str, Enum):
@@ -103,16 +116,18 @@ class MixtureParams:
         if self.kappas.shape[0] != k:
             raise ValueError("kappas must be scalar or length K")
         for name in ("alpha", "means", "kappas"):
-            if not np.all(np.isfinite(getattr(self, name))):
+            if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
-        if abs(self.alpha.sum() - 1.0) > 1e-10 or np.any(self.alpha < 0):
+        # K >= 1 past the alpha sum, so min and max below see a nonempty array.
+        if abs(self.alpha.sum() - 1.0) > 1e-10 or self.alpha.min() < 0:
             raise ValueError("alpha must be nonnegative and sum to 1")
-        norms = np.linalg.norm(self.means, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
+        sq_norms = np.einsum("kj,kj->k", self.means, self.means)
+        if np.abs(np.sqrt(sq_norms) - 1.0).max() > 1e-10:
             raise ValueError("every mean must be unit-norm")
-        if np.any(self.kappas <= 0) or np.any(self.kappas > KAPPA_CAP):
+        lo, hi = self.kappas.min(), self.kappas.max()
+        if lo <= 0 or hi > KAPPA_CAP:
             raise ValueError(f"kappas must lie in (0, {KAPPA_CAP:g}]")
-        if self.kappa_mode == "shared" and not np.all(self.kappas == self.kappas[0]):
+        if self.kappa_mode == "shared" and lo != hi:
             raise ValueError("shared mode requires a single kappa value")
 
     @property
@@ -205,10 +220,14 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
 
-def _row_blocks(X: np.ndarray) -> list:
-    """Slices of at most max(1, _BLOCK_BYTES // (8 d)) consecutive rows that
-    cover the N x d matrix X in order; one empty slice when N = 0."""
+def _row_blocks(X: np.ndarray, K: int) -> list:
+    """Slices of consecutive rows that cover the N x d matrix X in order, for
+    products with K-row matrices: at most max(1, _BLOCK_BYTES // (8 d)) rows
+    each below K = _ONE_BLOCK_K, one slice over all rows from there; one
+    empty slice when N = 0."""
     n, d = X.shape
+    if K >= _ONE_BLOCK_K:
+        return [slice(0, n)]
     rows = max(1, _BLOCK_BYTES // (8 * d))
     return [slice(i, i + rows) for i in range(0, max(n, 1), rows)]
 
@@ -216,7 +235,7 @@ def _row_blocks(X: np.ndarray) -> list:
 def _inner_products(means: np.ndarray, X: np.ndarray) -> np.ndarray:
     """K x N matrix of <mu_k, x_i>, one product per row block of X."""
     inner = np.empty((means.shape[0], X.shape[0]))
-    for b in _row_blocks(X):
+    for b in _row_blocks(X, means.shape[0]):
         np.matmul(means, X[b].T, out=inner[:, b])
     return inner
 
@@ -224,25 +243,48 @@ def _inner_products(means: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
     """K x N matrix of log alpha_k + log f_k(x_i), built in place over the
     K x N inner products <mu_k, x_i>: inner is overwritten and returned."""
-    with np.errstate(divide="ignore"):
+    if params.alpha.all():
         log_alpha = np.log(params.alpha)
-    log_norm = np.array([log_vmf_normalizer(params.d, k) for k in params.kappas])
+    else:
+        with np.errstate(divide="ignore"):
+            log_alpha = np.log(params.alpha)
+    log_norm = np.array([log_vmf_normalizer(params.d, k) for k in params.kappas.tolist()])
     inner *= params.kappas[:, None]
     inner += log_norm[:, None]
     inner += log_alpha[:, None]
     return inner
 
 
+def _exp_in_place(x: np.ndarray) -> np.ndarray:
+    """np.exp(x, out=x) for a C-contiguous x, bit for bit, that evaluates exp
+    only on the lanes not below _EXP_ZERO_BELOW and sets the rest to +0
+    (where exp is +0 anyway). NaN lanes are not below it and stay NaN."""
+    low = x < _EXP_ZERO_BELOW
+    if not low.any():
+        return np.exp(x, out=x)
+    keep = np.flatnonzero(~low)
+    flat = x.reshape(-1)  # a view, since x is C-contiguous
+    values = np.exp(flat[keep])
+    flat.fill(0.0)
+    flat[keep] = values
+    return x
+
+
 def _logsumexp_cols(a: np.ndarray) -> np.ndarray:
-    """log sum_k exp(a_ki) per column of a contiguous K x N array. The m terms
-    tied at the column maximum are taken out of the sum, so the rest adds
-    through log1p."""
+    """log sum_k exp(a_ki) per column of a contiguous K x N array; -inf for a
+    column of -inf entries."""
     a_max = a.max(axis=0)
+    return _logsumexp_shifted(a, a_max, _exp_in_place(a - a_max))
+
+
+def _logsumexp_shifted(a: np.ndarray, a_max: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """_logsumexp_cols(a) from the column maxima a_max and e = exp(a - a_max),
+    which is overwritten. The m terms tied at the column maximum are taken
+    out of the sum, so the rest adds through log1p."""
     at_max = a == a_max
     m = at_max.sum(axis=0)
-    rest = np.where(at_max, -np.inf, a)
-    rest -= a_max
-    s = np.exp(rest, out=rest).sum(axis=0)
+    e[at_max] = 0.0
+    s = e.sum(axis=0)
     s /= m
     return np.log1p(s) + np.log(m) + a_max
 
@@ -256,45 +298,76 @@ def e_step(X: np.ndarray, params: MixtureParams,
     tau^T X, run over row blocks of max(1, _BLOCK_BYTES // (8 d)) rows, so
     OpenBLAS's packed copy of each block stays in L2. The resultants add the
     blocks in order, so equal tau gives equal bits. When X fits in one block,
-    each product is one BLAS call.
+    and from K = 8 components up, each product is one BLAS call.
+
+    The log-sum-exp takes the m terms tied at each column maximum out of the
+    sum and adds the rest through log1p (_logsumexp_cols), and tau is
+    exp(a - log marginals) for the log joint a; both exps skip the lanes
+    below -746, where exp is +0. When every term of a column but its maximum
+    lies below -746 after the shift by the maximum, as with tight clusters,
+    that formula gives the maximum itself and a one-hot column of tau, so
+    they are written down without evaluating exp. The bits are the same.
 
     prev, when given, must be an E-step on the same X: if the new tau is
     bitwise equal to prev.tau, the result shares prev.resultants instead of
     recomputing them, which would give the same bits."""
-    tau = _log_joint(_inner_products(params.means, X), params)
-    log_marginals = _logsumexp_cols(tau)
-    tau -= log_marginals
-    np.exp(tau, out=tau)
+    a = _log_joint(_inner_products(params.means, X), params)
+    a_max = a.max(axis=0)
+    shifted = a - a_max
+    low = shifted < _EXP_ZERO_BELOW
+    # Each column's maximum has a - a_max = 0 (NaN if a_max is not finite), so
+    # N lanes not low mean that it stands alone and every other term's exp is
+    # +0: s = 0 and m = 1 in the log-sum-exp, whose value is then 0.0 + a_max,
+    # and tau is exp(0) = 1 at the maxima and +0 elsewhere.
+    if low.size - np.count_nonzero(low) == a.shape[1] and np.isfinite(a_max).all():
+        log_marginals = 0.0 + a_max
+        tau = np.logical_not(low, out=low).astype(float)
+    else:
+        log_marginals = _logsumexp_shifted(a, a_max, _exp_in_place(shifted))
+        a -= log_marginals
+        tau = _exp_in_place(a)
     if prev is not None and np.array_equal(tau, prev.tau.T):
         resultants = prev.resultants
     else:
-        first, *rest = _row_blocks(X)
+        first, *rest = _row_blocks(X, tau.shape[0])
         resultants = tau[:, first] @ X[first]
         for b in rest:
             resultants += tau[:, b] @ X[b]
     return Responsibilities(tau=tau.T, log_marginals=log_marginals, resultants=resultants)
 
 
-def soft_threshold_mu(r_k: np.ndarray, kappa: float, beta: float) -> np.ndarray:
+def soft_threshold_mu(r: np.ndarray, kappa, beta: float) -> np.ndarray:
     """Penalized mean update: soft-threshold kappa*|r| at beta and normalize.
 
-    Solves max_{||mu||=1} kappa <mu, r> - beta ||mu||_1 in closed form.
-    When every coordinate is thresholded away, the maximiser is
-    sign(r_j) e_j at j = argmax_j |r_j| (lowest index on ties): since
-    ||mu||_1 >= ||mu||_2 = 1, no unit vector scores above kappa |r_j| - beta.
-    Raises ZeroMeanError only when r is zero.
+    Solves max_{||mu||=1} kappa <mu, r> - beta ||mu||_1 in closed form, for
+    one resultant r (d,) at a scalar kappa, or row by row for K x d
+    resultants at K kappas. When every coordinate of a row is thresholded
+    away, its maximiser is sign(r_j) e_j at j = argmax_j |r_j| (lowest index
+    on ties): since ||mu||_1 >= ||mu||_2 = 1, no unit vector scores above
+    kappa |r_j| - beta. Raises ZeroMeanError only when a row of r is zero.
     """
-    abs_r = np.abs(r_k)
-    shrunk = np.maximum(kappa * abs_r - beta, 0.0)
-    norm = np.linalg.norm(shrunk)
-    if norm == 0.0:
-        j = int(np.argmax(abs_r))
-        if abs_r[j] == 0.0:
+    rows = np.atleast_2d(r)
+    abs_r = np.abs(rows)
+    shrunk = np.reshape(kappa, (-1, 1)) * abs_r
+    shrunk -= beta
+    np.maximum(shrunk, 0.0, out=shrunk)
+    # sqrt(row @ row) is np.linalg.norm's formula for one row, bit for bit.
+    norms = np.sqrt([row @ row for row in shrunk])
+    mu = np.sign(rows)
+    mu *= shrunk
+    if norms.all():
+        mu /= norms[:, None]
+        return mu.reshape(np.shape(r))
+    empty = norms == 0.0
+    norms[empty] = 1.0
+    mu /= norms[:, None]
+    for k in np.flatnonzero(empty):
+        j = int(np.argmax(abs_r[k]))
+        if abs_r[k, j] == 0.0:
             raise ZeroMeanError("zero resultant: the directional mean is undefined")
-        mu = np.zeros_like(abs_r)
-        mu[j] = np.sign(r_k[j])
-        return mu
-    return np.sign(r_k) * shrunk / norm
+        mu[k] = 0.0
+        mu[k, j] = np.sign(rows[k, j])
+    return mu.reshape(np.shape(r))
 
 
 def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarray,
@@ -329,14 +402,13 @@ def m_step(resp: Responsibilities, prev_params: MixtureParams,
     Each block update maximises the expected complete-data objective Q with
     the other block fixed, so Q does not decrease. A single call does not
     make the means and kappas jointly stationary; a converged fit_em does."""
-    n, K = resp.tau.shape
+    n = resp.tau.shape[0]
     col_sums = resp.tau.sum(axis=0)
-    if np.any(col_sums < 1e-12):
+    if col_sums.min() < 1e-12:
         raise EmptyComponentError("component with vanishing total responsibility")
     alpha = col_sums / n
     r = resp.resultants
-    means = np.array([soft_threshold_mu(r[k], prev_params.kappas[k], opts.beta)
-                      for k in range(K)])
+    means = soft_threshold_mu(r, prev_params.kappas, opts.beta)
     # Newton-refined solve of the stationarity equation A_d(kappa) = rho; the
     # closed-form estimate alone leaves enough bias to break the monotone
     # ascent of the penalized log-likelihood.
@@ -467,8 +539,9 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 
 
 def fit_result_from_dict(doc: dict) -> FitResult:
-    """Inverse of fit_result_to_dict. A K that disagrees with the arrays
-    raises ValueError."""
+    """Inverse of fit_result_to_dict. A K that disagrees with the arrays, a
+    beta that is not a finite number >= 0, a likelihood that is not a finite
+    number, and an n_iters that is not an integer >= 0 raise ValueError."""
     d = doc["d"]
     kappa = doc["kappa"]
     kappas = np.full(doc["K"], kappa) if np.isscalar(kappa) else np.array(kappa)
@@ -480,6 +553,15 @@ def fit_result_from_dict(doc: dict) -> FitResult:
     )
     if params.K != doc["K"]:
         raise ValueError(f"K = {doc['K']}, but the arrays hold {params.K} components")
+    for key in ("beta", "log_likelihood", "penalized_log_likelihood"):
+        value = doc[key]
+        # type(), not isinstance: JSON true and false are bools, and bool is an int.
+        if not (type(value) is int or type(value) is float and np.isfinite(value)):
+            raise ValueError(f"{key} must be a finite number, got {value!r}")
+    if doc["beta"] < 0:
+        raise ValueError(f"beta must be >= 0, got {doc['beta']!r}")
+    if type(doc["n_iters"]) is not int or doc["n_iters"] < 0:
+        raise ValueError(f"n_iters must be an integer >= 0, got {doc['n_iters']!r}")
     return FitResult(
         params=params,
         beta=doc["beta"],

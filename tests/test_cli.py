@@ -362,6 +362,15 @@ MALFORMED = {
     "kappa-string": ({"kappa": "abc"}, {"kappa": "abc"}),
     "means-null": ({"means": None}, {"mu": None}),
     "labels-string": (None, {"labels": "abc"}),
+    # A model's scalar fields: beta a finite number >= 0, both likelihoods
+    # finite numbers, n_iters an integer >= 0.
+    "beta-string": ({"beta": "abc"}, None),
+    "beta-negative": ({"beta": -1.0}, None),
+    "n-iters-string": ({"n_iters": "x"}, None),
+    "n-iters-float": ({"n_iters": 2.5}, None),
+    "log-likelihood-null": ({"log_likelihood": None}, None),
+    "pll-string-nan": ({"penalized_log_likelihood": "nan"}, None),
+    "pll-nan": ({"penalized_log_likelihood": float("nan")}, None),
     "labels-out-of-range": (None, {"labels": [0, 1, 3]}),
     # Valid labels, one more than the rows of --input.
     "labels-count": (None, {"labels": [0, 1, 2, 0]}),

@@ -15,6 +15,7 @@ from sparsevmf.em import (
     FitStatus,
     MixtureParams,
     Responsibilities,
+    _exp_in_place,
     _inner_products,
     _kappas_from_resultants,
     _log_joint,
@@ -227,7 +228,8 @@ def one_call_e_step(X, params):
 
 class TestEStepRowBlocks:
     """e_step forms <mu_k, x_i> and the resultants over row blocks of X that
-    hold at most 256 KiB each: 163 rows at d = 200."""
+    hold at most 256 KiB each, 163 rows at d = 200, below K = 8 components,
+    and over all of X in one product from K = 8 up."""
 
     @staticmethod
     def problem(n, d=200, K=3, seed=9):
@@ -246,11 +248,18 @@ class TestEStepRowBlocks:
     ])
     def test_blocks_cover_rows_in_order(self, n, sizes):
         X = np.zeros((n, 200))
-        blocks = _row_blocks(X)
-        assert [len(range(n)[b]) for b in blocks] == sizes
-        assert np.concatenate([np.arange(n)[b] for b in blocks]).tolist() == list(range(n))
+        for K in (1, 3, 7):
+            blocks = _row_blocks(X, K)
+            assert [len(range(n)[b]) for b in blocks] == sizes
+            assert np.concatenate([np.arange(n)[b] for b in blocks]).tolist() == list(range(n))
         # Rows wider than the block still go one at a time.
-        assert _row_blocks(np.zeros((3, 40_000))) == [slice(i, i + 1) for i in range(3)]
+        assert _row_blocks(np.zeros((3, 40_000)), 3) == [slice(i, i + 1) for i in range(3)]
+
+    @pytest.mark.parametrize("n", [0, 100, 1000])
+    @pytest.mark.parametrize("K", [8, 10, 30])
+    def test_one_block_from_eight_components(self, n, K):
+        assert _row_blocks(np.zeros((n, 200)), K) == [slice(0, n)]
+        assert _row_blocks(np.zeros((3, 40_000)), K) == [slice(0, 3)]
 
     @pytest.mark.parametrize("n", [100, 326, 1000])
     def test_agrees_with_one_call_products(self, n):
@@ -270,12 +279,13 @@ class TestEStepRowBlocks:
         X, params = self.problem(n)
         resp = e_step(X, params)
         tau = resp.tau.T
-        first, *rest = _row_blocks(X)
+        first, *rest = _row_blocks(X, 3)
+        assert len(rest) > 0
         ref = tau[:, first] @ X[first]
         for b in rest:
             ref += tau[:, b] @ X[b]
         assert resp.resultants.tobytes() == ref.tobytes()
-        inner = np.concatenate([params.means @ X[b].T for b in _row_blocks(X)], axis=1)
+        inner = np.concatenate([params.means @ X[b].T for b in _row_blocks(X, 3)], axis=1)
         assert _inner_products(params.means, X).tobytes() == inner.tobytes()
 
     @pytest.mark.parametrize("n", [100, 163])
@@ -286,6 +296,16 @@ class TestEStepRowBlocks:
         for got, ref in zip((resp.tau, resp.log_marginals), one_call_e_step(X, params)[:2]):
             assert got.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("K", [8, 12])
+    def test_eight_components_are_one_call(self, K):
+        # 1000 rows would be 7 blocks below K = 8.
+        X, params = self.problem(1000, K=K)
+        resp = e_step(X, params)
+        assert resp.resultants.tobytes() == (resp.tau.T @ X).tobytes()
+        assert _inner_products(params.means, X).tobytes() == (params.means @ X.T).tobytes()
+        for got, ref in zip((resp.tau, resp.log_marginals), one_call_e_step(X, params)[:2]):
+            assert got.tobytes() == ref.tobytes()
+
     def test_multi_block_prev_shares_resultants(self):
         X, params = self.problem(1000)
         first = e_step(X, params)
@@ -293,6 +313,123 @@ class TestEStepRowBlocks:
         assert again.resultants is first.resultants
         assert np.array_equal(again.tau, first.tau)
         assert np.array_equal(again.resultants, e_step(X, params).resultants)
+
+
+class TestExpInPlace:
+    """_exp_in_place skips the lanes below -746, where exp is +0, and equals
+    np.exp bit for bit everywhere."""
+
+    @pytest.mark.parametrize("lo, hi", [
+        (-5.0, 5.0), (-700.0, 700.0), (-745.2, -708.0), (-746.0, -745.0),
+        (-800.0, -746.0), (-1e6, -800.0),
+    ])
+    def test_equals_numpy_exp(self, lo, hi):
+        rng = np.random.default_rng(int(-lo))
+        x = rng.uniform(lo, hi, size=(3, 700))
+        ref = np.exp(x)
+        got = _exp_in_place(x)
+        assert got is x
+        assert got.tobytes() == ref.tobytes()
+
+    def test_mixed_lanes_and_special_values(self):
+        rng = np.random.default_rng(11)
+        parts = [rng.uniform(-5.0, 0.0, 50), rng.uniform(-745.2, -708.0, 50),
+                 rng.uniform(-2e5, -746.0, 500),
+                 np.array([-746.0, np.nextafter(-746.0, 0.0), np.nextafter(-746.0, -np.inf),
+                           -745.14, -745.13, 0.0, -0.0, 709.78,
+                           np.inf, -np.inf, np.nan, -np.nan])]
+        x = rng.permutation(np.concatenate(parts)).reshape(4, -1)
+        ref = np.exp(x)
+        # NaN lanes stay NaN; every other lane has the same bits.
+        assert _exp_in_place(x).tobytes() == ref.tobytes()
+        assert np.count_nonzero(np.isnan(x)) == 2
+
+    def test_no_low_lane_and_empty(self):
+        x = np.array([[0.0, -1.0], [np.nan, 3.0]])
+        ref = np.exp(x)
+        assert _exp_in_place(x).tobytes() == ref.tobytes()
+        assert _exp_in_place(np.empty((3, 0))).shape == (3, 0)
+
+
+def tie_aware_e_step(a):
+    """The E-step's last part written out from a K x N log joint a: the
+    log-sum-exp takes the m terms tied at each column maximum out of the sum
+    and adds the rest through log1p; tau is exp(a - log marginals)."""
+    a_max = a.max(axis=0)
+    at_max = a == a_max
+    m = at_max.sum(axis=0)
+    rest = np.where(at_max, -np.inf, a) - a_max
+    s = np.exp(rest).sum(axis=0) / m
+    log_marginals = np.log1p(s) + np.log(m) + a_max
+    return np.exp(a - log_marginals), log_marginals
+
+
+class TestEStepMatchesTieAwareFormula:
+    """e_step gives the bits of the tie-aware formula, whether it takes the
+    one-exp branch (one nonzero term per column) or not."""
+
+    @staticmethod
+    def check(X, params, one_hot):
+        resp = e_step(X, params)
+        a = _log_joint(_inner_products(params.means, X), params)
+        tau, log_marginals = tie_aware_e_step(a)
+        assert resp.tau.tobytes() == tau.T.tobytes()
+        assert resp.log_marginals.tobytes() == log_marginals.tobytes()
+        assert (np.count_nonzero(tau) == X.shape[0]) == one_hot
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("kappa, one_hot", [(1e5, True), (30.0, False)])
+    def test_one_hot_and_moderate(self, n, kappa, one_hot):
+        # Three planted clusters at d = 200: 1000 rows are 7 row blocks.
+        rng = np.random.default_rng(12)
+        means = np.eye(3, 200)
+        X = np.concatenate([sample(mu, 5e4, n // 3 + 1, rng) for mu in means])[:n]
+        params = MixtureParams(np.array([0.3, 0.3, 0.4]), means, np.full(3, kappa))
+        self.check(X, params, one_hot)
+
+    @pytest.mark.parametrize("kappa", [1e5, 30.0])
+    def test_tied_components(self, kappa):
+        # Components 0 and 1 are equal, so every column ties at its maximum
+        # or has both tied entries below it.
+        rng = np.random.default_rng(13)
+        means = np.eye(3, 200)[[0, 0, 1]]
+        X = np.concatenate([sample(mu, 5e4, 400, rng) for mu in np.eye(2, 200)])
+        params = MixtureParams(np.array([0.25, 0.25, 0.5]), means, np.full(3, kappa))
+        self.check(X, params, one_hot=False)
+
+    @pytest.mark.parametrize("case, one_hot", [
+        ("negative-zero-max", True), ("zero-alpha-row", True), ("one-component", True),
+        ("close-terms", False), ("subnormal-terms", False), ("tie", False),
+        ("infinite-max", True),
+    ])
+    def test_crafted_log_joint(self, monkeypatch, case, one_hot):
+        # e_step's last part on a given log joint, through a stand-in
+        # _log_joint. Every other term of a column is at least 799 below its
+        # maximum, and column 0's maximum is -0.0.
+        a = np.array([[-0.0, -1e5, 3.0, -800.0],
+                      [-2e5, -0.5, -1e4, -1.0],
+                      [-1e3, -1e5, -2e3, -1e6]])
+        if case == "zero-alpha-row":
+            a[2] = -np.inf
+        elif case == "one-component":
+            a = a[:1]
+        elif case == "close-terms":
+            a[1, 2] = 2.0
+        elif case == "subnormal-terms":
+            a[1] = a[0] - np.array([744.0, 745.1, 745.0, 1e4])
+        elif case == "tie":
+            a[1, 2] = a[0, 2]
+        elif case == "infinite-max":
+            # inf - inf is NaN at the maximum: tau is NaN there, not 1.
+            a[0, 3] = np.inf
+        monkeypatch.setattr(sparsevmf.em, "_log_joint", lambda inner, params: a.copy())
+        params = MixtureParams(np.ones(len(a)) / len(a), np.eye(len(a), 4), np.ones(len(a)))
+        with np.errstate(invalid="ignore" if case == "infinite-max" else "raise"):
+            resp = e_step(np.eye(4), params)
+            tau, log_marginals = tie_aware_e_step(a)
+        assert resp.tau.tobytes() == tau.T.tobytes()
+        assert resp.log_marginals.tobytes() == log_marginals.tobytes()
+        assert (np.count_nonzero(tau) == 4) == one_hot
 
 
 class TestEStepReusesResultants:
@@ -404,6 +541,57 @@ class TestSoftThreshold:
             if prev_support is not None:
                 assert support <= prev_support
             prev_support = support
+
+
+def one_row_soft_threshold(r_k, kappa, beta):
+    """The soft-threshold of one resultant, written out with np.linalg.norm."""
+    abs_r = np.abs(r_k)
+    shrunk = np.maximum(kappa * abs_r - beta, 0.0)
+    norm = np.linalg.norm(shrunk)
+    if norm == 0.0:
+        j = int(np.argmax(abs_r))
+        if abs_r[j] == 0.0:
+            raise ZeroMeanError("zero resultant")
+        mu = np.zeros_like(abs_r)
+        mu[j] = np.sign(r_k[j])
+        return mu
+    return np.sign(r_k) * shrunk / norm
+
+
+class TestSoftThresholdRows:
+    """soft_threshold_mu over K x d resultants at K kappas equals the one-row
+    form on each row, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_equal_one_row_form(self, seed):
+        rng = np.random.default_rng(seed)
+        K, d = int(rng.integers(1, 7)), int(rng.integers(2, 300))
+        r = rng.standard_normal((K, d)) * rng.uniform(0.1, 1e3)
+        kappas = rng.uniform(0.5, 1e5, size=K)
+        top = kappas * np.abs(r).max(axis=1)
+        for beta in (0.0, 0.5 * top.min(), 0.99 * top.max(), 2.0 * top.max()):
+            got = soft_threshold_mu(r, kappas, beta)
+            for k in range(K):
+                ref = one_row_soft_threshold(r[k], kappas[k], beta)
+                assert got[k].tobytes() == ref.tobytes()
+                assert soft_threshold_mu(r[k], kappas[k], beta).tobytes() == ref.tobytes()
+
+    def test_fallback_row_among_others(self):
+        # Row 1 is thresholded away entirely and keeps its largest |r_j|,
+        # with +0 elsewhere; rows 0 and 2 keep their signed zeros.
+        r = np.array([[3.0, -0.1, 1.0], [0.1, -0.2, 0.05], [-2.0, 0.0, -1e-3]])
+        kappas = np.array([2.0, 1.0, 4.0])
+        got = soft_threshold_mu(r, kappas, 1.0)
+        assert got[1].tolist() == [0.0, -1.0, 0.0]
+        assert got[1].tobytes() == one_row_soft_threshold(r[1], 1.0, 1.0).tobytes()
+        for k in (0, 2):
+            assert got[k].tobytes() == one_row_soft_threshold(r[k], kappas[k], 1.0).tobytes()
+
+    def test_zero_row_raises(self):
+        r = np.array([[1.0, 2.0], [0.0, 0.0], [0.5, 0.0]])
+        for beta in (0.0, 10.0):
+            with pytest.raises(ZeroMeanError):
+                soft_threshold_mu(r, np.ones(3), beta)
 
 
 class TestMStep:
@@ -913,6 +1101,34 @@ class TestPersistence:
         bad.write_text(json.dumps({**doc, **change}))
         with pytest.raises(ParseError, match="not a model file"):
             load_model(bad)
+
+    @pytest.mark.parametrize("change", [
+        {"beta": "abc"}, {"beta": -1.0}, {"beta": None}, {"beta": True}, {"beta": float("inf")},
+        {"n_iters": "x"}, {"n_iters": -1}, {"n_iters": 2.0}, {"n_iters": False},
+        {"log_likelihood": None}, {"log_likelihood": float("nan")},
+        {"penalized_log_likelihood": "nan"}, {"penalized_log_likelihood": float("-inf")},
+    ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
+    def test_malformed_scalar_raises_parse_error(self, tmp_path, change):
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2), np.array([7.0, 9.0]))
+        from sparsevmf.em import FitResult
+
+        doc = fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0, n_iters=3))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, **change}))
+        key = next(iter(change))
+        with pytest.raises(ParseError, match=f"not a model file: {key} must be"):
+            load_model(bad)
+
+    def test_integer_scalars_load(self, tmp_path):
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2), np.array([7.0, 9.0]))
+        from sparsevmf.em import FitResult
+
+        doc = fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))
+        p = tmp_path / "ints.json"
+        p.write_text(json.dumps({**doc, "beta": 2, "log_likelihood": -3,
+                                 "penalized_log_likelihood": -7, "n_iters": 0}))
+        loaded = load_model(p)
+        assert (loaded.beta, loaded.log_likelihood, loaded.n_iters) == (2, -3, 0)
 
     def test_shared_kappa_scalar_in_json(self):
         params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 4),
