@@ -9,8 +9,7 @@ The E-step's two products of X (N x d) with K-row matrices run over row
 blocks of max(1, 256 KiB // (8 d)) rows, 163 at d = 200: OpenBLAS packs the
 whole X operand of a product, and past L2 the packed copy costs more than
 the arithmetic for K of a few (Goto & van de Geijn 2008 size packed panels
-to the cache the same way). From K = 8 components up, one product over all
-of X is faster at d = 200, so the E-step makes one call there.
+to the cache the same way).
 
 exp(x) rounds to +0 for every x below -745.14, and NumPy's exp takes a slow
 path on such lanes. Both exps of the E-step set the lanes below -746 to 0
@@ -57,10 +56,8 @@ __all__ = [
 # Random initialisations fit_em tries before it gives up.
 MAX_INIT_RETRIES = 50
 
-# Bytes of X per row block of the E-step's products, and the number of
-# components from which they are one product over all of X (see above).
+# Bytes of X per row block of the E-step's products (see above).
 _BLOCK_BYTES = 256 * 1024
-_ONE_BLOCK_K = 8
 
 # exp(x) is +0 for every x below this (see above).
 _EXP_ZERO_BELOW = -746.0
@@ -220,14 +217,10 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
 
-def _row_blocks(X: np.ndarray, K: int) -> list:
-    """Slices of consecutive rows that cover the N x d matrix X in order, for
-    products with K-row matrices: at most max(1, _BLOCK_BYTES // (8 d)) rows
-    each below K = _ONE_BLOCK_K, one slice over all rows from there; one
-    empty slice when N = 0."""
+def _row_blocks(X: np.ndarray) -> list:
+    """Slices of at most max(1, _BLOCK_BYTES // (8 d)) consecutive rows that
+    cover the N x d matrix X in order; one empty slice when N = 0."""
     n, d = X.shape
-    if K >= _ONE_BLOCK_K:
-        return [slice(0, n)]
     rows = max(1, _BLOCK_BYTES // (8 * d))
     return [slice(i, i + rows) for i in range(0, max(n, 1), rows)]
 
@@ -235,7 +228,7 @@ def _row_blocks(X: np.ndarray, K: int) -> list:
 def _inner_products(means: np.ndarray, X: np.ndarray) -> np.ndarray:
     """K x N matrix of <mu_k, x_i>, one product per row block of X."""
     inner = np.empty((means.shape[0], X.shape[0]))
-    for b in _row_blocks(X, means.shape[0]):
+    for b in _row_blocks(X):
         np.matmul(means, X[b].T, out=inner[:, b])
     return inner
 
@@ -255,14 +248,16 @@ def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
     return inner
 
 
-def _exp_in_place(x: np.ndarray) -> np.ndarray:
+def _exp_in_place(x: np.ndarray, low: np.ndarray | None = None) -> np.ndarray:
     """np.exp(x, out=x) for a C-contiguous x, bit for bit, that evaluates exp
     only on the lanes not below _EXP_ZERO_BELOW and sets the rest to +0
-    (where exp is +0 anyway). NaN lanes are not below it and stay NaN."""
-    low = x < _EXP_ZERO_BELOW
+    (where exp is +0 anyway). NaN lanes are not below it and stay NaN. low,
+    when given, must be x < _EXP_ZERO_BELOW; it is overwritten."""
+    if low is None:
+        low = x < _EXP_ZERO_BELOW
     if not low.any():
         return np.exp(x, out=x)
-    keep = np.flatnonzero(~low)
+    keep = np.flatnonzero(np.logical_not(low, out=low))
     flat = x.reshape(-1)  # a view, since x is C-contiguous
     values = np.exp(flat[keep])
     flat.fill(0.0)
@@ -270,16 +265,10 @@ def _exp_in_place(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _logsumexp_cols(a: np.ndarray) -> np.ndarray:
-    """log sum_k exp(a_ki) per column of a contiguous K x N array; -inf for a
-    column of -inf entries."""
-    a_max = a.max(axis=0)
-    return _logsumexp_shifted(a, a_max, _exp_in_place(a - a_max))
-
-
 def _logsumexp_shifted(a: np.ndarray, a_max: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """_logsumexp_cols(a) from the column maxima a_max and e = exp(a - a_max),
-    which is overwritten. The m terms tied at the column maximum are taken
+    """log sum_k exp(a_ki) per column of a K x N array a, from its column
+    maxima a_max and e = exp(a - a_max), which is overwritten; -inf for a
+    column of -inf entries. The m terms tied at the column maximum are taken
     out of the sum, so the rest adds through log1p."""
     at_max = a == a_max
     m = at_max.sum(axis=0)
@@ -298,10 +287,10 @@ def e_step(X: np.ndarray, params: MixtureParams,
     tau^T X, run over row blocks of max(1, _BLOCK_BYTES // (8 d)) rows, so
     OpenBLAS's packed copy of each block stays in L2. The resultants add the
     blocks in order, so equal tau gives equal bits. When X fits in one block,
-    and from K = 8 components up, each product is one BLAS call.
+    each product is one BLAS call.
 
     The log-sum-exp takes the m terms tied at each column maximum out of the
-    sum and adds the rest through log1p (_logsumexp_cols), and tau is
+    sum and adds the rest through log1p (_logsumexp_shifted), and tau is
     exp(a - log marginals) for the log joint a; both exps skip the lanes
     below -746, where exp is +0. When every term of a column but its maximum
     lies below -746 after the shift by the maximum, as with tight clusters,
@@ -323,13 +312,13 @@ def e_step(X: np.ndarray, params: MixtureParams,
         log_marginals = 0.0 + a_max
         tau = np.logical_not(low, out=low).astype(float)
     else:
-        log_marginals = _logsumexp_shifted(a, a_max, _exp_in_place(shifted))
+        log_marginals = _logsumexp_shifted(a, a_max, _exp_in_place(shifted, low))
         a -= log_marginals
         tau = _exp_in_place(a)
     if prev is not None and np.array_equal(tau, prev.tau.T):
         resultants = prev.resultants
     else:
-        first, *rest = _row_blocks(X, tau.shape[0])
+        first, *rest = _row_blocks(X)
         resultants = tau[:, first] @ X[first]
         for b in rest:
             resultants += tau[:, b] @ X[b]
