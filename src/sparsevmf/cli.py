@@ -19,6 +19,7 @@ from .em import FitOptions
 from .errors import ParseError, SparseVmfError
 from .path import PathOptions, follow_path, path_to_dict, save_path
 from .selection import CRITERIA, make_ic_fn
+from .special import _D_MAX
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -97,9 +98,12 @@ def _apply_config_file(args, argv):
 
 
 def _load_dataset(args, d: int | None = None) -> np.ndarray:
-    """The --input matrix, row-normalised; given a model's d, a file with
-    another column count raises ParseError."""
+    """The --input matrix, row-normalised. A column count outside the vMF
+    domain, or given a model's d another column count, raises ParseError."""
     X = dataset.load_matrix(args.input, format=args.format, normalize=True)
+    if not 2 <= X.shape[1] <= _D_MAX:
+        raise ParseError(f"--input has {X.shape[1]} columns; the vMF density needs "
+                         f"2 <= d <= {_D_MAX:g}")
     if d is not None and X.shape[1] != d:
         raise ParseError(f"--input has {X.shape[1]} columns, --model has d = {d}")
     return X
@@ -184,7 +188,8 @@ def cmd_select(args) -> int:
 
 
 def cmd_skmeans(args) -> int:
-    X = _load_dataset(args)
+    # Spherical k-means has no vMF density, so no domain on d.
+    X = dataset.load_matrix(args.input, format=args.format, normalize=True)
     rng = np.random.default_rng(args.seed)
     result = skmeans.skmeans_fit(X, args.k, max_iters=args.max_iters, rng=rng)
     doc = {

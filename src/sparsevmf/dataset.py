@@ -68,6 +68,9 @@ class SimulationConfig:
             raise ValueError("sparsity must be in [0, 1)")
         if self.alpha is not None:
             self.alpha = np.asarray(self.alpha, dtype=float)
+            if self.alpha.shape != (self.K,):
+                raise ValueError(f"alpha must hold K = {self.K} weights, "
+                                 f"got shape {self.alpha.shape}")
             if np.any(self.alpha < 0) or abs(self.alpha.sum() - 1.0) > 1e-10:
                 raise ValueError("alpha must be nonnegative and sum to 1")
 

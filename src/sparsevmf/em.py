@@ -5,11 +5,13 @@ M step is one conditional-maximisation cycle (ECM, Meng & Rubin 1993): it
 soft-thresholds each mean at the previous kappa, then re-solves kappa at the
 new means, and the penalized log-likelihood still ascends.
 
-The E-step's two products of X (N x d) with K-row matrices run over row
-blocks of max(1, 256 KiB // (8 d)) rows, 163 at d = 200: OpenBLAS packs the
-whole X operand of a product, and past L2 the packed copy costs more than
-the arithmetic for K of a few (Goto & van de Geijn 2008 size packed panels
-to the cache the same way).
+The E-step's two products of X (N x d) with K-row matrices, the inner
+products <mu_k, x_i> and the resultants tau^T X, run over row blocks of
+max(1, 256 KiB // (8 d)) rows, 163 at d = 200: OpenBLAS packs the whole X
+operand of a product, and past L2 the packed copy costs more than the
+arithmetic for K of a few (Goto & van de Geijn 2008 size packed panels to the
+cache the same way). The resultants add the blocks in order, so equal tau
+gives equal bits; when X fits in one block, each product is one BLAS call.
 
 exp(x) rounds to +0 for every x below -745.14, and NumPy's exp takes a slow
 path on such lanes. Both exps of the E-step set the lanes below -746 to 0
@@ -176,7 +178,9 @@ class FitResult:
     """Outcome of fit_em. trace holds the penalized log-likelihood of each
     parameter point evaluated, the last at params. n_iters is len(trace) on
     every status but MaxIters, and len(trace) - 1 = max_em_iters on MaxIters,
-    whose last evaluation only records the pll at params. resp is the E-step
+    whose last evaluation only records the pll at params. On a path step whose
+    means epsilon truncation changed, params and both likelihoods are after
+    the truncation and trace[-1] is the pll before it. resp is the E-step
     at params; it is None on fits loaded from JSON and on the steps a path
     records."""
 
@@ -236,11 +240,8 @@ def _inner_products(means: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
     """K x N matrix of log alpha_k + log f_k(x_i), built in place over the
     K x N inner products <mu_k, x_i>: inner is overwritten and returned."""
-    if params.alpha.all():
+    with np.errstate(divide="ignore"):  # a zero weight gives log 0 = -inf
         log_alpha = np.log(params.alpha)
-    else:
-        with np.errstate(divide="ignore"):
-            log_alpha = np.log(params.alpha)
     log_norm = np.array([log_vmf_normalizer(params.d, k) for k in params.kappas.tolist()])
     inner *= params.kappas[:, None]
     inner += log_norm[:, None]
@@ -248,13 +249,11 @@ def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
     return inner
 
 
-def _exp_in_place(x: np.ndarray, low: np.ndarray | None = None) -> np.ndarray:
+def _exp_in_place(x: np.ndarray) -> np.ndarray:
     """np.exp(x, out=x) for a C-contiguous x, bit for bit, that evaluates exp
     only on the lanes not below _EXP_ZERO_BELOW and sets the rest to +0
-    (where exp is +0 anyway). NaN lanes are not below it and stay NaN. low,
-    when given, must be x < _EXP_ZERO_BELOW; it is overwritten."""
-    if low is None:
-        low = x < _EXP_ZERO_BELOW
+    (where exp is +0 anyway). NaN lanes are not below it and stay NaN."""
+    low = x < _EXP_ZERO_BELOW
     if not low.any():
         return np.exp(x, out=x)
     keep = np.flatnonzero(np.logical_not(low, out=low))
@@ -281,21 +280,9 @@ def _logsumexp_shifted(a: np.ndarray, a_max: np.ndarray, e: np.ndarray) -> np.nd
 def e_step(X: np.ndarray, params: MixtureParams,
            prev: Responsibilities | None = None) -> Responsibilities:
     """Posterior responsibilities tau_ik, computed in log space component by
-    component, and the resultants they weight.
-
-    Both products with X, the inner products <mu_k, x_i> and the resultants
-    tau^T X, run over row blocks of max(1, _BLOCK_BYTES // (8 d)) rows, so
-    OpenBLAS's packed copy of each block stays in L2. The resultants add the
-    blocks in order, so equal tau gives equal bits. When X fits in one block,
-    each product is one BLAS call.
-
-    The log-sum-exp takes the m terms tied at each column maximum out of the
-    sum and adds the rest through log1p (_logsumexp_shifted), and tau is
-    exp(a - log marginals) for the log joint a; both exps skip the lanes
-    below -746, where exp is +0. When every term of a column but its maximum
-    lies below -746 after the shift by the maximum, as with tight clusters,
-    that formula gives the maximum itself and a one-hot column of tau, so
-    they are written down without evaluating exp. The bits are the same.
+    component, and the resultants they weight: tau is exp(a - log marginals)
+    for the log joint a, with the log marginals from _logsumexp_shifted (the
+    row blocks, exp and one-hot rules are in the module docstring).
 
     prev, when given, must be an E-step on the same X: if the new tau is
     bitwise equal to prev.tau, the result shares prev.resultants instead of
@@ -312,7 +299,7 @@ def e_step(X: np.ndarray, params: MixtureParams,
         log_marginals = 0.0 + a_max
         tau = np.logical_not(low, out=low).astype(float)
     else:
-        log_marginals = _logsumexp_shifted(a, a_max, _exp_in_place(shifted, low))
+        log_marginals = _logsumexp_shifted(a, a_max, _exp_in_place(shifted))
         a -= log_marginals
         tau = _exp_in_place(a)
     if prev is not None and np.array_equal(tau, prev.tau.T):
@@ -344,9 +331,6 @@ def soft_threshold_mu(r: np.ndarray, kappa, beta: float) -> np.ndarray:
     norms = np.sqrt([row @ row for row in shrunk])
     mu = np.sign(rows)
     mu *= shrunk
-    if norms.all():
-        mu /= norms[:, None]
-        return mu.reshape(np.shape(r))
     empty = norms == 0.0
     norms[empty] = 1.0
     mu /= norms[:, None]
@@ -444,6 +428,8 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
         raise ValueError("need at least K observations")
     if resp is not None and init is None:
         raise ValueError("resp is the E-step at init and needs init")
+    if init is not None and init.K != K:
+        raise ValueError(f"K = {K}, but init holds {init.K} components")
     if init is None:
         rng = np.random.default_rng(rng)
         last_err = None
@@ -533,11 +519,10 @@ def fit_result_from_dict(doc: dict) -> FitResult:
     number, and an n_iters that is not an integer >= 0 raise ValueError."""
     d = doc["d"]
     kappa = doc["kappa"]
-    kappas = np.full(doc["K"], kappa) if np.isscalar(kappa) else np.array(kappa)
     params = MixtureParams(
         alpha=np.array(doc["alpha"]),
         means=means_from_sparse(doc["means"], d),
-        kappas=kappas,
+        kappas=kappa,
         kappa_mode=doc["kappa_mode"],
     )
     if params.K != doc["K"]:

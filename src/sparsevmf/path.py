@@ -78,10 +78,7 @@ def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float,
     positive = margins[(margins > 0) & can_zero]
     if positive.size == 0:
         raise NoIncrementAvailableError(f"no surviving coordinate exceeds beta = {beta_prev:g}")
-    beta = beta_prev + float(positive.min())
-    if min_rel_increase > 0:
-        beta = max(beta, beta_prev * (1.0 + min_rel_increase))
-    return beta
+    return max(beta_prev + float(positive.min()), beta_prev * (1.0 + min_rel_increase))
 
 
 def _truncate_means(fit: FitResult, X: np.ndarray, epsilon: float) -> FitResult:
@@ -115,6 +112,8 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
     information-criterion values stored on the step."""
     if initial.beta != 0.0:
         raise ValueError("path must start from a beta = 0 fit")
+    if initial.params.K != K:
+        raise ValueError(f"K = {K}, but the initial fit holds {initial.params.K} components")
     X = np.asarray(X, dtype=float)
     fit = initial if initial.resp is not None else replace(initial, resp=e_step(X, initial.params))
     steps = []

@@ -287,6 +287,39 @@ class TestVizMetrics:
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "data.ppm").exists()
 
+    @pytest.mark.parametrize("d", [1, 100_001])
+    @pytest.mark.parametrize("command", ["fit", "metrics"])
+    def test_input_outside_vmf_domain_exits_one(self, tmp_path, capsys, command, d):
+        # The vMF density needs 2 <= d <= 1e5. metrics gets a model and a
+        # truth of the same d, so only the domain stands in the way.
+        data = tmp_path / "data.csv"
+        data.write_text(",".join(["1"] * d) + "\n")
+        argv = [command, "--input", str(data), "--out", str(tmp_path / "out")]
+        if command == "fit":
+            argv += ["--k", "1"]
+        else:
+            params = MixtureParams(np.ones(1), np.eye(1, d), np.array([5.0]))
+            model, truth = tmp_path / "model.json", tmp_path / "truth.json"
+            model.write_text(json.dumps(fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))))
+            truth.write_text(json.dumps(ground_truth_to_dict(
+                GroundTruth(params, labels=np.array([0])))))
+            argv += ["--model", str(model), "--truth", str(truth)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "ParseError",
+            "message": f"--input has {d} columns; the vMF density needs 2 <= d <= 100000"}
+        assert not (tmp_path / "out").exists()
+
+    def test_skmeans_takes_one_column(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("1\n2\n-3\n4\n")
+        out = tmp_path / "out.json"
+        assert run(["skmeans", "--input", str(data), "--k", "2", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["labels"]) == 4
+
     @pytest.mark.parametrize("half", [["--input", "data.csv"], ["--data-out", "data.ppm"]])
     def test_viz_input_and_data_out_go_together(self, tmp_path, capsys, half):
         # Neither the model nor the data file exists: the pair rule is checked
@@ -614,6 +647,18 @@ class TestUsageErrors:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": message}
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("knob", [["--base-kappa", "20"], ["--overlap", "0.05"]])
+    def test_alpha_of_another_length_exits_two(self, tmp_path, capsys, knob):
+        rc = run(["simulate", "--d", "10", "--k", "3", "--n", "100", *knob,
+                  "--alpha", "0.5", "0.5", "--out", str(tmp_path / "d.csv"),
+                  "--truth-out", str(tmp_path / "t.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ConfigError",
+                                      "message": "alpha must hold K = 3 weights, got shape (2,)"}
+        assert not any(tmp_path.iterdir())
 
     def test_skmeans_zero_components_exits_two(self, sim_files, tmp_path, capsys):
         data, _ = sim_files

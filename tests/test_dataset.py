@@ -282,6 +282,15 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SimulationConfig(K=2, d=5, N=10, base_kappa=1.0, overlap_target=0.1)
 
+    @pytest.mark.parametrize("alpha", [[0.5, 0.5], [0.25] * 4, [[0.5, 0.3, 0.2]]])
+    @pytest.mark.parametrize("knob", [{"base_kappa": 20.0}, {"overlap_target": 0.05}])
+    def test_alpha_must_hold_k_weights(self, alpha, knob):
+        with pytest.raises(ValueError) as err:
+            SimulationConfig(K=3, d=10, N=100, alpha=alpha, **knob)
+        assert str(err.value) == f"alpha must hold K = 3 weights, got shape {np.shape(alpha)}"
+        ok = SimulationConfig(K=3, d=10, N=100, alpha=[0.5, 0.3, 0.2], **knob)
+        assert ok.alpha.tolist() == [0.5, 0.3, 0.2]
+
     def test_ground_truth_round_trip(self, tmp_path):
         cfg = SimulationConfig(K=3, d=10, N=40, base_kappa=8.0, sparsity=0.2, seed=13)
         _, truth = simulate_mixture(cfg)

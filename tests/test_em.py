@@ -151,6 +151,19 @@ class TestEStep:
         resp = e_step(X, params)
         assert np.allclose(resp.tau, 1.0)
 
+    def test_zero_weight_component(self):
+        # log 0 = -inf in the log joint: no RuntimeWarning, and tau is 0 there.
+        means = np.eye(3, 4)
+        params = MixtureParams(np.array([0.5, 0.5, 0.0]), means, np.array([3.0, 3.0, 3.0]))
+        X = np.vstack([means, unit([1, 1, 1, 1])])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            resp = e_step(X, params)
+        assert resp.tau[:, 2].tobytes() == np.zeros(4).tobytes()
+        assert np.allclose(resp.tau.sum(axis=1), 1.0, atol=1e-12)
+        assert np.isfinite(resp.log_marginals).all()
+        assert np.array_equal(resp.resultants[2], np.zeros(4))
+
     def test_symmetric_split(self):
         means = np.eye(2, 4)
         params = MixtureParams(np.array([0.5, 0.5]), means, np.array([3.0, 3.0]))
@@ -334,11 +347,8 @@ class TestExpInPlace:
                            np.inf, -np.inf, np.nan, -np.nan])]
         x = rng.permutation(np.concatenate(parts)).reshape(4, -1)
         ref = np.exp(x)
-        # NaN lanes stay NaN; every other lane has the same bits, whether the
-        # helper builds the low-lane mask or is handed it.
-        y = x.copy()
+        # NaN lanes stay NaN; every other lane has the same bits.
         assert _exp_in_place(x).tobytes() == ref.tobytes()
-        assert _exp_in_place(y, y < -746.0).tobytes() == ref.tobytes()
         assert np.count_nonzero(np.isnan(x)) == 2
 
     def test_no_low_lane_and_empty(self):
@@ -876,6 +886,13 @@ class TestFitResultResp:
         with pytest.raises(ValueError, match="init"):
             fit_em(X, 2, FitOptions(), rng=1, resp=dense.resp)
 
+    @pytest.mark.parametrize("with_resp", [False, True])
+    def test_init_with_another_k_raises(self, problem, with_resp):
+        X, dense = problem
+        resp = dense.resp if with_resp else None
+        with pytest.raises(ValueError, match="K = 3, but init holds 2 components"):
+            fit_em(X, 3, FitOptions(), init=dense.params, resp=resp)
+
 
 class TestFitEmExits:
     """Every way fit_em stops, pinned by status, n_iters, the trace, and the
@@ -1123,3 +1140,14 @@ class TestPersistence:
         assert doc["kappa"] == 7.0
         back = fit_result_from_dict(doc)
         assert np.array_equal(back.params.kappas, params.kappas)
+
+    def test_shared_kappa_scalar_with_another_k(self):
+        # MixtureParams broadcasts the scalar to the arrays' K; the file's K
+        # is then checked against it.
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 4),
+                               np.array([7.0, 7.0]), kappa_mode="shared")
+        from sparsevmf.em import FitResult
+
+        doc = fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))
+        with pytest.raises(ValueError, match=r"^K = 3, but the arrays hold 2 components$"):
+            fit_result_from_dict({**doc, "K": 3})

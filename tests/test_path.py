@@ -94,6 +94,18 @@ class TestFollowPath:
         with pytest.raises(ValueError):
             follow_path(X, 2, PathOptions(), sparse_start)
 
+    def test_start_with_another_k_raises(self, small_problem):
+        X, fit = small_problem
+        scored = []
+
+        def ic_fn(f):
+            scored.append(f)
+            return {}
+
+        with pytest.raises(ValueError, match="K = 3, but the initial fit holds 2"):
+            follow_path(X, 3, PathOptions(max_steps=3), fit, ic_fn=ic_fn)
+        assert scored == []  # raised before step 0 was recorded
+
     def test_step_zero_is_initial_fit(self, small_problem):
         X, fit = small_problem
         res = follow_path(X, 2, PathOptions(max_steps=3), fit)
@@ -245,6 +257,42 @@ class TestResultantReuse:
             assert a.beta == b.beta
             assert a.status is b.status
             assert a.trace == b.trace
+
+
+class TestTruncatedStep:
+    """A step whose epsilon truncation zeroes coordinates is re-evaluated at
+    the truncated means, and the next step warm-starts from them."""
+
+    def test_truncated_step_is_evaluated_and_warm_starts_next(self, small_problem,
+                                                              monkeypatch):
+        X, fit = small_problem
+        eps = 0.05
+        inits = []
+
+        def recording(X, K, opts, init=None, rng=None, resp=None):
+            inits.append((init, resp))
+            return fit_em(X, K, opts, init=init, rng=rng, resp=resp)
+
+        monkeypatch.setattr(sparsevmf.path, "fit_em", recording)
+        res = follow_path(X, 2, PathOptions(max_steps=6, epsilon=eps), fit)
+        # trace[-1] is the pll before truncation, so it differs on a step
+        # that truncation changed.
+        truncated = [i for i, s in enumerate(res.steps[1:-1], 1)
+                     if s.fit.trace[-1] != s.fit.penalized_log_likelihood]
+        assert truncated
+        for i in truncated:
+            step = res.steps[i].fit
+            m = step.params.means
+            assert not np.any((np.abs(m) < eps) & (m != 0.0))
+            resp = e_step(X, step.params)
+            assert step.log_likelihood == resp.log_likelihood
+            assert step.penalized_log_likelihood == sparsevmf.em._penalized(
+                resp.log_likelihood, step.params, step.beta)
+            # step i + 1 comes from the fit_em call warm-started at step i
+            init, init_resp = inits[i]
+            assert init is step.params
+            assert init_resp.log_likelihood == resp.log_likelihood
+            assert np.array_equal(init_resp.resultants, resp.resultants)
 
 
 class TestLargeEpsilon:

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import sparsevmf.selection
 from sparsevmf.dataset import SimulationConfig, simulate_mixture
-from sparsevmf.em import FitOptions, FitResult, MixtureParams, fit_em
+from sparsevmf.em import FitOptions, FitResult, FitStatus, MixtureParams, fit_em
+from sparsevmf.errors import InitFailureError
 from sparsevmf.path import PathOptions, follow_path
 from sparsevmf.selection import (
     CRITERIA,
@@ -169,6 +171,46 @@ class TestBestOfRestarts:
         assert len(fits) == 4
         assert any(fit is best for fit in fits)
 
+    @staticmethod
+    def failing(monkeypatch, fail):
+        """Stand in for fit_em so that restart r (0-based) fails as fail(r, fit)
+        says: None keeps the fit, an exception is raised, a status is set.
+        Returns the fits that came back."""
+        fits = []
+
+        def stand_in(*args, **kwargs):
+            r = len(fits)
+            fits.append(fit_em(*args, **kwargs))
+            outcome = fail(r, fits[-1])
+            if isinstance(outcome, Exception):
+                raise outcome
+            if outcome is not None:
+                # a failed fit with the best pll must still be dropped
+                fits[-1] = replace(fits[-1], status=outcome, penalized_log_likelihood=math.inf)
+            return fits[-1]
+
+        monkeypatch.setattr(sparsevmf.selection, "fit_em", stand_in)
+        return fits
+
+    @pytest.mark.parametrize("outcome", [InitFailureError("no start"), FitStatus.ZERO_MEAN])
+    def test_failed_restart_is_skipped(self, monkeypatch, outcome):
+        cfg = SimulationConfig(K=3, d=8, N=200, base_kappa=12.0, seed=60)
+        X, _ = simulate_mixture(cfg)
+        fits = self.failing(monkeypatch, lambda r, fit: outcome if r == 1 else None)
+        best = best_of_restarts(X, 3, 4, FitOptions(beta=0.0), seed=7)
+        kept = [fit for r, fit in enumerate(fits) if r != 1]
+        assert len(fits) == 4
+        assert best is max(kept, key=lambda fit: fit.penalized_log_likelihood)
+
+    def test_all_restarts_failing_raises(self, monkeypatch):
+        cfg = SimulationConfig(K=3, d=8, N=200, base_kappa=12.0, seed=60)
+        X, _ = simulate_mixture(cfg)
+        outcomes = [InitFailureError("no start"), FitStatus.EMPTY_COMPONENT]
+        self.failing(monkeypatch, lambda r, fit: outcomes[r])
+        with pytest.raises(InitFailureError) as err:
+            best_of_restarts(X, 3, 2, FitOptions(beta=0.0), seed=7)
+        assert str(err.value) == "all 2 restarts failed: ['no start', 'EmptyComponent']"
+
     @pytest.mark.parametrize("n_restarts", [0, -1])
     def test_no_restart_rejected(self, n_restarts):
         with pytest.raises(ValueError, match="n_restarts"):
@@ -244,6 +286,31 @@ class TestSelectModel:
         # AIC penalises each parameter less than BIC here, so it keeps a
         # denser step: the report holds the AIC choice, not the BIC one.
         assert rep.best_steps[kstar]["AIC"] != rep.best_steps[kstar]["BIC"]
+
+    def test_failed_k_is_skipped(self, data, monkeypatch):
+        X, _ = data
+
+        def no_start_at_four(X, K, *args, **kwargs):
+            if K == 4:
+                raise InitFailureError("no start")
+            return fit_em(X, K, *args, **kwargs)
+
+        monkeypatch.setattr(sparsevmf.selection, "fit_em", no_start_at_four)
+        rep = select_model(X, [2, 3, 4], n_restarts=2,
+                           path_opts=PathOptions(max_steps=3), seed=63)
+        assert rep.skipped == {4: "all 2 restarts failed: ['no start', 'no start']"}
+        assert set(rep.dense_fits) == set(rep.dense_ic) == {2, 3}
+        assert set(rep.chosen_K.values()) <= {2, 3}
+
+    def test_every_k_failing_raises(self, data, monkeypatch):
+        X, _ = data
+
+        def no_start(*args, **kwargs):
+            raise InitFailureError("no start")
+
+        monkeypatch.setattr(sparsevmf.selection, "fit_em", no_start)
+        with pytest.raises(InitFailureError, match="every candidate K failed"):
+            select_model(X, [2, 3], n_restarts=1, seed=63)
 
     def test_empty_candidates(self, data):
         X, _ = data
