@@ -227,6 +227,8 @@ def cmd_viz(args) -> int:
 def cmd_metrics(args) -> int:
     fit = em.load_model(args.model)
     truth = dataset.load_ground_truth(args.truth)
+    if truth.params.d != fit.params.d:
+        raise ParseError(f"--truth has d = {truth.params.d}, --model has d = {fit.params.d}")
     record = {"run": _run_meta(args), "sparsity": metrics.sparsity(fit.params)}
     if args.input:
         X = _load_dataset(args, fit.params.d)

@@ -20,6 +20,7 @@ from .em import (
     means_to_sparse,
 )
 from .errors import CannotSparsifyError, NotBracketedError, ParseError, ZeroRowError
+from .special import _check_d
 
 __all__ = [
     "SimulationConfig",
@@ -55,9 +56,10 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("K", 1), ("N", 1), ("d", 2)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("K", "N"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_d("SimulationConfig", self.d)
         if (self.overlap_target is None) == (self.base_kappa is None):
             raise ValueError("exactly one of overlap_target / base_kappa must be given")
         if self.overlap_target is not None and not 0.0 < self.overlap_target < 0.5:

@@ -36,7 +36,7 @@ from .errors import (
     ParseError,
     ZeroMeanError,
 )
-from .special import KAPPA_CAP, invert_bessel_ratio, log_vmf_normalizer
+from .special import KAPPA_CAP, _check_d, invert_bessel_ratio, log_vmf_normalizer
 
 __all__ = [
     "MixtureParams",
@@ -108,8 +108,9 @@ class MixtureParams:
         if self.kappa_mode not in ("free", "shared"):
             raise ValueError(f"unknown kappa_mode {self.kappa_mode!r}")
         k = self.alpha.shape[0]
-        if self.means.shape[0] != k:
-            raise ValueError("alpha and means disagree on K")
+        if self.means.ndim != 2 or self.means.shape[0] != k:
+            raise ValueError("means must be a K x d matrix, K = len(alpha)")
+        _check_d("MixtureParams", self.means.shape[1])
         if self.kappas.shape[0] == 1 and k > 1:
             self.kappas = np.full(k, self.kappas[0])
         if self.kappas.shape[0] != k:

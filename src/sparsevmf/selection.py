@@ -11,6 +11,7 @@ import numpy as np
 from .em import FitOptions, FitResult, MixtureParams, fit_em
 from .errors import InitFailureError
 from .path import PathOptions, follow_path
+from .special import _check_d
 
 __all__ = [
     "CRITERIA",
@@ -40,8 +41,7 @@ class Criterion:
             return 2.0
         if self.kind == "BIC":
             return math.log(n)
-        if d <= 1:
-            raise ValueError("RIC-family criteria require d >= 2")
+        _check_d(self.kind, d)
         if self.kind == "RIC":
             return 2.0 * math.log(d)
         if self.kind == "RICc":

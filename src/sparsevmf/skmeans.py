@@ -30,6 +30,8 @@ def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
     n = X.shape[0]
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     if n < K:
         raise ValueError("need at least K observations")
     if rng is None:

@@ -7,7 +7,9 @@ I_nu(x) comes from SciPy's scaled ive above _IVE_FLOOR; below it, from the
 leading power-series term at tiny x and the uniform asymptotic expansion
 (DLMF 10.41(ii)) otherwise. None of them loops. The domain is
 2 <= d <= 1e5 and 0 <= kappa <= KAPPA_CAP; the functions raise ValueError
-outside it.
+outside it. _check_d and _check_kappa own that domain; MixtureParams (so
+every model and truth file), SimulationConfig, the RIC-family criteria and
+vmf.sample call them too.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ def _check_d(name: str, d: float) -> None:
         raise ValueError(f"{name} requires 2 <= d <= {_D_MAX:g}, got {d}")
 
 
+def _check_kappa(name: str, kappa: float) -> None:
+    if not 0.0 <= kappa <= KAPPA_CAP:
+        raise ValueError(f"{name} requires 0 <= kappa <= {KAPPA_CAP:g}, got {kappa}")
+
+
 def _debye(nu: float, x: float) -> tuple[float, float]:
     """Uniform asymptotic expansion of I_nu(x), nu > 0, x > 0, through u_4:
     I_nu(x) ~ exp(r + nu*log(x/(nu + r))) / sqrt(2*pi*r) * U with
@@ -61,10 +68,9 @@ def log_bessel_i(order: float, x: float) -> float:
 
     At x = 0 the limit is 0 for order 0 and -inf for positive orders.
     """
-    if not 0.0 <= order <= 0.5 * _D_MAX or not 0.0 <= x <= KAPPA_CAP:
-        raise ValueError(
-            f"log_bessel_i requires 0 <= order <= {0.5 * _D_MAX:g}, 0 <= x <= KAPPA_CAP, "
-            f"got {order}, {x}")
+    if not 0.0 <= order <= 0.5 * _D_MAX:
+        raise ValueError(f"log_bessel_i requires 0 <= order <= {0.5 * _D_MAX:g}, got {order}")
+    _check_kappa("log_bessel_i", x)
     if x == 0.0:
         return 0.0 if order == 0.0 else -math.inf
     v = ive(order, x)
@@ -85,8 +91,7 @@ def bessel_ratio(d: int, kappa: float) -> float:
     taken term by term so nothing cancels. In [0, 1), increasing in kappa.
     """
     _check_d("bessel_ratio", d)
-    if not 0.0 <= kappa <= KAPPA_CAP:
-        raise ValueError(f"bessel_ratio requires 0 <= kappa <= {KAPPA_CAP:g}, got {kappa}")
+    _check_kappa("bessel_ratio", kappa)
     if kappa == 0.0:
         return 0.0
     nu = 0.5 * d
@@ -108,8 +113,7 @@ def log_vmf_normalizer(d: int, kappa: float) -> float:
     limit is the uniform density on the sphere, 1/surface(S^{d-1}).
     """
     _check_d("log_vmf_normalizer", d)
-    if not 0.0 <= kappa <= KAPPA_CAP:
-        raise ValueError(f"log_vmf_normalizer requires 0 <= kappa <= {KAPPA_CAP:g}, got {kappa}")
+    _check_kappa("log_vmf_normalizer", kappa)
     s = 0.5 * d - 1.0
     if kappa == 0.0:
         return math.lgamma(0.5 * d) - math.log(2.0) - 0.5 * d * math.log(math.pi)

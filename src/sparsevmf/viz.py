@@ -69,12 +69,14 @@ def order_dimensions(params: MixtureParams, epsilon: float = 1e-8) -> DimensionO
 def render_pixel_map(matrix: np.ndarray, dim_ordering: DimensionOrdering,
                      row_perm: np.ndarray, out_path, mode: str = "means",
                      scale: int = 1) -> None:
-    """Write a binary PPM (P6): one pixel per (row, dimension) after applying
-    the permutations. Intensity is linear in |value| relative to the matrix
-    maximum; zeros render white; hue cycles through the palette by dimension
-    group."""
+    """Write a binary PPM (P6): one scale x scale block (scale >= 1) per
+    (row, dimension) after applying the permutations. Intensity is linear in
+    |value| relative to the matrix maximum; zeros render white; hue cycles
+    through the palette by dimension group."""
     if mode not in ("means", "data"):
         raise ValueError(f"unknown mode {mode!r}")
+    if scale < 1:
+        raise ValueError(f"scale must be >= 1, got {scale}")
     matrix = np.asarray(matrix, dtype=float)
     m = matrix[np.ix_(np.asarray(row_perm), dim_ordering.perm)]
     rows, cols = m.shape

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .special import KAPPA_CAP
+from .special import KAPPA_CAP, _check_d, _check_kappa
 
 __all__ = ["KAPPA_CAP", "sample"]
 
@@ -50,12 +50,12 @@ def sample(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np
     uniform marginal. The orthogonal part is a uniform direction in mu's complement.
     """
     mu = np.asarray(mu, dtype=float)
-    if mu.ndim != 1 or mu.size < 2:
-        raise ValueError("mu must be a vector of length >= 2")
+    if mu.ndim != 1:
+        raise ValueError("mu must be a vector")
+    _check_d("sample", mu.size)
     if abs(np.linalg.norm(mu) - 1.0) > 1e-10:
         raise ValueError("mu must be unit-norm")
-    if not 0.0 <= kappa <= KAPPA_CAP:
-        raise ValueError(f"kappa must be in [0, {KAPPA_CAP:g}], got {kappa}")
+    _check_kappa("sample", kappa)
     if n < 1:
         raise ValueError("n must be >= 1")
     d = mu.shape[0]

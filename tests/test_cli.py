@@ -291,14 +291,14 @@ class TestVizMetrics:
     @pytest.mark.parametrize("command", ["fit", "metrics"])
     def test_input_outside_vmf_domain_exits_one(self, tmp_path, capsys, command, d):
         # The vMF density needs 2 <= d <= 1e5. metrics gets a model and a
-        # truth of the same d, so only the domain stands in the way.
+        # truth of d = 2: the --input domain is checked before the model's d.
         data = tmp_path / "data.csv"
         data.write_text(",".join(["1"] * d) + "\n")
         argv = [command, "--input", str(data), "--out", str(tmp_path / "out")]
         if command == "fit":
             argv += ["--k", "1"]
         else:
-            params = MixtureParams(np.ones(1), np.eye(1, d), np.array([5.0]))
+            params = MixtureParams(np.ones(1), np.eye(1, 2), np.array([5.0]))
             model, truth = tmp_path / "model.json", tmp_path / "truth.json"
             model.write_text(json.dumps(fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))))
             truth.write_text(json.dumps(ground_truth_to_dict(
@@ -312,6 +312,40 @@ class TestVizMetrics:
             "error": "ParseError",
             "message": f"--input has {d} columns; the vMF density needs 2 <= d <= 100000"}
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("k", [3, 2])
+    def test_truth_of_another_d_exits_one(self, sim_files, tmp_path, capsys, k):
+        # The model has d = 8; the truth has d = 9, with the model's K or not.
+        data, _ = sim_files
+        model = self._fit_model(data, tmp_path)
+        params = MixtureParams(np.full(k, 1.0 / k), np.eye(k, 9), np.full(k, 5.0))
+        truth = tmp_path / "truth9.json"
+        truth.write_text(json.dumps(ground_truth_to_dict(
+            GroundTruth(params, labels=np.zeros(150, dtype=int)))))
+        out = tmp_path / "m.json"
+        for extra in ([], ["--input", str(data)]):
+            capsys.readouterr()
+            assert run(["metrics", "--truth", str(truth), "--model", str(model),
+                        "--out", str(out), *extra]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            assert json.loads(err[0]) == {"error": "ParseError",
+                                          "message": "--truth has d = 9, --model has d = 8"}
+            assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["0", "-4"])
+    def test_viz_scale_below_one_exits_two(self, sim_files, tmp_path, capsys, scale):
+        data, _ = sim_files
+        model = self._fit_model(data, tmp_path)
+        out = tmp_path / "means.ppm"
+        capsys.readouterr()
+        assert run(["viz", "--model", str(model), "--out", str(out),
+                    "--scale", scale]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ConfigError",
+                                      "message": f"scale must be >= 1, got {scale}"}
+        assert not out.exists()
 
     def test_skmeans_takes_one_column(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -407,6 +441,8 @@ MALFORMED = {
     "labels-out-of-range": (None, {"labels": [0, 1, 3]}),
     # Valid labels, one more than the rows of --input.
     "labels-count": (None, {"labels": [0, 1, 2, 0]}),
+    # Unit means at d = 1, outside the vMF domain 2 <= d <= 1e5.
+    "d-1": ({"d": 1, "means": [[[0, 1.0]]] * 3}, {"d": 1, "mu": [[[0, 1.0]]] * 3}),
 }
 
 MALFORMED_CASES = [
@@ -446,6 +482,9 @@ class TestMalformedJson:
             assert doc["message"].startswith("line 1: not JSON")
         if case == "labels-count":
             assert doc["message"] == "--truth has 4 labels, --input has 3 rows"
+        if case == "d-1":
+            assert doc["message"] == (f"not a {kind} file: "
+                                      "MixtureParams requires 2 <= d <= 100000, got 1")
 
     def test_good_documents_load(self, tmp_path):
         docs = _good_docs()
@@ -638,7 +677,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--k", "0", "--n", "10", "--d", "5"], "K must be >= 1, got 0"),
         (["simulate", "--k", "2", "--n", "0", "--d", "5"], "N must be >= 1, got 0"),
-        (["simulate", "--k", "2", "--n", "10", "--d", "1"], "d must be >= 2, got 1"),
     ])
     def test_impossible_simulation_size_exits_two(self, tmp_path, capsys, argv, message):
         rc = run([*argv, "--base-kappa", "5", "--out", str(tmp_path / "x.csv"),
@@ -647,6 +685,18 @@ class TestUsageErrors:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": message}
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("d", [1, 100_001])
+    def test_simulate_d_outside_domain_exits_two(self, tmp_path, capsys, d):
+        rc = run(["simulate", "--k", "2", "--n", "4", "--d", str(d), "--base-kappa", "5",
+                  "--out", str(tmp_path / "x.csv"), "--truth-out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {
+            "error": "ConfigError",
+            "message": f"SimulationConfig requires 2 <= d <= 100000, got {d}"}
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("knob", [["--base-kappa", "20"], ["--overlap", "0.05"]])
     def test_alpha_of_another_length_exits_two(self, tmp_path, capsys, knob):
@@ -667,6 +717,19 @@ class TestUsageErrors:
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": "K must be >= 1, got 0"}
+
+    def test_skmeans_negative_max_iters_exits_two(self, sim_files, tmp_path, capsys):
+        data, _ = sim_files
+        out = tmp_path / "o.json"
+        capsys.readouterr()
+        rc = run(["skmeans", "--input", str(data), "--k", "2", "--max-iters", "-2",
+                  "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ConfigError",
+                                      "message": "max_iters must be >= 0, got -2"}
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ["fit", "--k", "3"],

@@ -315,6 +315,16 @@ class TestSimulate:
         with pytest.raises(ParseError, match="negative or repeated"):
             load_ground_truth(p)
 
+    def test_truth_d_outside_domain_raises_parse_error(self, tmp_path):
+        # Two unit means at d = 1.
+        doc = {"alpha": [0.25, 0.75], "kappa": [8.5, 7.5], "d": 1,
+               "mu": [[[0, 1.0]], [[0, -1.0]]], "labels": [1, 0, 1]}
+        p = tmp_path / "gt.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="^not a truth file: MixtureParams requires "
+                                             "2 <= d <= 100000, got 1$"):
+            load_ground_truth(p)
+
     def test_loads_truth_with_seed_and_config_keys(self, tmp_path):
         # Earlier versions also wrote the simulation seed and config; the
         # loader ignores them.

@@ -988,6 +988,16 @@ class TestInvalidValuesRejected:
         with pytest.raises(ValueError, match=field):
             MixtureParams(**values)
 
+    @pytest.mark.parametrize("means", [np.array([0.6, 0.8]), np.eye(3, 2)])
+    def test_mixture_params_means_not_k_by_d(self, means):
+        with pytest.raises(ValueError, match="K x d"):
+            MixtureParams(np.array([0.5, 0.5]), means, np.array([1.0]))
+
+    @pytest.mark.parametrize("d", [1, 100_001])
+    def test_mixture_params_d_outside_domain(self, d):
+        with pytest.raises(ValueError, match=f"^MixtureParams requires 2 <= d <= 100000, got {d}$"):
+            MixtureParams(np.array([1.0]), np.eye(1, d), np.array([2.0]))
+
     @pytest.mark.parametrize("name", ["beta", "em_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_fit_options(self, name, value):
@@ -1081,6 +1091,18 @@ class TestPersistence:
         loaded = load_model(p)
         assert np.array_equal(loaded.params.kappas, params.kappas)
         assert np.array_equal(loaded.params.means, params.means)
+
+    def test_d_outside_domain_raises_parse_error(self, tmp_path):
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2), np.array([7.0, 9.0]))
+        from sparsevmf.em import FitResult
+
+        doc = fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))
+        bad = tmp_path / "bad.json"
+        # Two unit means at d = 1.
+        bad.write_text(json.dumps({**doc, "d": 1, "means": [[[0, 1.0]], [[0, -1.0]]]}))
+        with pytest.raises(ParseError, match="^not a model file: MixtureParams requires "
+                                             "2 <= d <= 100000, got 1$"):
+            load_model(bad)
 
     @pytest.mark.parametrize("change", [
         # K says 5, while alpha, kappa and means hold 2 components.

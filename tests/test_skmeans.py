@@ -73,3 +73,13 @@ class TestSkmeans:
     def test_too_few_points(self):
         with pytest.raises(ValueError):
             skmeans_fit(np.eye(2), 3)
+
+    def test_negative_max_iters(self):
+        with pytest.raises(ValueError, match="^max_iters must be >= 0, got -2$"):
+            skmeans_fit(np.eye(2), 2, max_iters=-2)
+
+    def test_zero_max_iters_keeps_initial_prototypes(self):
+        X = np.eye(3)
+        res = skmeans_fit(X, 2, max_iters=0, rng=np.random.default_rng(0))
+        assert res.n_iters == 0 and not res.converged
+        assert np.array_equal(res.labels, np.argmax(X @ res.prototypes.T, axis=1))

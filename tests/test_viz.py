@@ -4,6 +4,7 @@ import pytest
 from sparsevmf.em import MixtureParams
 from sparsevmf.viz import (
     PALETTE,
+    DimensionOrdering,
     data_row_order,
     order_dimensions,
     order_rows,
@@ -138,8 +139,8 @@ class TestRenderPixelMap:
         assert np.all(img == 255)
 
     def test_single_pixel_max_is_palette_hue(self, tmp_path):
-        params = mk_params(np.ones((1, 1)))
-        out = order_dimensions(params)
+        # One dimension in group 0; a model cannot have d = 1, so no params.
+        out = DimensionOrdering(perm=np.array([0]), group_of=np.array([0]), n=np.array([1]))
         p = tmp_path / "one.ppm"
         render_pixel_map(np.array([[1.0]]), out, np.arange(1), p)
         img, comment = read_ppm(p)
@@ -181,6 +182,15 @@ class TestRenderPixelMap:
         with pytest.raises(ValueError):
             render_pixel_map(params.means, out, np.arange(2),
                              tmp_path / "x.ppm", mode="heat")
+
+    @pytest.mark.parametrize("scale", [0, -4])
+    def test_scale_below_one(self, tmp_path, scale):
+        params = mk_params(np.eye(2, 2) + 0.1)
+        out = order_dimensions(params)
+        p = tmp_path / "x.ppm"
+        with pytest.raises(ValueError, match=f"^scale must be >= 1, got {scale}$"):
+            render_pixel_map(params.means, out, np.arange(2), p, scale=scale)
+        assert not p.exists()
 
 
 class TestSaveOrderingCsv:

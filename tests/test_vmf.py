@@ -28,10 +28,15 @@ class TestParams:
         with pytest.raises(ValueError, match="kappa"):
             sample(np.array([1.0, 0.0]), 2 * KAPPA_CAP, 5, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("mu", [np.eye(3), np.array(1.0), np.array([1.0])])
+    @pytest.mark.parametrize("mu", [np.eye(3), np.array(1.0)])
     def test_rejects_non_vector_mu(self, mu):
         with pytest.raises(ValueError, match="vector"):
             sample(mu, 1.0, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("d", [1, 100_001])
+    def test_rejects_length_outside_domain(self, d):
+        with pytest.raises(ValueError, match=f"^sample requires 2 <= d <= 100000, got {d}$"):
+            sample(np.eye(1, d)[0], 1.0, 5, np.random.default_rng(0))
 
 
 def m_step_estimate(X, tau=None):
