@@ -56,16 +56,17 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Each range test is written so that NaN fails it.
         for name in ("K", "N"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         _check_d("SimulationConfig", self.d)
         if (self.overlap_target is None) == (self.base_kappa is None):
             raise ValueError("exactly one of overlap_target / base_kappa must be given")
         if self.overlap_target is not None and not 0.0 < self.overlap_target < 0.5:
             raise ValueError("overlap_target must be in (0, 0.5)")
-        if self.base_kappa is not None and self.base_kappa <= 0:
-            raise ValueError("base_kappa must be positive")
+        if self.base_kappa is not None and not 0 < self.base_kappa < math.inf:
+            raise ValueError(f"base_kappa must be finite and > 0, got {self.base_kappa!r}")
         if not 0.0 <= self.sparsity < 1.0:
             raise ValueError("sparsity must be in [0, 1)")
         if self.alpha is not None:
@@ -73,7 +74,7 @@ class SimulationConfig:
             if self.alpha.shape != (self.K,):
                 raise ValueError(f"alpha must hold K = {self.K} weights, "
                                  f"got shape {self.alpha.shape}")
-            if np.any(self.alpha < 0) or abs(self.alpha.sum() - 1.0) > 1e-10:
+            if not (np.all(self.alpha >= 0) and abs(self.alpha.sum() - 1.0) <= 1e-10):
                 raise ValueError("alpha must be nonnegative and sum to 1")
 
 
@@ -453,13 +454,17 @@ def _ground_truth_from_dict(doc: dict) -> GroundTruth:
         kappas=np.array(doc["kappa"]),
         kappa_mode="free",
     )
-    labels = np.array(doc["labels"])
-    if labels.ndim != 1 or labels.dtype.kind not in "iu" or not np.all(
-            (labels >= 0) & (labels < params.K)):
+    # Over the Python ints: a huge label is out of range, not an OverflowError.
+    if min(doc["labels"], default=0) < 0 or max(doc["labels"], default=0) >= params.K:
         raise ValueError(f"labels must be a list of integers in [0, {params.K})")
-    return GroundTruth(params=params, labels=labels)
+    return GroundTruth(params=params, labels=np.array(doc["labels"], dtype=int))
+
+
+# The JSON kind of each truth file key (see em._check_json), in missing-key order.
+_TRUTH_FIELDS = {"alpha": [float], "mu": [[(int, float)]], "d": int, "kappa": [float],
+                 "labels": [int]}
 
 
 def load_ground_truth(path) -> GroundTruth:
     """Read a ground_truth_to_dict file; malformed content raises ParseError."""
-    return _read_json_doc(path, "truth", _ground_truth_from_dict)
+    return _read_json_doc(path, "truth", _TRUTH_FIELDS, _ground_truth_from_dict)

@@ -24,6 +24,8 @@ and the E-step writes both down without evaluating exp.
 from __future__ import annotations
 
 import json
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -93,7 +95,7 @@ class MixtureParams:
 
     kappa_mode "free" keeps one concentration per component; "shared"
     constrains all components to a single value (kappas then holds K copies
-    of it so the shapes stay uniform).
+    of it so the shapes stay uniform; one value given stands for all K).
     """
 
     alpha: np.ndarray
@@ -104,17 +106,17 @@ class MixtureParams:
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
-        self.kappas = np.atleast_1d(np.asarray(self.kappas, dtype=float))
+        self.kappas = np.asarray(self.kappas, dtype=float)
         if self.kappa_mode not in ("free", "shared"):
             raise ValueError(f"unknown kappa_mode {self.kappa_mode!r}")
         k = self.alpha.shape[0]
         if self.means.ndim != 2 or self.means.shape[0] != k:
             raise ValueError("means must be a K x d matrix, K = len(alpha)")
         _check_d("MixtureParams", self.means.shape[1])
-        if self.kappas.shape[0] == 1 and k > 1:
-            self.kappas = np.full(k, self.kappas[0])
-        if self.kappas.shape[0] != k:
-            raise ValueError("kappas must be scalar or length K")
+        if self.kappa_mode == "shared" and self.kappas.size == 1:
+            self.kappas = np.full(k, self.kappas.item())
+        if self.kappas.shape != (k,):
+            raise ValueError("kappas must hold K values, or one in shared mode")
         for name in ("alpha", "means", "kappas"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -162,16 +164,13 @@ class FitOptions:
     kappa_mode: str = "free"
 
     def __post_init__(self):
-        for name in ("beta", "em_tol"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.max_em_iters < 0:
+        # Each range test is written so that NaN fails it.
+        if not 0 <= self.beta < np.inf:
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
+        if not self.max_em_iters >= 0:
             raise ValueError("max_em_iters must be >= 0")
-        if self.em_tol <= 0:
-            raise ValueError("em_tol must be > 0")
+        if not 0 < self.em_tol < np.inf:
+            raise ValueError(f"em_tol must be finite and > 0, got {self.em_tol!r}")
 
 
 @dataclass
@@ -483,14 +482,15 @@ def means_to_sparse(means: np.ndarray) -> list:
 
 
 def means_from_sparse(entries: list, d: int) -> np.ndarray:
-    """Inverse of means_to_sparse: a dense len(entries) x d matrix. A negative
-    or repeated index raises ValueError."""
+    """Inverse of means_to_sparse: a dense len(entries) x d matrix. A d outside
+    the vMF domain or an index that is negative, repeated or >= d raises ValueError."""
+    _check_d("means_from_sparse", d)  # before the K x d allocation
     means = np.zeros((len(entries), d))
     for k, row in enumerate(entries):
         seen = set()
         for j, v in row:
-            if j < 0 or j in seen:
-                raise ValueError(f"mean {k}: index {j} is negative or repeated")
+            if not 0 <= j < d or j in seen:
+                raise ValueError(f"mean {k}: index {j} is negative or repeated, or >= d = {d}")
             seen.add(j)
             means[k, j] = v
     return means
@@ -515,28 +515,20 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 
 
 def fit_result_from_dict(doc: dict) -> FitResult:
-    """Inverse of fit_result_to_dict. A K that disagrees with the arrays, a
-    beta that is not a finite number >= 0, a likelihood that is not a finite
-    number, and an n_iters that is not an integer >= 0 raise ValueError."""
-    d = doc["d"]
-    kappa = doc["kappa"]
+    """Inverse of fit_result_to_dict, for a doc that matches _MODEL_FIELDS. A K
+    that disagrees with the arrays or a negative beta or n_iters raises ValueError."""
     params = MixtureParams(
         alpha=np.array(doc["alpha"]),
-        means=means_from_sparse(doc["means"], d),
-        kappas=kappa,
+        means=means_from_sparse(doc["means"], doc["d"]),
+        kappas=doc["kappa"],
         kappa_mode=doc["kappa_mode"],
     )
     if params.K != doc["K"]:
         raise ValueError(f"K = {doc['K']}, but the arrays hold {params.K} components")
-    for key in ("beta", "log_likelihood", "penalized_log_likelihood"):
-        value = doc[key]
-        # type(), not isinstance: JSON true and false are bools, and bool is an int.
-        if not (type(value) is int or type(value) is float and np.isfinite(value)):
-            raise ValueError(f"{key} must be a finite number, got {value!r}")
     if doc["beta"] < 0:
         raise ValueError(f"beta must be >= 0, got {doc['beta']!r}")
-    if type(doc["n_iters"]) is not int or doc["n_iters"] < 0:
-        raise ValueError(f"n_iters must be an integer >= 0, got {doc['n_iters']!r}")
+    if doc["n_iters"] < 0:
+        raise ValueError(f"n_iters must be >= 0, got {doc['n_iters']!r}")
     return FitResult(
         params=params,
         beta=doc["beta"],
@@ -547,10 +539,41 @@ def fit_result_from_dict(doc: dict) -> FitResult:
     )
 
 
-def _read_json_doc(path, kind: str, from_dict):
-    """from_dict of the JSON object in the file at path. Text that is not UTF-8
-    or not JSON (with its line), a non-object, a missing key, and a TypeError,
-    IndexError or ValueError from from_dict all raise ParseError."""
+# The JSON kind of each model file key (see _check_json), in missing-key order;
+# kappa's is picked by kappa_mode: K numbers in free mode, one in shared mode.
+_MODEL_FIELDS = {
+    "d": int, "kappa_mode": {"free", "shared"}, "kappa": {"free": [float], "shared": float},
+    "alpha": [float], "means": [[(int, float)]], "K": int, "beta": float,
+    "log_likelihood": float, "penalized_log_likelihood": float, "n_iters": int,
+    "status": {s.value for s in FitStatus},
+}
+
+
+def _check_json(value, kind, where: str) -> None:
+    """Raise ValueError, naming the path where, unless the JSON value has kind: int,
+    float (finite), a set of strings, [t] (a list of t) or (int, float) (a pair)."""
+    if type(kind) is set:
+        ok, want = type(value) is str and value in kind, f"one of {sorted(kind)}"
+    elif type(kind) is list or type(kind) is tuple:
+        ok = type(value) is list and (type(kind) is list or len(value) == len(kind))
+        want = "a list" if type(kind) is list else "an [index, value] pair"
+    else:  # type(), not isinstance: bool is an int. nan, inf and huge ints fail abs().
+        ok = type(value) in (kind, int) and (kind is int or abs(value) <= sys.float_info.max)
+        want = "an integer" if kind is int else "a finite number"
+    if not ok:
+        raise ValueError(f"{where} must be {want}, got {reprlib.repr(value)}")
+    if type(kind) is list or type(kind) is tuple:
+        kinds = kind * len(value) if type(kind) is list else kind
+        for i, (item, item_kind) in enumerate(zip(value, kinds)):
+            # An int or a finite float passes inline, at a third of a call's cost.
+            if type(item) is not item_kind or item_kind is float and not abs(item) < np.inf:
+                _check_json(item, item_kind, f"{where}[{i}]")
+
+
+def _read_json_doc(path, kind: str, fields: dict, from_dict):
+    """from_dict of the JSON object in the file at path, once the keys fields
+    names have their kinds (others are ignored). Text not UTF-8 or not JSON (with
+    its line), a non-object, a missing key and a ValueError raise ParseError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -562,13 +585,15 @@ def _read_json_doc(path, kind: str, from_dict):
     if not isinstance(doc, dict):
         raise ParseError(f"not a {kind} file: not a JSON object")
     try:
+        for key, t in fields.items():
+            _check_json(doc[key], t[doc["kappa_mode"]] if type(t) is dict else t, key)
         return from_dict(doc)
     except KeyError as err:
         raise ParseError(f"not a {kind} file: no {err.args[0]!r} key") from None
-    except (TypeError, IndexError, ValueError) as err:
+    except ValueError as err:
         raise ParseError(f"not a {kind} file: {err}") from None
 
 
 def load_model(path) -> FitResult:
     """Read a fit_result_to_dict file; malformed content raises ParseError."""
-    return _read_json_doc(path, "model", fit_result_from_dict)
+    return _read_json_doc(path, "model", _MODEL_FIELDS, fit_result_from_dict)

@@ -31,16 +31,14 @@ class PathOptions:
     fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
-        for name in ("epsilon", "min_rel_increase"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.max_steps < 1:
+        # Each range test is written so that NaN fails it.
+        if not self.max_steps >= 1:
             raise ValueError("max_steps must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.min_rel_increase < 0:
-            raise ValueError("min_rel_increase must be >= 0")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+        if not 0 <= self.min_rel_increase < np.inf:
+            raise ValueError(f"min_rel_increase must be finite and >= 0, "
+                             f"got {self.min_rel_increase!r}")
         if self.fit_options.beta != 0.0:
             raise ValueError("fit_options.beta must be 0: the path sets beta at each step")
 

@@ -443,6 +443,23 @@ MALFORMED = {
     "labels-count": (None, {"labels": [0, 1, 2, 0]}),
     # Unit means at d = 1, outside the vMF domain 2 <= d <= 1e5.
     "d-1": ({"d": 1, "means": [[[0, 1.0]]] * 3}, {"d": 1, "mu": [[[0, 1.0]]] * 3}),
+    # Rejected before the K x d matrix is allocated.
+    "d-1e12": ({"d": 10**12}, {"d": 10**12}),
+    # Values that NumPy would convert to valid numbers. A good document's
+    # kappas are [5, 6, 7].
+    "kappa-true": ({"kappa": True}, {"kappa": True}),
+    "kappa-nested": ({"kappa": [[5.0]]}, {"kappa": [[5.0]]}),
+    "kappa-numeric-string": ({"kappa": "5"}, {"kappa": ["5", "6", "7"]}),
+    "kappa-element-true": ({"kappa": [True, 6.0, 7.0]}, {"kappa": [True, 6.0, 7.0]}),
+    "kappa-element-string": ({"kappa": ["69.1", 6.0, 7.0]}, {"kappa": ["69.1", 6.0, 7.0]}),
+    "alpha-strings": ({"alpha": ["0.5", "0.3", "0.2"]}, {"alpha": ["0.5", "0.3", "0.2"]}),
+    "mean-value-string": ({"means": [[[0, "1.0"]], [[1, 1.0]], [[2, 1.0]]]},
+                          {"mu": [[[0, "1.0"]], [[1, 1.0]], [[2, 1.0]]]}),
+    "labels-element-true": (None, {"labels": [0, True, 2]}),
+    # Free-mode kappa is a list of K numbers: neither one number nor one
+    # element stands for all K.
+    "kappa-one-number": ({"kappa": 5.0}, {"kappa": 2.0}),
+    "kappa-one-element": ({"kappa": [5.0]}, {"kappa": [5.0]}),
 }
 
 MALFORMED_CASES = [
@@ -451,6 +468,26 @@ MALFORMED_CASES = [
     for case, spec in MALFORMED.items()
     if isinstance(spec, str) or spec[kind == "truth"] is not None
 ]
+
+
+def _parse_error_of(command, files, tmp_path, capsys):
+    """The one JSON error line of command (metrics or viz) on the model and
+    truth files, which must exit 1 with a ParseError and write no --out file."""
+    out = tmp_path / "out"
+    argv = [command, "--model", str(files["model"]), "--out", str(out)]
+    if command == "metrics":
+        # Three rows, one per label of the good truth document.
+        data = tmp_path / "data.csv"
+        data.write_text("1,0,0,0,0\n0,1,0,0,0\n0,0,1,0,0\n")
+        argv += ["--truth", str(files["truth"]), "--input", str(data)]
+    capsys.readouterr()
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "ParseError"
+    assert not out.exists()
+    return doc
 
 
 class TestMalformedJson:
@@ -466,25 +503,14 @@ class TestMalformedJson:
             files[kind].write_text(spec)
         else:
             files[kind].write_text(json.dumps({**docs[kind], **spec[kind == "truth"]}))
-        argv = [command, "--model", str(files["model"]), "--out", str(tmp_path / "out")]
-        if command == "metrics":
-            # Three rows, one per label of the good truth document.
-            data = tmp_path / "data.csv"
-            data.write_text("1,0,0,0,0\n0,1,0,0,0\n0,0,1,0,0\n")
-            argv += ["--truth", str(files["truth"]), "--input", str(data)]
-        capsys.readouterr()
-        assert run(argv) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        doc = json.loads(err[0])
-        assert doc["error"] == "ParseError"
+        doc = _parse_error_of(command, files, tmp_path, capsys)
         if case == "csv":
             assert doc["message"].startswith("line 1: not JSON")
         if case == "labels-count":
             assert doc["message"] == "--truth has 4 labels, --input has 3 rows"
         if case == "d-1":
             assert doc["message"] == (f"not a {kind} file: "
-                                      "MixtureParams requires 2 <= d <= 100000, got 1")
+                                      "means_from_sparse requires 2 <= d <= 100000, got 1")
 
     def test_good_documents_load(self, tmp_path):
         docs = _good_docs()
@@ -501,6 +527,73 @@ class TestMalformedJson:
         assert run(["viz", "--model", str(model), "--out", str(tmp_path / "x.ppm")]) == 1
         doc = json.loads(capsys.readouterr().err)
         assert doc == {"error": "ParseError", "message": "line 3: not UTF-8 text"}
+
+
+# Every field of a good model and truth document (see _good_docs), as a path
+# of keys and list indices down to the first element of each list, with
+# whether it holds an integer. A copy kept apart from the readers' own field
+# tables, so that a wrong table cannot pass its own test.
+FIELDS = {
+    "model": {
+        ("K",): True, ("d",): True, ("kappa_mode",): False,
+        ("alpha",): False, ("alpha", 0): False, ("kappa",): False, ("kappa", 0): False,
+        ("means",): False, ("means", 0): False, ("means", 0, 0): False,
+        ("means", 0, 0, 0): True, ("means", 0, 0, 1): False,
+        ("beta",): False, ("log_likelihood",): False, ("penalized_log_likelihood",): False,
+        ("status",): False, ("n_iters",): True,
+    },
+    "truth": {
+        ("alpha",): False, ("alpha", 0): False, ("kappa",): False, ("kappa", 0): False,
+        ("mu",): False, ("mu", 0): False, ("mu", 0, 0): False,
+        ("mu", 0, 0, 0): True, ("mu", 0, 0, 1): False,
+        ("d",): True, ("labels",): False, ("labels", 0): True,
+    },
+}
+
+# Values of the wrong JSON type for any field; 1.5 is one for an integer field.
+BAD_VALUES = [True, "x", None, [], [[1]], {}]
+
+# Changes that a reader accepts: an unknown key is ignored, and n_iters has no
+# upper bound.
+ACCEPTED = {
+    "model-extra-key": ("model", ("extra",), [True, None]),
+    "truth-extra-key": ("truth", ("extra",), {"x": 1}),
+    "model-huge-n-iters": ("model", ("n_iters",), 10**30),
+}
+
+
+def _write_mutated(tmp_path, kind, path, value):
+    """The model and truth files of _good_docs, with the field at path in
+    the document of this kind set to value."""
+    docs = _good_docs()
+    *parents, last = path
+    node = docs[kind]
+    for step in parents:
+        node = node[step]
+    node[last] = value
+    files = {}
+    for name, doc in docs.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(doc))
+    return files
+
+
+class TestFieldMutations:
+    @pytest.mark.parametrize("kind, path", [(kind, path) for kind in FIELDS for path in FIELDS[kind]],
+                             ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)))
+    def test_wrong_type_exits_one(self, tmp_path, capsys, kind, path):
+        for value in BAD_VALUES + [1.5] * FIELDS[kind][path]:
+            files = _write_mutated(tmp_path, kind, path, value)
+            _parse_error_of("metrics", files, tmp_path, capsys)
+
+    @pytest.mark.parametrize("case", ACCEPTED)
+    def test_accepted_change_loads(self, tmp_path, capsys, case):
+        files = _write_mutated(tmp_path, *ACCEPTED[case])
+        out = tmp_path / "out"
+        assert run(["metrics", "--model", str(files["model"]), "--truth", str(files["truth"]),
+                    "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.exists()
 
 
 class TestConfigFile:
@@ -685,6 +778,16 @@ class TestUsageErrors:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": message}
         assert not (tmp_path / "x.csv").exists()
+
+    def test_infinite_base_kappa_exits_two(self, tmp_path, capsys):
+        rc = run(["simulate", "--k", "2", "--n", "4", "--d", "5", "--base-kappa", "inf",
+                  "--out", str(tmp_path / "x.csv"), "--truth-out", str(tmp_path / "x.json")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0]) == {"error": "ConfigError",
+                                      "message": "base_kappa must be finite and > 0, got inf"}
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("d", [1, 100_001])
     def test_simulate_d_outside_domain_exits_two(self, tmp_path, capsys, d):

@@ -282,6 +282,17 @@ class TestSimulate:
         with pytest.raises(ValueError):
             SimulationConfig(K=2, d=5, N=10, base_kappa=1.0, overlap_target=0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    def test_base_kappa_outside_range(self, value):
+        # A NaN base kappa would never leave the jitter's rejection loop.
+        with pytest.raises(ValueError, match="base_kappa"):
+            SimulationConfig(K=2, d=5, N=10, base_kappa=value)
+
+    @pytest.mark.parametrize("alpha", [[np.nan, np.nan], [1.5, -0.5]])
+    def test_alpha_outside_simplex(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be nonnegative and sum to 1$"):
+            SimulationConfig(K=2, d=5, N=10, base_kappa=1.0, alpha=alpha)
+
     @pytest.mark.parametrize("alpha", [[0.5, 0.5], [0.25] * 4, [[0.5, 0.3, 0.2]]])
     @pytest.mark.parametrize("knob", [{"base_kappa": 20.0}, {"overlap_target": 0.05}])
     def test_alpha_must_hold_k_weights(self, alpha, knob):
@@ -321,7 +332,7 @@ class TestSimulate:
                "mu": [[[0, 1.0]], [[0, -1.0]]], "labels": [1, 0, 1]}
         p = tmp_path / "gt.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ParseError, match="^not a truth file: MixtureParams requires "
+        with pytest.raises(ParseError, match="^not a truth file: means_from_sparse requires "
                                              "2 <= d <= 100000, got 1$"):
             load_ground_truth(p)
 

@@ -1100,7 +1100,7 @@ class TestPersistence:
         bad = tmp_path / "bad.json"
         # Two unit means at d = 1.
         bad.write_text(json.dumps({**doc, "d": 1, "means": [[[0, 1.0]], [[0, -1.0]]]}))
-        with pytest.raises(ParseError, match="^not a model file: MixtureParams requires "
+        with pytest.raises(ParseError, match="^not a model file: means_from_sparse requires "
                                              "2 <= d <= 100000, got 1$"):
             load_model(bad)
 
@@ -1141,6 +1141,30 @@ class TestPersistence:
         key = next(iter(change))
         with pytest.raises(ParseError, match=f"not a model file: {key} must be"):
             load_model(bad)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"means": [[[0, 1.0]], [[0, 0.6], [1, "0.8"]]]},
+         "means[1][1][1] must be a finite number, got '0.8'"),
+        ({"means": [[[0, 1.0]], [[True, 1.0]]]}, "means[1][0][0] must be an integer, got True"),
+        ({"means": [[[0, 1.0]], [[1]]]}, "means[1][0] must be an [index, value] pair, got [1]"),
+        ({"kappa": 7.0}, "kappa must be a list, got 7.0"),
+        ({"kappa_mode": "shared", "kappa": [7.0, 7.0]},
+         "kappa must be a finite number, got [7.0, 7.0]"),
+        ({"d": 10**12}, "means_from_sparse requires 2 <= d <= 100000, got 1000000000000"),
+        ({"status": "Done"}, "status must be one of ['Converged', 'DegenerateUniform', "
+                             "'EmptyComponent', 'MaxIters', 'ZeroMean'], got 'Done'"),
+    ], ids=["value-string", "index-bool", "short-pair", "free-scalar-kappa",
+            "shared-list-kappa", "huge-d", "unknown-status"])
+    def test_wrong_type_names_its_path(self, tmp_path, change, message):
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2), np.array([7.0, 9.0]))
+        from sparsevmf.em import FitResult
+
+        doc = fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(ParseError) as err:
+            load_model(bad)
+        assert str(err.value) == f"not a model file: {message}"
 
     def test_integer_scalars_load(self, tmp_path):
         params = MixtureParams(np.array([0.5, 0.5]), np.eye(2), np.array([7.0, 9.0]))
