@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__, dataset, em, metrics, selection, skmeans, viz
 from .em import FitOptions
 from .errors import ParseError, SparseVmfError
-from .path import PathOptions, follow_path, path_to_dict, save_path
+from .path import PathOptions, follow_path, path_to_dict
 from .selection import CRITERIA, make_ic_fn
 from .special import _D_MAX
 
@@ -45,6 +45,15 @@ def _run_meta(args: argparse.Namespace) -> dict:
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
+
+
+def _write_csv(path, records: list) -> None:
+    """The one CSV table writer: the first record's keys, then one row per record,
+    values by str (a float's shortest round-trip decimals), LF line endings."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(records[0]) + "\n")
+        for rec in records:
+            fh.write(",".join(map(str, rec.values())) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,10 +142,8 @@ def cmd_fit(args) -> int:
     doc["run"] = _run_meta(args)
     _write_json(args.out, doc)
     if args.trace_out:
-        with open(args.trace_out, "w") as fh:
-            fh.write("iteration,penalized_log_likelihood\n")
-            for i, v in enumerate(fit.trace):
-                fh.write(f"{i},{v!r}\n")
+        _write_csv(args.trace_out, [{"iteration": i, "penalized_log_likelihood": v}
+                                    for i, v in enumerate(fit.trace)])
     return 0
 
 
@@ -158,7 +165,7 @@ def cmd_path(args) -> int:
     doc["run"] = _run_meta(args)
     _write_json(args.out, doc)
     if args.csv_out:
-        save_path(result, args.csv_out)
+        _write_csv(args.csv_out, doc["steps"])
     return 0
 
 
@@ -180,10 +187,7 @@ def cmd_select(args) -> int:
     }
     _write_json(args.out, doc)
     if args.ic_csv:
-        with open(args.ic_csv, "w") as fh:
-            fh.write("K," + ",".join(CRITERIA) + "\n")
-            for k, row in sorted(report.dense_ic.items()):
-                fh.write(str(k) + "," + ",".join(repr(row[c]) for c in CRITERIA) + "\n")
+        _write_csv(args.ic_csv, [{"K": k, **row} for k, row in sorted(report.dense_ic.items())])
     return 0
 
 
@@ -215,7 +219,10 @@ def cmd_viz(args) -> int:
     viz.render_pixel_map(fit.params.means, ordering, row_perm, args.out,
                          mode="means", scale=args.scale)
     if args.csv_out:
-        viz.save_ordering_csv(ordering, args.csv_out)
+        _write_csv(args.csv_out, [
+            {"original_dim": dim, "position": pos, "group_id": group, "n_j": n}
+            for pos, (dim, group, n) in enumerate(
+                zip(ordering.perm, ordering.group_of, ordering.n))])
     if X is not None:
         labels = em.hard_assign(em.e_step(X, fit.params))
         data_perm = viz.data_row_order(labels, row_perm)

@@ -448,6 +448,8 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
 
 
 def _ground_truth_from_dict(doc: dict) -> GroundTruth:
+    if len(doc["mu"]) != len(doc["alpha"]):  # before the K x d allocation
+        raise ValueError(f"alpha holds {len(doc['alpha'])} weights, but mu {len(doc['mu'])} means")
     params = MixtureParams(
         alpha=np.array(doc["alpha"]),
         means=means_from_sparse(doc["mu"], doc["d"]),

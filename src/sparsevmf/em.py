@@ -410,6 +410,7 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     Without init, init_random draws the start from rng: a Generator, or a
     seed (None for fresh entropy) passed to np.random.default_rng.
 
+    init, when given, must hold K components in opts.kappa_mode's mode.
     resp, given only with init, must be e_step(X, init): a warm start that
     already holds it skips the first E-step, with the same result. Each
     parameter point is evaluated once, each E-step is given the one before it
@@ -430,6 +431,9 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
         raise ValueError("resp is the E-step at init and needs init")
     if init is not None and init.K != K:
         raise ValueError(f"K = {K}, but init holds {init.K} components")
+    if init is not None and init.kappa_mode != opts.kappa_mode:
+        raise ValueError(f"kappa_mode = {opts.kappa_mode!r}, but init is in "
+                         f"{init.kappa_mode!r} mode")
     if init is None:
         rng = np.random.default_rng(rng)
         last_err = None
@@ -517,14 +521,14 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 def fit_result_from_dict(doc: dict) -> FitResult:
     """Inverse of fit_result_to_dict, for a doc that matches _MODEL_FIELDS. A K
     that disagrees with the arrays or a negative beta or n_iters raises ValueError."""
+    if len(doc["means"]) != doc["K"]:  # before the K x d allocation
+        raise ValueError(f"K = {doc['K']}, but the arrays hold {len(doc['means'])} components")
     params = MixtureParams(
         alpha=np.array(doc["alpha"]),
         means=means_from_sparse(doc["means"], doc["d"]),
         kappas=doc["kappa"],
         kappa_mode=doc["kappa_mode"],
     )
-    if params.K != doc["K"]:
-        raise ValueError(f"K = {doc['K']}, but the arrays hold {params.K} components")
     if doc["beta"] < 0:
         raise ValueError(f"beta must be >= 0, got {doc['beta']!r}")
     if doc["n_iters"] < 0:
@@ -582,6 +586,8 @@ def _read_json_doc(path, kind: str, fields: dict, from_dict):
         raise ParseError("not UTF-8 text", line=raw.count(b"\n", 0, err.start) + 1) from None
     except json.JSONDecodeError as err:
         raise ParseError(f"not JSON: {err.msg}", line=err.lineno) from None
+    except RecursionError:
+        raise ParseError("not JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"not a {kind} file: not a JSON object")
     try:

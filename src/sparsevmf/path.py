@@ -3,7 +3,6 @@ guaranteed to sparsify the means on the next M step, then warm-restart EM."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +19,6 @@ __all__ = [
     "next_beta",
     "follow_path",
     "path_to_dict",
-    "save_path",
 ]
 
 @dataclass
@@ -107,11 +105,15 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
     truncates mean coordinates below epsilon, and records the step without
     its E-step. A start without its E-step (a fit loaded from JSON) gets one
     before the first step. ic_fn, when given, maps a FitResult to a dict of
-    information-criterion values stored on the step."""
+    information-criterion values stored on the step. The start must be a
+    beta = 0 fit of K components in the kappa mode of path_opts.fit_options."""
     if initial.beta != 0.0:
         raise ValueError("path must start from a beta = 0 fit")
     if initial.params.K != K:
         raise ValueError(f"K = {K}, but the initial fit holds {initial.params.K} components")
+    if initial.params.kappa_mode != path_opts.fit_options.kappa_mode:
+        raise ValueError(f"kappa_mode = {path_opts.fit_options.kappa_mode!r}, but the initial "
+                         f"fit is in {initial.params.kappa_mode!r} mode")
     X = np.asarray(X, dtype=float)
     fit = initial if initial.resp is not None else replace(initial, resp=e_step(X, initial.params))
     steps = []
@@ -153,13 +155,3 @@ def path_to_dict(result: PathResult) -> dict:
         rec.update(step.ic_values)
         records.append(rec)
     return {"termination_reason": result.termination_reason, "steps": records}
-
-
-def save_path(result: PathResult, csv_path) -> None:
-    """Write a path as a one-row-per-step CSV summary."""
-    records = path_to_dict(result)["steps"]
-    fields = list(records[0].keys()) if records else []
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(records)

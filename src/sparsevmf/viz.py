@@ -5,7 +5,6 @@ dimensions sharing a support count gets its own hue."""
 from __future__ import annotations
 
 import colorsys
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,6 @@ __all__ = [
     "order_rows",
     "data_row_order",
     "render_pixel_map",
-    "save_ordering_csv",
 ]
 
 PALETTE_VERSION = 1
@@ -101,11 +99,3 @@ def render_pixel_map(matrix: np.ndarray, dim_ordering: DimensionOrdering,
             fh.write(img.tobytes())
     except OSError as err:
         raise OSError(f"cannot write pixel map to {out_path}: {err}") from err
-
-
-def save_ordering_csv(ordering: DimensionOrdering, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["original_dim", "position", "group_id", "n_j"])
-        for pos, dim in enumerate(ordering.perm):
-            writer.writerow([int(dim), pos, int(ordering.group_of[pos]), int(ordering.n[pos])])

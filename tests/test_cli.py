@@ -5,7 +5,8 @@ import pytest
 
 from sparsevmf.cli import main
 from sparsevmf.dataset import GroundTruth, ground_truth_to_dict
-from sparsevmf.em import FitResult, MixtureParams, fit_result_to_dict
+from sparsevmf.em import FitResult, MixtureParams, fit_result_to_dict, load_model
+from sparsevmf.viz import order_dimensions
 
 
 def run(argv):
@@ -401,6 +402,66 @@ class TestVizMetrics:
         assert "'mu'" in doc["message"]
 
 
+def _csv_rows(path, header):
+    """The data rows of a CSV table, once its bytes have no CR and its first
+    line is header."""
+    raw = path.read_bytes()
+    assert b"\r" not in raw
+    lines = raw.decode().splitlines()
+    assert lines[0] == header
+    return [line.split(",") for line in lines[1:]]
+
+
+def _same_value(cell, value):
+    """A float cell parses back to value bit for bit; any other cell is str(value)."""
+    if isinstance(value, float):
+        return float(cell).hex() == value.hex()
+    return cell == str(value)
+
+
+class TestCsvTables:
+    def test_every_table_has_one_format(self, sim_files, tmp_path):
+        data, _ = sim_files
+        t = {name: tmp_path / name for name in (
+            "model.json", "trace.csv", "path.json", "path.csv", "sel.json", "ic.csv",
+            "means.ppm", "order.csv")}
+        common = ["--input", str(data), "--k", "3", "--seed", "6", "--restarts", "3"]
+        assert run(["fit", *common, "--out", str(t["model.json"]),
+                    "--trace-out", str(t["trace.csv"])]) == 0
+        assert run(["path", *common, "--max-steps", "10", "--out", str(t["path.json"]),
+                    "--csv-out", str(t["path.csv"])]) == 0
+        assert run(["select", "--input", str(data), "--k-min", "2", "--k-max", "4",
+                    "--max-steps", "6", "--restarts", "2", "--seed", "6",
+                    "--out", str(t["sel.json"]), "--ic-csv", str(t["ic.csv"])]) == 0
+        assert run(["viz", "--model", str(t["model.json"]), "--out", str(t["means.ppm"]),
+                    "--csv-out", str(t["order.csv"])]) == 0
+
+        model = json.loads(t["model.json"].read_text())
+        assert model["status"] == "Converged"  # so the trace holds n_iters values
+        rows = _csv_rows(t["trace.csv"], "iteration,penalized_log_likelihood")
+        assert [int(r[0]) for r in rows] == list(range(model["n_iters"]))
+        assert _same_value(rows[-1][1], model["penalized_log_likelihood"])
+
+        steps = json.loads(t["path.json"].read_text())["steps"]
+        rows = _csv_rows(t["path.csv"], "step,beta,sparsity,log_likelihood,"
+                         "penalized_log_likelihood,status,n_iters,AIC,BIC,RIC,RICc,EBIC")
+        assert len(rows) == len(steps) > 1
+        for row, step in zip(rows, steps):
+            assert all(_same_value(c, v) for c, v in zip(row, step.values(), strict=True))
+
+        dense_ic = json.loads(t["sel.json"].read_text())["dense_ic"]
+        rows = _csv_rows(t["ic.csv"], "K,AIC,BIC,RIC,RICc,EBIC")
+        assert [r[0] for r in rows] == list(dense_ic) == ["2", "3", "4"]
+        for row, ic in zip(rows, dense_ic.values()):
+            assert all(_same_value(c, v) for c, v in zip(row[1:], ic.values(), strict=True))
+
+        ordering = order_dimensions(load_model(t["model.json"]).params)
+        rows = _csv_rows(t["order.csv"], "original_dim,position,group_id,n_j")
+        assert [[int(c) for c in r] for r in rows] == [
+            [dim, pos, group, n] for pos, (dim, group, n) in enumerate(zip(
+                ordering.perm.tolist(), ordering.group_of.tolist(), ordering.n.tolist()))]
+
+
 def _good_docs():
     """A valid model and a valid truth document at K = 3, d = 5."""
     params = MixtureParams(np.array([0.5, 0.3, 0.2]), np.eye(3, 5), np.array([5.0, 6.0, 7.0]))
@@ -460,6 +521,11 @@ MALFORMED = {
     # element stands for all K.
     "kappa-one-number": ({"kappa": 5.0}, {"kappa": 2.0}),
     "kappa-one-element": ({"kappa": [5.0]}, {"kappa": [5.0]}),
+    # json.loads raises RecursionError, not JSONDecodeError, on such nesting.
+    "deep-nesting": "[" * 100_000 + "]" * 100_000,
+    # A million means at d = 1e5 would take 745 GiB: counted before allocating.
+    "million-means": ({"d": 100_000, "means": [[]] * 10**6},
+                      {"d": 100_000, "mu": [[]] * 10**6}),
 }
 
 MALFORMED_CASES = [
@@ -511,6 +577,13 @@ class TestMalformedJson:
         if case == "d-1":
             assert doc["message"] == (f"not a {kind} file: "
                                       "means_from_sparse requires 2 <= d <= 100000, got 1")
+        if case == "deep-nesting":
+            assert doc["message"] == "not JSON: nested too deeply"
+        if case == "million-means":
+            assert doc["message"] == {
+                "model": "not a model file: K = 3, but the arrays hold 1000000 components",
+                "truth": "not a truth file: alpha holds 3 weights, but mu 1000000 means",
+            }[kind]
 
     def test_good_documents_load(self, tmp_path):
         docs = _good_docs()

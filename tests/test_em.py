@@ -893,6 +893,17 @@ class TestFitResultResp:
         with pytest.raises(ValueError, match="K = 3, but init holds 2 components"):
             fit_em(X, 3, FitOptions(), init=dense.params, resp=resp)
 
+    @pytest.mark.parametrize("init_mode, opts_mode", [("shared", "free"), ("free", "shared")])
+    def test_init_of_another_kappa_mode_raises(self, init_mode, opts_mode):
+        # m_step reads the mode from opts, so such a start would return a fit
+        # of the other mode.
+        X, _ = simulate_mixture(SimulationConfig(K=3, d=20, N=400, base_kappa=15.0,
+                                                 sparsity=0.5, seed=3))
+        start = fit_em(X, 3, FitOptions(kappa_mode=init_mode), rng=1)
+        with pytest.raises(ValueError, match=f"^kappa_mode = '{opts_mode}', but init is in "
+                                             f"'{init_mode}' mode$"):
+            fit_em(X, 3, FitOptions(kappa_mode=opts_mode), init=start.params, resp=start.resp)
+
 
 class TestFitEmExits:
     """Every way fit_em stops, pinned by status, n_iters, the trace, and the

@@ -9,7 +9,7 @@ from sparsevmf.dataset import SimulationConfig, simulate_mixture
 from sparsevmf.em import (FitOptions, FitStatus, MixtureParams, e_step, fit_em,
                           fit_result_to_dict, load_model, soft_threshold_mu)
 from sparsevmf.errors import NoIncrementAvailableError
-from sparsevmf.path import PathOptions, follow_path, next_beta, path_to_dict, save_path
+from sparsevmf.path import PathOptions, follow_path, next_beta, path_to_dict
 from sparsevmf.selection import best_of_restarts
 
 
@@ -105,6 +105,18 @@ class TestFollowPath:
         with pytest.raises(ValueError, match="K = 3, but the initial fit holds 2"):
             follow_path(X, 3, PathOptions(max_steps=3), fit, ic_fn=ic_fn)
         assert scored == []  # raised before step 0 was recorded
+
+    @pytest.mark.parametrize("start_mode, path_mode", [("shared", "free"), ("free", "shared")])
+    def test_start_of_another_kappa_mode_raises(self, start_mode, path_mode):
+        # m_step reads the mode from the options, so such a path would switch
+        # mode after step 0.
+        cfg = SimulationConfig(K=3, d=20, N=400, base_kappa=15.0, sparsity=0.5, seed=3)
+        X, _ = simulate_mixture(cfg)
+        start = fit_em(X, 3, FitOptions(kappa_mode=start_mode), rng=1)
+        opts = PathOptions(max_steps=3, fit_options=FitOptions(kappa_mode=path_mode))
+        with pytest.raises(ValueError, match=f"^kappa_mode = '{path_mode}', but the "
+                                             f"initial fit is in '{start_mode}' mode$"):
+            follow_path(X, 3, opts, start)
 
     def test_step_zero_is_initial_fit(self, small_problem):
         X, fit = small_problem
@@ -321,22 +333,22 @@ class TestLargeEpsilon:
         assert PathOptions(fit_options=FitOptions(beta=0.0)).fit_options.beta == 0.0
 
 
-class TestSavePath:
-    def test_json_and_csv(self, small_problem, tmp_path):
+class TestPathToDict:
+    def test_one_record_per_step(self, small_problem):
         X, fit = small_problem
-        res = follow_path(X, 2, PathOptions(max_steps=4), fit)
-        cp = tmp_path / "p.csv"
-        save_path(res, cp)
-        import csv as csvmod
-
+        res = follow_path(X, 2, PathOptions(max_steps=4), fit,
+                          ic_fn=lambda f: {"AIC": 1.0, "BIC": 2.0})
         doc = path_to_dict(res)
         assert doc["termination_reason"] == res.termination_reason
         assert len(doc["steps"]) == len(res.steps)
         assert doc["steps"][0]["beta"] == 0.0
-        with open(cp) as fh:
-            rows = list(csvmod.DictReader(fh))
-        assert len(rows) == len(res.steps)
-        assert float(rows[1]["beta"]) == res.steps[1].fit.beta
+        for i, (rec, step) in enumerate(zip(doc["steps"], res.steps)):
+            assert list(rec) == ["step", "beta", "sparsity", "log_likelihood",
+                                 "penalized_log_likelihood", "status", "n_iters", "AIC", "BIC"]
+            assert rec["step"] == i
+            assert rec["beta"] == step.fit.beta
+            assert rec["status"] == step.fit.status.value
+            assert (rec["AIC"], rec["BIC"]) == (1.0, 2.0)
 
 
 class TestNoCreep:

@@ -9,7 +9,6 @@ from sparsevmf.viz import (
     order_dimensions,
     order_rows,
     render_pixel_map,
-    save_ordering_csv,
 )
 
 from oracles import comparator_dimension_order
@@ -192,17 +191,3 @@ class TestRenderPixelMap:
             render_pixel_map(params.means, out, np.arange(2), p, scale=scale)
         assert not p.exists()
 
-
-class TestSaveOrderingCsv:
-    def test_round_trip_fields(self, tmp_path):
-        params = mk_params(np.array([[0.6, 0.0, 0.8], [0.6, 0.8, 0.0]]))
-        out = order_dimensions(params)
-        p = tmp_path / "o.csv"
-        save_ordering_csv(out, p)
-        import csv
-
-        with open(p) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 3
-        assert [int(r["original_dim"]) for r in rows] == out.perm.tolist()
-        assert [int(r["n_j"]) for r in rows] == out.n.tolist()
