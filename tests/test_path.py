@@ -5,6 +5,7 @@ import pytest
 
 import sparsevmf.em
 import sparsevmf.path
+from sparsevmf.cli import _write_csv
 from sparsevmf.dataset import SimulationConfig, simulate_mixture
 from sparsevmf.em import (FitOptions, FitStatus, MixtureParams, e_step, fit_em,
                           fit_result_to_dict, load_model, soft_threshold_mu)
@@ -349,6 +350,28 @@ class TestPathToDict:
             assert rec["beta"] == step.fit.beta
             assert rec["status"] == step.fit.status.value
             assert (rec["AIC"], rec["BIC"]) == (1.0, 2.0)
+
+
+class TestSavePath:
+    def test_json_and_csv(self, small_problem, tmp_path):
+        # path --csv-out writes the path_to_dict step records through the CLI's
+        # one CSV writer.
+        X, fit = small_problem
+        res = follow_path(X, 2, PathOptions(max_steps=4), fit)
+        cp = tmp_path / "p.csv"
+        doc = path_to_dict(res)
+        _write_csv(cp, doc["steps"])
+        import csv as csvmod
+
+        assert doc["termination_reason"] == res.termination_reason
+        assert len(doc["steps"]) == len(res.steps)
+        assert doc["steps"][0]["beta"] == 0.0
+        with open(cp, newline="") as fh:
+            text = fh.read()
+        assert "\r" not in text
+        rows = list(csvmod.DictReader(text.splitlines()))
+        assert len(rows) == len(res.steps)
+        assert float(rows[1]["beta"]) == res.steps[1].fit.beta
 
 
 class TestNoCreep:

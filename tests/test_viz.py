@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from sparsevmf.em import MixtureParams
+from sparsevmf.cli import main
+from sparsevmf.em import FitResult, MixtureParams, fit_result_to_dict
 from sparsevmf.viz import (
     PALETTE,
     DimensionOrdering,
@@ -191,3 +194,21 @@ class TestRenderPixelMap:
             render_pixel_map(params.means, out, np.arange(2), p, scale=scale)
         assert not p.exists()
 
+
+class TestSaveOrderingCsv:
+    def test_round_trip_fields(self, tmp_path):
+        # viz --csv-out writes one row per dimension in ordered position.
+        params = mk_params(np.array([[0.6, 0.0, 0.8], [0.6, 0.8, 0.0]]))
+        out = order_dimensions(params)
+        m = tmp_path / "m.json"
+        m.write_text(json.dumps(fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))))
+        p = tmp_path / "o.csv"
+        assert main(["viz", "--model", str(m), "--out", str(tmp_path / "o.ppm"),
+                     "--csv-out", str(p)]) == 0
+        import csv
+
+        with open(p) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        assert [int(r["original_dim"]) for r in rows] == out.perm.tolist()
+        assert [int(r["n_j"]) for r in rows] == out.n.tolist()
