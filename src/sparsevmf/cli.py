@@ -109,7 +109,7 @@ def _apply_config_file(args, argv):
 def _load_dataset(args, d: int | None = None) -> np.ndarray:
     """The --input matrix, row-normalised. A column count outside the vMF
     domain, or given a model's d another column count, raises ParseError."""
-    X = dataset.load_matrix(args.input, format=args.format, normalize=True)
+    X = dataset.load_matrix(args.input, format=args.format)
     if not 2 <= X.shape[1] <= _D_MAX:
         raise ParseError(f"--input has {X.shape[1]} columns; the vMF density needs "
                          f"2 <= d <= {_D_MAX:g}")
@@ -150,9 +150,7 @@ def cmd_fit(args) -> int:
 def _path_options(args) -> PathOptions:
     fit_opts = FitOptions(max_em_iters=args.max_em_iters, em_tol=args.em_tol,
                           kappa_mode=args.kappa_mode)
-    return PathOptions(max_steps=args.max_steps, epsilon=args.epsilon,
-                       min_rel_increase=args.min_rel_increase,
-                       fit_options=fit_opts)
+    return PathOptions(max_steps=args.max_steps, epsilon=args.epsilon, fit_options=fit_opts)
 
 
 def cmd_path(args) -> int:
@@ -193,7 +191,7 @@ def cmd_select(args) -> int:
 
 def cmd_skmeans(args) -> int:
     # Spherical k-means has no vMF density, so no domain on d.
-    X = dataset.load_matrix(args.input, format=args.format, normalize=True)
+    X = dataset.load_matrix(args.input, format=args.format)
     rng = np.random.default_rng(args.seed)
     result = skmeans.skmeans_fit(X, args.k, max_iters=args.max_iters, rng=rng)
     doc = {
@@ -275,7 +273,6 @@ def _add_fit_opts(p):
 def _add_path_opts(p):
     p.add_argument("--max-steps", type=int, default=1000)
     p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--min-rel-increase", type=float, default=0.0)
 
 
 def build_parser() -> argparse.ArgumentParser:

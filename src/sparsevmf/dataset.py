@@ -12,6 +12,7 @@ import numpy as np
 from . import vmf
 from .em import (
     MixtureParams,
+    _check_json,
     _log_joint,
     _read_json_doc,
     e_step,
@@ -42,6 +43,8 @@ KAPPA_JITTER_SD_FRAC = 0.025
 # The greedy separation picks K means out of this many times K uniform
 # candidates.
 CANDIDATE_MULTIPLIER = 20
+# Draws behind each error rate that calibrate_overlap bisects on.
+CALIBRATION_SAMPLES = 100_000
 
 
 @dataclass
@@ -154,7 +157,7 @@ def _parse_sparse_triplet(path):
             if parts and parts[0] == "shape":
                 try:
                     shape = (int(parts[1]), int(parts[2]))
-                    if min(shape) < 0:
+                    if min(shape) < 1:
                         raise ValueError
                 except (IndexError, ValueError):
                     raise ParseError(f"malformed shape comment {line!r}", line=lineno)
@@ -171,11 +174,13 @@ def _parse_sparse_triplet(path):
     if shape is None:
         shape = (max(e[1] for e in entries) + 1, max(e[2] for e in entries) + 1)
     X = np.zeros(shape)
+    seen = set()
     for lineno, i, j, v in entries:
-        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-            raise ParseError(f"index ({i}, {j}) outside shape {shape}", line=lineno)
+        if not (0 <= i < shape[0] and 0 <= j < shape[1]) or (i, j) in seen:
+            raise ParseError(f"index ({i}, {j}) repeated or outside shape {shape}", line=lineno)
         if not math.isfinite(v):
             raise ParseError("non-finite value", line=lineno)
+        seen.add((i, j))
         X[i, j] = v
     return X
 
@@ -184,8 +189,8 @@ def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> np.n
     """Load a dense CSV or sparse triplet matrix; optionally normalise rows
     to unit norm (zero rows are rejected with their indices).
 
-    Malformed content (non-UTF-8 text, nan or inf values, triplet indices
-    outside the matrix) raises ParseError with the file line number."""
+    Malformed content (non-UTF-8 text, nan or inf values, a triplet index
+    repeated or outside the matrix) raises ParseError with the file line number."""
     if format == "dense-csv":
         X = _parse_dense_csv(path)
     elif format == "sparse-triplet":
@@ -335,8 +340,6 @@ def _reduced_overlap(means: np.ndarray, alpha: np.ndarray, n_samples: int,
     pool of proposals; a call takes the first n_k proposals accepted at its
     kappa, which are exact i.i.d. draws of t, and draws more proposals only
     when the pool runs short. A call costs O(n K)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     K, d = means.shape
     counts = np.bincount(rng.choice(K, size=n_samples, p=alpha), minlength=K)
     # Coordinates of the means in an orthonormal basis of a subspace that
@@ -377,18 +380,18 @@ def _reduced_overlap(means: np.ndarray, alpha: np.ndarray, n_samples: int,
 
 
 def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
-                      rng: np.random.Generator, n_samples: int = 100_000) -> float:
+                      rng: np.random.Generator) -> float:
     """Find a base kappa whose mixture (jitter off, separability rescaling on)
     has a crisp-assignment error rate close to target, by bisection.
 
-    The error rate is estimated on n_samples draws whose kappa-free parts,
-    Wood's proposals included, are shared by every bisection step
+    The error rate is estimated on CALIBRATION_SAMPLES draws whose kappa-free
+    parts, Wood's proposals included, are shared by every bisection step
     (_reduced_overlap). Stops when
     |error - target| < 0.1*target or after 40 bisections. Raises
     NotBracketedError when the target is unreachable in [0.01, 1e4]."""
     if not 0.0 < target < 0.5:
         raise ValueError("target must be in (0, 0.5)")
-    error = _reduced_overlap(means, alpha, n_samples, rng)
+    error = _reduced_overlap(means, alpha, CALIBRATION_SAMPLES, rng)
 
     def error_at(base_kappa):
         return error(_build_truth_params(means, base_kappa, alpha, rng, jitter_sd_frac=0.0))
@@ -448,8 +451,9 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
 
 
 def _ground_truth_from_dict(doc: dict) -> GroundTruth:
-    if len(doc["mu"]) != len(doc["alpha"]):  # before the K x d allocation
+    if len(doc["mu"]) != len(doc["alpha"]):  # before the walk over mu and its allocation
         raise ValueError(f"alpha holds {len(doc['alpha'])} weights, but mu {len(doc['mu'])} means")
+    _check_json(doc["mu"], [[(int, float)]], "mu")
     params = MixtureParams(
         alpha=np.array(doc["alpha"]),
         means=means_from_sparse(doc["mu"], doc["d"]),
@@ -462,9 +466,9 @@ def _ground_truth_from_dict(doc: dict) -> GroundTruth:
     return GroundTruth(params=params, labels=np.array(doc["labels"], dtype=int))
 
 
-# The JSON kind of each truth file key (see em._check_json), in missing-key order.
-_TRUTH_FIELDS = {"alpha": [float], "mu": [[(int, float)]], "d": int, "kappa": [float],
-                 "labels": [int]}
+# The JSON kind of each truth file key (see em._check_json), in missing-key order;
+# mu is any list here: _ground_truth_from_dict checks its pairs once counted.
+_TRUTH_FIELDS = {"alpha": [float], "mu": [], "d": int, "kappa": [float], "labels": [int]}
 
 
 def load_ground_truth(path) -> GroundTruth:

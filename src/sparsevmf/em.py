@@ -521,8 +521,9 @@ def fit_result_to_dict(fit: FitResult) -> dict:
 def fit_result_from_dict(doc: dict) -> FitResult:
     """Inverse of fit_result_to_dict, for a doc that matches _MODEL_FIELDS. A K
     that disagrees with the arrays or a negative beta or n_iters raises ValueError."""
-    if len(doc["means"]) != doc["K"]:  # before the K x d allocation
+    if len(doc["means"]) != doc["K"]:  # before the walk over the means and their allocation
         raise ValueError(f"K = {doc['K']}, but the arrays hold {len(doc['means'])} components")
+    _check_json(doc["means"], [[(int, float)]], "means")
     params = MixtureParams(
         alpha=np.array(doc["alpha"]),
         means=means_from_sparse(doc["means"], doc["d"]),
@@ -545,9 +546,10 @@ def fit_result_from_dict(doc: dict) -> FitResult:
 
 # The JSON kind of each model file key (see _check_json), in missing-key order;
 # kappa's is picked by kappa_mode: K numbers in free mode, one in shared mode.
+# means is any list here: fit_result_from_dict checks its pairs once counted.
 _MODEL_FIELDS = {
     "d": int, "kappa_mode": {"free", "shared"}, "kappa": {"free": [float], "shared": float},
-    "alpha": [float], "means": [[(int, float)]], "K": int, "beta": float,
+    "alpha": [float], "means": [], "K": int, "beta": float,
     "log_likelihood": float, "penalized_log_likelihood": float, "n_iters": int,
     "status": {s.value for s in FitStatus},
 }
@@ -555,7 +557,7 @@ _MODEL_FIELDS = {
 
 def _check_json(value, kind, where: str) -> None:
     """Raise ValueError, naming the path where, unless the JSON value has kind: int,
-    float (finite), a set of strings, [t] (a list of t) or (int, float) (a pair)."""
+    float (finite), a set of strings, [t] (a list of t; [] any list) or (int, float) (a pair)."""
     if type(kind) is set:
         ok, want = type(value) is str and value in kind, f"one of {sorted(kind)}"
     elif type(kind) is list or type(kind) is tuple:

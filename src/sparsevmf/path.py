@@ -25,7 +25,6 @@ __all__ = [
 class PathOptions:
     max_steps: int = 1000
     epsilon: float = 1e-8
-    min_rel_increase: float = 0.0
     fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
@@ -34,9 +33,6 @@ class PathOptions:
             raise ValueError("max_steps must be >= 1")
         if not 0 < self.epsilon < np.inf:
             raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
-        if not 0 <= self.min_rel_increase < np.inf:
-            raise ValueError(f"min_rel_increase must be finite and >= 0, "
-                             f"got {self.min_rel_increase!r}")
         if self.fit_options.beta != 0.0:
             raise ValueError("fit_options.beta must be 0: the path sets beta at each step")
 
@@ -57,8 +53,7 @@ class PathResult:
     termination_reason: str  # MaxSteps | EmFailure | NoIncrementAvailable
 
 
-def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float,
-              min_rel_increase: float = 0.0) -> float:
+def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float) -> float:
     """Smallest beta > beta_prev guaranteed to zero at least one currently
     surviving mean coordinate on the next M step:
     beta_prev + min over {kappa_k |r_kj| - beta_prev > 0 : mu_kj != 0,
@@ -74,7 +69,7 @@ def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float,
     positive = margins[(margins > 0) & can_zero]
     if positive.size == 0:
         raise NoIncrementAvailableError(f"no surviving coordinate exceeds beta = {beta_prev:g}")
-    return max(beta_prev + float(positive.min()), beta_prev * (1.0 + min_rel_increase))
+    return beta_prev + float(positive.min())
 
 
 def _truncate_means(fit: FitResult, X: np.ndarray, epsilon: float) -> FitResult:
@@ -124,8 +119,7 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
         if len(steps) == path_opts.max_steps:
             break
         try:
-            beta = next_beta(fit.params, fit.resp.resultants, fit.beta,
-                             path_opts.min_rel_increase)
+            beta = next_beta(fit.params, fit.resp.resultants, fit.beta)
         except NoIncrementAvailableError:
             reason = "NoIncrementAvailable"
             break

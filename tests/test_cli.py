@@ -149,6 +149,39 @@ class TestFit:
         assert rc == 1
 
 
+# Triplet files the reader rejects, with the message that names the line.
+BAD_TRIPLETS = {
+    "shape-without-rows": ("#shape 0 20\n", "line 1: malformed shape comment '#shape 0 20'"),
+    "repeated-entry": ("0 0 1.0\n1 1 2.0\n0 0 5.0\n",
+                       "line 3: index (0, 0) repeated or outside shape (2, 2)"),
+}
+
+
+class TestBadTriplet:
+    @pytest.mark.parametrize("case", BAD_TRIPLETS)
+    @pytest.mark.parametrize("command", ["fit", "path", "skmeans", "viz"])
+    def test_exits_one_writing_nothing(self, tmp_path, capsys, command, case):
+        text, message = BAD_TRIPLETS[case]
+        data = tmp_path / "d.txt"
+        data.write_text(text)
+        files = {"d.txt"}
+        if command == "viz":
+            model = tmp_path / "model.json"
+            params = MixtureParams(np.array([1.0]), np.eye(1, 20), np.array([5.0]))
+            model.write_text(json.dumps(fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))))
+            files.add("model.json")
+            argv = ["viz", "--model", str(model), "--data-out", str(tmp_path / "data.ppm")]
+        else:
+            argv = [command, "--k", "2"]
+        argv += ["--input", str(data), "--format", "sparse-triplet",
+                 "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [json.loads(line) for line in err] == [{"error": "ParseError", "message": message}]
+        assert {p.name for p in tmp_path.iterdir()} == files
+
+
 class TestPathSelectSkmeans:
     def test_path_flow(self, sim_files, tmp_path):
         data, _ = sim_files
@@ -741,6 +774,18 @@ class TestConfigFile:
         assert err["error"] == "ConfigError"
         assert "unknown key 'stop_at_max_sparsity'" in err["message"]
 
+    def test_min_rel_increase_is_unknown_key(self, sim_files, tmp_path, capsys):
+        data, _ = sim_files
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("min_rel_increase = 0.1\n")
+        rc = run(["path", "--input", str(data), "--k", "3", "--restarts", "1",
+                  "--out", str(tmp_path / "p.json"), "--config", str(cfg)])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "unknown key 'min_rel_increase'" in err["message"]
+        assert not (tmp_path / "p.json").exists()
+
     @pytest.mark.parametrize("text, flag", [
         ("beta=abc\n", "--beta"),
         (json.dumps({"k": "two"}), "--k"),
@@ -813,6 +858,9 @@ class TestUsageErrors:
         pytest.param(["transmogrify"], id="unknown-subcommand"),
         pytest.param(SIMULATE, id="neither-knob"),
         pytest.param([*SIMULATE, "--overlap", "0.05", "--base-kappa", "3"], id="both-knobs"),
+        # The path steps by the smallest margin alone: there is no floor to set.
+        pytest.param(["path", "--input", "d.csv", "--k", "2", "--min-rel-increase", "0.1",
+                      "--out", "x.json"], id="min-rel-increase"),
     ])
     def test_usage_error_is_one_json_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -78,7 +78,8 @@ class TestLoadMatrix:
             load_matrix(p)
         assert err.value.line == 3
 
-    @pytest.mark.parametrize("bad", ["-1 1 1.0", "3 0 1.0", "0 4 1.0"])
+    # "0 0 5.0" repeats the first entry, which must not be overwritten.
+    @pytest.mark.parametrize("bad", ["-1 1 1.0", "3 0 1.0", "0 4 1.0", "0 0 5.0"])
     def test_triplet_index_outside_shape(self, tmp_path, bad):
         p = tmp_path / "m.txt"
         p.write_text(f"#shape 3 4\n0 0 1.0\n{bad}\n")
@@ -88,7 +89,8 @@ class TestLoadMatrix:
 
     def test_malformed_shape_comment(self, tmp_path):
         p = tmp_path / "m.txt"
-        for comment in ("#shape 3", "#shape -2 3", "#shape 3 -1"):
+        # A shape with no rows or no columns holds no observation.
+        for comment in ("#shape 3", "#shape -2 3", "#shape 3 -1", "#shape 0 20", "#shape 3 0"):
             p.write_text(f"{comment}\n0 0 1.0\n")
             with pytest.raises(ParseError) as err:
                 load_matrix(p, format="sparse-triplet")
@@ -371,7 +373,7 @@ class TestCalibrateOverlap:
         rng = np.random.default_rng(22)
         means = np.stack([np.eye(6)[0], -np.eye(6)[0]])
         alpha = np.array([0.5, 0.5])
-        kappa = calibrate_overlap(means, 0.45, alpha, rng, n_samples=20_000)
+        kappa = calibrate_overlap(means, 0.45, alpha, rng)
         assert kappa < 1.0
 
     def test_calibrated_error_near_target(self):
@@ -381,7 +383,7 @@ class TestCalibrateOverlap:
         means = greedy_max_separation(g, 3)
         alpha = np.full(3, 1.0 / 3.0)
         target = 0.05
-        kappa = calibrate_overlap(means, target, alpha, rng, n_samples=20_000)
+        kappa = calibrate_overlap(means, target, alpha, rng)
         from sparsevmf.dataset import _build_truth_params
 
         params = _build_truth_params(means, kappa, alpha, rng, jitter_sd_frac=0.0)
@@ -395,8 +397,7 @@ class TestCalibrateOverlap:
             # Nearly all mass on one of two orthogonal means: even the
             # smallest kappa of the bracket misassigns at most the other
             # component's 1e-6 share, far below the 49.9% target.
-            calibrate_overlap(means, 0.499, np.array([0.999999, 1e-6]), rng,
-                              n_samples=5_000)
+            calibrate_overlap(means, 0.499, np.array([0.999999, 1e-6]), rng)
 
 
 class TestReducedOverlap:

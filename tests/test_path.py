@@ -59,15 +59,18 @@ class TestNextBeta:
         with pytest.raises(NoIncrementAvailableError):
             next_beta(params, r, 0.5)
 
-    def test_min_rel_increase_floor(self):
-        params = MixtureParams(np.array([1.0]), np.array([[0.6, 0.8, 0.0]]),
-                               np.array([1.0]))
-        r = np.array([[1.0, 1.2, 0.9999]])
-        raw = next_beta(params, r, 0.9999)
-        floored = next_beta(params, r, 0.9999, min_rel_increase=0.05)
-        assert raw == pytest.approx(1.0)
-        assert floored == pytest.approx(0.9999 * 1.05)
-        assert floored > raw
+    def test_returns_beta_prev_plus_min_margin(self):
+        # No floor on the step: the increment is the smallest margin, bit for
+        # bit, even when it is tiny next to beta_prev.
+        params = MixtureParams(np.array([0.5, 0.5]),
+                               np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8]]),
+                               np.array([1.5, 3.0]))
+        r = np.array([[1.0, 1.2, 0.9999], [5.0, 0.7, 0.52]])
+        beta_prev = 1.4999
+        margins = [1.5 * 1.0 - beta_prev, 1.5 * 1.2 - beta_prev,
+                   3.0 * 0.7 - beta_prev, 3.0 * 0.52 - beta_prev]
+        assert next_beta(params, r, beta_prev) == beta_prev + min(margins)
+        assert min(margins) < 1e-3 * beta_prev
 
     def test_guarantees_immediate_sparsification(self, small_problem):
         X, fit = small_problem
@@ -320,7 +323,7 @@ class TestLargeEpsilon:
             assert np.all(np.isfinite(step.fit.params.means))
             assert np.isfinite(step.fit.log_likelihood)
 
-    @pytest.mark.parametrize("name", ["epsilon", "min_rel_increase"])
+    @pytest.mark.parametrize("name", ["epsilon"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_options_rejected(self, name, value):
         with pytest.raises(ValueError, match=name):
