@@ -12,7 +12,6 @@ from .em import (  # noqa: F401
     fit_em,
     hard_assign,
     init_random,
-    load_model,
     m_step,
     soft_threshold_mu,
 )
@@ -21,6 +20,7 @@ from .dataset import (  # noqa: F401
     SimulationConfig,
     estimate_overlap,
     load_matrix,
+    load_model,
     simulate_mixture,
 )
 from .path import PathOptions, PathResult, follow_path, next_beta  # noqa: F401

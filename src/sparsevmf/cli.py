@@ -19,7 +19,7 @@ from .em import FitOptions
 from .errors import ParseError, SparseVmfError
 from .path import PathOptions, follow_path, path_to_dict
 from .selection import CRITERIA, make_ic_fn
-from .special import _D_MAX
+from .special import _check_d
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -110,9 +110,10 @@ def _load_dataset(args, d: int | None = None) -> np.ndarray:
     """The --input matrix, row-normalised. A column count outside the vMF
     domain, or given a model's d another column count, raises ParseError."""
     X = dataset.load_matrix(args.input, format=args.format)
-    if not 2 <= X.shape[1] <= _D_MAX:
-        raise ParseError(f"--input has {X.shape[1]} columns; the vMF density needs "
-                         f"2 <= d <= {_D_MAX:g}")
+    try:
+        _check_d("--input", X.shape[1])
+    except ValueError as err:
+        raise ParseError(str(err)) from None
     if d is not None and X.shape[1] != d:
         raise ParseError(f"--input has {X.shape[1]} columns, --model has d = {d}")
     return X
@@ -138,7 +139,7 @@ def cmd_fit(args) -> int:
     opts = FitOptions(beta=args.beta, max_em_iters=args.max_em_iters,
                       em_tol=args.em_tol, kappa_mode=args.kappa_mode)
     fit = selection.best_of_restarts(X, args.k, args.restarts, opts, seed=args.seed)
-    doc = em.fit_result_to_dict(fit)
+    doc = dataset.fit_result_to_dict(fit)
     doc["run"] = _run_meta(args)
     _write_json(args.out, doc)
     if args.trace_out:
@@ -181,7 +182,7 @@ def cmd_select(args) -> int:
         "chosen_K": report.chosen_K,
         "best_steps": {str(k): v for k, v in report.best_steps.items()},
         "skipped": {str(k): v for k, v in report.skipped.items()},
-        "final_model": em.fit_result_to_dict(report.final_model),
+        "final_model": dataset.fit_result_to_dict(report.final_model),
     }
     _write_json(args.out, doc)
     if args.ic_csv:
@@ -197,7 +198,7 @@ def cmd_skmeans(args) -> int:
     doc = {
         "run": _run_meta(args),
         "K": args.k,
-        "prototypes": em.means_to_sparse(result.prototypes),
+        "prototypes": dataset.means_to_sparse(result.prototypes),
         "labels": result.labels.tolist(),
         "coherence": result.coherence,
         "n_iters": result.n_iters,
@@ -210,7 +211,7 @@ def cmd_skmeans(args) -> int:
 def cmd_viz(args) -> int:
     if bool(args.input) != bool(args.data_out):
         raise ValueError("viz: --input and --data-out must be given together")
-    fit = em.load_model(args.model)
+    fit = dataset.load_model(args.model)
     X = _load_dataset(args, fit.params.d) if args.input else None
     ordering = viz.order_dimensions(fit.params, epsilon=args.epsilon)
     row_perm = viz.order_rows(fit.params)
@@ -230,7 +231,7 @@ def cmd_viz(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    fit = em.load_model(args.model)
+    fit = dataset.load_model(args.model)
     truth = dataset.load_ground_truth(args.truth)
     if truth.params.d != fit.params.d:
         raise ParseError(f"--truth has d = {truth.params.d}, --model has d = {fit.params.d}")

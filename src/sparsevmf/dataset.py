@@ -1,25 +1,20 @@
-"""Observation matrices (loading, normalisation), planted-structure
-simulation of sparse vMF mixtures and its Monte Carlo overlap estimates."""
+"""Every file the package reads back (observation matrices, truth and model
+files, whose means are sparse [index, value] pairs), and the planted-structure
+simulation of sparse vMF mixtures with its Monte Carlo overlap estimates."""
 
 from __future__ import annotations
 
+import json
 import math
+import reprlib
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import vmf
-from .em import (
-    MixtureParams,
-    _check_json,
-    _log_joint,
-    _read_json_doc,
-    e_step,
-    hard_assign,
-    means_from_sparse,
-    means_to_sparse,
-)
+from .em import FitResult, FitStatus, MixtureParams, _log_joint, e_step, hard_assign
 from .errors import CannotSparsifyError, NotBracketedError, ParseError, ZeroRowError
 from .special import _check_d
 
@@ -34,6 +29,9 @@ __all__ = [
     "calibrate_overlap",
     "sample_mixture",
     "estimate_overlap",
+    "means_to_sparse",
+    "means_from_sparse",
+    "load_model",
     "ground_truth_to_dict",
     "load_ground_truth",
 ]
@@ -173,7 +171,6 @@ def _parse_sparse_triplet(path):
         raise ParseError("empty file")
     if shape is None:
         shape = (max(e[1] for e in entries) + 1, max(e[2] for e in entries) + 1)
-    X = np.zeros(shape)
     seen = set()
     for lineno, i, j, v in entries:
         if not (0 <= i < shape[0] and 0 <= j < shape[1]) or (i, j) in seen:
@@ -181,6 +178,11 @@ def _parse_sparse_triplet(path):
         if not math.isfinite(v):
             raise ParseError("non-finite value", line=lineno)
         seen.add((i, j))
+    try:
+        X = np.zeros(shape)
+    except (MemoryError, ValueError):  # ValueError: more bytes than NumPy can address
+        raise ParseError(f"a matrix of shape {shape} does not fit in memory") from None
+    for _, i, j, v in entries:
         X[i, j] = v
     return X
 
@@ -190,7 +192,8 @@ def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> np.n
     to unit norm (zero rows are rejected with their indices).
 
     Malformed content (non-UTF-8 text, nan or inf values, a triplet index
-    repeated or outside the matrix) raises ParseError with the file line number."""
+    repeated or outside the matrix) raises ParseError with the file line number,
+    and so, without one, does a triplet matrix too big to allocate."""
     if format == "dense-csv":
         X = _parse_dense_csv(path)
     elif format == "sparse-triplet":
@@ -439,6 +442,138 @@ def simulate_mixture(cfg: SimulationConfig) -> tuple[np.ndarray, GroundTruth]:
     return X, GroundTruth(params=params, labels=labels)
 
 
+def means_to_sparse(means: np.ndarray) -> list:
+    """Per mean, the [index, value] pairs of its nonzero coordinates."""
+    return [[[int(j), float(row[j])] for j in np.nonzero(row)[0]] for row in means]
+
+
+def means_from_sparse(entries: list, d: int) -> np.ndarray:
+    """Inverse of means_to_sparse: a dense len(entries) x d matrix. A d outside
+    the vMF domain or an index that is negative, repeated or >= d raises ValueError."""
+    _check_d("means_from_sparse", d)  # before the K x d allocation
+    means = np.zeros((len(entries), d))
+    for k, row in enumerate(entries):
+        seen = set()
+        for j, v in row:
+            if not 0 <= j < d or j in seen:
+                raise ValueError(f"mean {k}: index {j} is negative or repeated, or >= d = {d}")
+            seen.add(j)
+            means[k, j] = v
+    return means
+
+
+def _check_json(value, kind, where: str) -> None:
+    """Raise ValueError, naming the path where, unless the JSON value has kind: int,
+    float (finite), a set of strings, [t] (a list of t; [] any list) or (int, float) (a pair)."""
+    if type(kind) is set:
+        ok, want = type(value) is str and value in kind, f"one of {sorted(kind)}"
+    elif type(kind) is list or type(kind) is tuple:
+        ok = type(value) is list and (type(kind) is list or len(value) == len(kind))
+        want = "a list" if type(kind) is list else "an [index, value] pair"
+    else:  # type(), not isinstance: bool is an int. nan, inf and huge ints fail abs().
+        ok = type(value) in (kind, int) and (kind is int or abs(value) <= sys.float_info.max)
+        want = "an integer" if kind is int else "a finite number"
+    if not ok:
+        raise ValueError(f"{where} must be {want}, got {reprlib.repr(value)}")
+    if type(kind) is list or type(kind) is tuple:
+        kinds = kind * len(value) if type(kind) is list else kind
+        for i, (item, item_kind) in enumerate(zip(value, kinds)):
+            # An int or a finite float passes inline, at a third of a call's cost.
+            if type(item) is not item_kind or item_kind is float and not abs(item) < np.inf:
+                _check_json(item, item_kind, f"{where}[{i}]")
+
+
+def _read_json_doc(path, kind: str, fields: dict, from_dict):
+    """from_dict of the JSON object in the file at path, once the keys fields
+    names have their kinds (others are ignored). Text not UTF-8 or not JSON (with
+    its line), a non-object, a missing key and a ValueError raise ParseError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise ParseError("not UTF-8 text", line=raw.count(b"\n", 0, err.start) + 1) from None
+    except json.JSONDecodeError as err:
+        raise ParseError(f"not JSON: {err.msg}", line=err.lineno) from None
+    except RecursionError:
+        raise ParseError("not JSON: nested too deeply") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"not a {kind} file: not a JSON object")
+    try:
+        for key, t in fields.items():
+            _check_json(doc[key], t[doc["kappa_mode"]] if type(t) is dict else t, key)
+        return from_dict(doc)
+    except KeyError as err:
+        raise ParseError(f"not a {kind} file: no {err.args[0]!r} key") from None
+    except ValueError as err:
+        raise ParseError(f"not a {kind} file: {err}") from None
+
+
+def _params_from_doc(doc: dict, key: str, K: int, kappas, kappa_mode: str,
+                     mismatch: str) -> MixtureParams:
+    """MixtureParams of the sparse means doc[key] of a model or truth doc: counted against
+    K (else ValueError(mismatch.format(K=K, n=count))), then checked pair by pair, then built."""
+    entries = doc[key]
+    if len(entries) != K:
+        raise ValueError(mismatch.format(K=K, n=len(entries)))
+    _check_json(entries, [[(int, float)]], key)
+    return MixtureParams(alpha=np.array(doc["alpha"]), means=means_from_sparse(entries, doc["d"]),
+                         kappas=kappas, kappa_mode=kappa_mode)
+
+
+def fit_result_to_dict(fit: FitResult) -> dict:
+    p = fit.params
+    kappa = float(p.kappas[0]) if p.kappa_mode == "shared" else [float(v) for v in p.kappas]
+    return {
+        "K": p.K,
+        "d": p.d,
+        "kappa_mode": p.kappa_mode,
+        "alpha": [float(a) for a in p.alpha],
+        "kappa": kappa,
+        "means": means_to_sparse(p.means),
+        "beta": fit.beta,
+        "log_likelihood": fit.log_likelihood,
+        "penalized_log_likelihood": fit.penalized_log_likelihood,
+        "status": fit.status.value,
+        "n_iters": fit.n_iters,
+    }
+
+
+def fit_result_from_dict(doc: dict) -> FitResult:
+    """Inverse of fit_result_to_dict, for a doc that matches _MODEL_FIELDS. A K
+    that disagrees with the arrays or a negative beta or n_iters raises ValueError."""
+    kappas = [doc["kappa"]] * len(doc["alpha"]) if doc["kappa_mode"] == "shared" else doc["kappa"]
+    params = _params_from_doc(doc, "means", doc["K"], kappas, doc["kappa_mode"],
+                              "K = {K}, but the arrays hold {n} components")
+    for key in ("beta", "n_iters"):
+        if doc[key] < 0:
+            raise ValueError(f"{key} must be >= 0, got {doc[key]!r}")
+    return FitResult(
+        params=params,
+        beta=doc["beta"],
+        log_likelihood=doc["log_likelihood"],
+        penalized_log_likelihood=doc["penalized_log_likelihood"],
+        n_iters=doc["n_iters"],
+        status=FitStatus(doc["status"]),
+    )
+
+
+# The JSON kind of each model file key (see _check_json), in missing-key order;
+# kappa's is picked by kappa_mode: K numbers in free mode, one in shared mode.
+# means is any list here: _params_from_doc checks its pairs once counted.
+_MODEL_FIELDS = {
+    "d": int, "kappa_mode": {"free", "shared"}, "kappa": {"free": [float], "shared": float},
+    "alpha": [float], "means": [], "K": int, "beta": float,
+    "log_likelihood": float, "penalized_log_likelihood": float, "n_iters": int,
+    "status": {s.value for s in FitStatus},
+}
+
+
+def load_model(path) -> FitResult:
+    """Read a fit_result_to_dict file; malformed content raises ParseError."""
+    return _read_json_doc(path, "model", _MODEL_FIELDS, fit_result_from_dict)
+
+
 def ground_truth_to_dict(truth: GroundTruth) -> dict:
     p = truth.params
     return {
@@ -451,23 +586,16 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict:
 
 
 def _ground_truth_from_dict(doc: dict) -> GroundTruth:
-    if len(doc["mu"]) != len(doc["alpha"]):  # before the walk over mu and its allocation
-        raise ValueError(f"alpha holds {len(doc['alpha'])} weights, but mu {len(doc['mu'])} means")
-    _check_json(doc["mu"], [[(int, float)]], "mu")
-    params = MixtureParams(
-        alpha=np.array(doc["alpha"]),
-        means=means_from_sparse(doc["mu"], doc["d"]),
-        kappas=np.array(doc["kappa"]),
-        kappa_mode="free",
-    )
+    params = _params_from_doc(doc, "mu", len(doc["alpha"]), doc["kappa"], "free",
+                              "alpha holds {K} weights, but mu {n} means")
     # Over the Python ints: a huge label is out of range, not an OverflowError.
     if min(doc["labels"], default=0) < 0 or max(doc["labels"], default=0) >= params.K:
         raise ValueError(f"labels must be a list of integers in [0, {params.K})")
     return GroundTruth(params=params, labels=np.array(doc["labels"], dtype=int))
 
 
-# The JSON kind of each truth file key (see em._check_json), in missing-key order;
-# mu is any list here: _ground_truth_from_dict checks its pairs once counted.
+# The JSON kind of each truth file key (see _check_json), in missing-key order;
+# mu is any list here: _params_from_doc checks its pairs once counted.
 _TRUTH_FIELDS = {"alpha": [float], "mu": [], "d": int, "kappa": [float], "labels": [int]}
 
 

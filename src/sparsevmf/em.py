@@ -1,4 +1,4 @@
-"""Penalized EM for mixtures of von Mises-Fisher distributions.
+"""Penalized EM for mixtures of von Mises-Fisher distributions (dataset.py owns the model file).
 
 The l1 penalty couples the directional means and the concentrations, so each
 M step is one conditional-maximisation cycle (ECM, Meng & Rubin 1993): it
@@ -23,9 +23,6 @@ and the E-step writes both down without evaluating exp.
 
 from __future__ import annotations
 
-import json
-import reprlib
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -35,7 +32,6 @@ from .errors import (
     DegenerateUniformError,
     EmptyComponentError,
     InitFailureError,
-    ParseError,
     ZeroMeanError,
 )
 from .special import KAPPA_CAP, _check_d, invert_bessel_ratio, log_vmf_normalizer
@@ -52,9 +48,6 @@ __all__ = [
     "m_step",
     "fit_em",
     "hard_assign",
-    "load_model",
-    "means_to_sparse",
-    "means_from_sparse",
 ]
 
 # Random initialisations fit_em tries before it gives up.
@@ -95,7 +88,7 @@ class MixtureParams:
 
     kappa_mode "free" keeps one concentration per component; "shared"
     constrains all components to a single value (kappas then holds K copies
-    of it so the shapes stay uniform; one value given stands for all K).
+    of it so the shapes stay uniform).
     """
 
     alpha: np.ndarray
@@ -113,10 +106,8 @@ class MixtureParams:
         if self.means.ndim != 2 or self.means.shape[0] != k:
             raise ValueError("means must be a K x d matrix, K = len(alpha)")
         _check_d("MixtureParams", self.means.shape[1])
-        if self.kappa_mode == "shared" and self.kappas.size == 1:
-            self.kappas = np.full(k, self.kappas.item())
         if self.kappas.shape != (k,):
-            raise ValueError("kappas must hold K values, or one in shared mode")
+            raise ValueError("kappas must hold K values")
         for name in ("alpha", "means", "kappas"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"{name} must be finite")
@@ -474,134 +465,3 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
         status=status,
         resp=resp,
     )
-
-
-def means_to_sparse(means: np.ndarray) -> list:
-    """Per mean, the [index, value] pairs of its nonzero coordinates."""
-    out = []
-    for row in means:
-        nz = np.nonzero(row)[0]
-        out.append([[int(j), float(row[j])] for j in nz])
-    return out
-
-
-def means_from_sparse(entries: list, d: int) -> np.ndarray:
-    """Inverse of means_to_sparse: a dense len(entries) x d matrix. A d outside
-    the vMF domain or an index that is negative, repeated or >= d raises ValueError."""
-    _check_d("means_from_sparse", d)  # before the K x d allocation
-    means = np.zeros((len(entries), d))
-    for k, row in enumerate(entries):
-        seen = set()
-        for j, v in row:
-            if not 0 <= j < d or j in seen:
-                raise ValueError(f"mean {k}: index {j} is negative or repeated, or >= d = {d}")
-            seen.add(j)
-            means[k, j] = v
-    return means
-
-
-def fit_result_to_dict(fit: FitResult) -> dict:
-    p = fit.params
-    kappa = float(p.kappas[0]) if p.kappa_mode == "shared" else [float(v) for v in p.kappas]
-    return {
-        "K": p.K,
-        "d": p.d,
-        "kappa_mode": p.kappa_mode,
-        "alpha": [float(a) for a in p.alpha],
-        "kappa": kappa,
-        "means": means_to_sparse(p.means),
-        "beta": fit.beta,
-        "log_likelihood": fit.log_likelihood,
-        "penalized_log_likelihood": fit.penalized_log_likelihood,
-        "status": fit.status.value,
-        "n_iters": fit.n_iters,
-    }
-
-
-def fit_result_from_dict(doc: dict) -> FitResult:
-    """Inverse of fit_result_to_dict, for a doc that matches _MODEL_FIELDS. A K
-    that disagrees with the arrays or a negative beta or n_iters raises ValueError."""
-    if len(doc["means"]) != doc["K"]:  # before the walk over the means and their allocation
-        raise ValueError(f"K = {doc['K']}, but the arrays hold {len(doc['means'])} components")
-    _check_json(doc["means"], [[(int, float)]], "means")
-    params = MixtureParams(
-        alpha=np.array(doc["alpha"]),
-        means=means_from_sparse(doc["means"], doc["d"]),
-        kappas=doc["kappa"],
-        kappa_mode=doc["kappa_mode"],
-    )
-    if doc["beta"] < 0:
-        raise ValueError(f"beta must be >= 0, got {doc['beta']!r}")
-    if doc["n_iters"] < 0:
-        raise ValueError(f"n_iters must be >= 0, got {doc['n_iters']!r}")
-    return FitResult(
-        params=params,
-        beta=doc["beta"],
-        log_likelihood=doc["log_likelihood"],
-        penalized_log_likelihood=doc["penalized_log_likelihood"],
-        n_iters=doc["n_iters"],
-        status=FitStatus(doc["status"]),
-    )
-
-
-# The JSON kind of each model file key (see _check_json), in missing-key order;
-# kappa's is picked by kappa_mode: K numbers in free mode, one in shared mode.
-# means is any list here: fit_result_from_dict checks its pairs once counted.
-_MODEL_FIELDS = {
-    "d": int, "kappa_mode": {"free", "shared"}, "kappa": {"free": [float], "shared": float},
-    "alpha": [float], "means": [], "K": int, "beta": float,
-    "log_likelihood": float, "penalized_log_likelihood": float, "n_iters": int,
-    "status": {s.value for s in FitStatus},
-}
-
-
-def _check_json(value, kind, where: str) -> None:
-    """Raise ValueError, naming the path where, unless the JSON value has kind: int,
-    float (finite), a set of strings, [t] (a list of t; [] any list) or (int, float) (a pair)."""
-    if type(kind) is set:
-        ok, want = type(value) is str and value in kind, f"one of {sorted(kind)}"
-    elif type(kind) is list or type(kind) is tuple:
-        ok = type(value) is list and (type(kind) is list or len(value) == len(kind))
-        want = "a list" if type(kind) is list else "an [index, value] pair"
-    else:  # type(), not isinstance: bool is an int. nan, inf and huge ints fail abs().
-        ok = type(value) in (kind, int) and (kind is int or abs(value) <= sys.float_info.max)
-        want = "an integer" if kind is int else "a finite number"
-    if not ok:
-        raise ValueError(f"{where} must be {want}, got {reprlib.repr(value)}")
-    if type(kind) is list or type(kind) is tuple:
-        kinds = kind * len(value) if type(kind) is list else kind
-        for i, (item, item_kind) in enumerate(zip(value, kinds)):
-            # An int or a finite float passes inline, at a third of a call's cost.
-            if type(item) is not item_kind or item_kind is float and not abs(item) < np.inf:
-                _check_json(item, item_kind, f"{where}[{i}]")
-
-
-def _read_json_doc(path, kind: str, fields: dict, from_dict):
-    """from_dict of the JSON object in the file at path, once the keys fields
-    names have their kinds (others are ignored). Text not UTF-8 or not JSON (with
-    its line), a non-object, a missing key and a ValueError raise ParseError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        doc = json.loads(raw.decode("utf-8"))
-    except UnicodeDecodeError as err:
-        raise ParseError("not UTF-8 text", line=raw.count(b"\n", 0, err.start) + 1) from None
-    except json.JSONDecodeError as err:
-        raise ParseError(f"not JSON: {err.msg}", line=err.lineno) from None
-    except RecursionError:
-        raise ParseError("not JSON: nested too deeply") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"not a {kind} file: not a JSON object")
-    try:
-        for key, t in fields.items():
-            _check_json(doc[key], t[doc["kappa_mode"]] if type(t) is dict else t, key)
-        return from_dict(doc)
-    except KeyError as err:
-        raise ParseError(f"not a {kind} file: no {err.args[0]!r} key") from None
-    except ValueError as err:
-        raise ParseError(f"not a {kind} file: {err}") from None
-
-
-def load_model(path) -> FitResult:
-    """Read a fit_result_to_dict file; malformed content raises ParseError."""
-    return _read_json_doc(path, "model", _MODEL_FIELDS, fit_result_from_dict)

@@ -61,20 +61,25 @@ def count_free_params(params: MixtureParams) -> int:
     return (K - 1) + kappa_count + mean_count
 
 
+def _ic(phi: float, n_params: int, ll: float) -> float:
+    """phi * C - 2 * logL for C free parameters: the one formula of every criterion."""
+    return phi * n_params - 2.0 * ll
+
+
 def information_criterion(fit: FitResult, N: int, d: int, c: Criterion) -> float:
     """phi(n, d) * C - 2 * logL, using the unpenalized log-likelihood."""
-    return c.phi(N, d) * count_free_params(fit.params) - 2.0 * fit.log_likelihood
+    return _ic(c.phi(N, d), count_free_params(fit.params), fit.log_likelihood)
 
 
 def make_ic_fn(N: int, d: int):
     """Function mapping a FitResult to {criterion kind: value}, for every
-    kind in CRITERIA, for N observations in d dimensions. Each value equals
-    information_criterion's; the free parameters are counted once per fit."""
+    kind in CRITERIA, for N observations in d dimensions. Each value is
+    information_criterion's, from one count of the free parameters per fit."""
     phis = {kind: Criterion(kind).phi(N, d) for kind in CRITERIA}
 
     def ic_fn(fit: FitResult) -> dict:
         n_params, ll = count_free_params(fit.params), fit.log_likelihood
-        return {kind: phi * n_params - 2.0 * ll for kind, phi in phis.items()}
+        return {kind: _ic(phi, n_params, ll) for kind, phi in phis.items()}
 
     return ic_fn
 

@@ -8,8 +8,8 @@ leading power-series term at tiny x and the uniform asymptotic expansion
 (DLMF 10.41(ii)) otherwise. None of them loops. The domain is
 2 <= d <= 1e5 and 0 <= kappa <= KAPPA_CAP; the functions raise ValueError
 outside it. _check_d and _check_kappa own that domain; MixtureParams,
-means_from_sparse (so every model and truth file), SimulationConfig, the
-RIC-family criteria and vmf.sample call them too.
+dataset.means_from_sparse (so every model and truth file), the CLI's --input
+check, SimulationConfig, the RIC-family criteria and vmf.sample call them too.
 """
 
 from __future__ import annotations

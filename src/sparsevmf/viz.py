@@ -52,7 +52,10 @@ def data_row_order(labels: np.ndarray, comp_order: np.ndarray) -> np.ndarray:
 def order_dimensions(params: MixtureParams, epsilon: float = 1e-8) -> DimensionOrdering:
     """Sort dimensions by (support count descending, binary column pattern
     lexicographic with components in alpha-descending order and 1 before 0,
-    total absolute weight descending), stably."""
+    total absolute weight descending), stably. |mu_kj| > epsilon, finite and
+    >= 0, puts j in mean k's support."""
+    if not 0 <= epsilon < np.inf:  # written so that NaN fails it
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     means = params.means
     b_ordered = (np.abs(means) > epsilon).astype(int)[order_rows(params)]
     n = b_ordered.sum(axis=0)

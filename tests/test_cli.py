@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sparsevmf.cli import main
-from sparsevmf.dataset import GroundTruth, ground_truth_to_dict
-from sparsevmf.em import FitResult, MixtureParams, fit_result_to_dict, load_model
+from sparsevmf.dataset import GroundTruth, fit_result_to_dict, ground_truth_to_dict, load_model
+from sparsevmf.em import FitResult, MixtureParams
 from sparsevmf.viz import order_dimensions
 
 
@@ -154,6 +154,14 @@ BAD_TRIPLETS = {
     "shape-without-rows": ("#shape 0 20\n", "line 1: malformed shape comment '#shape 0 20'"),
     "repeated-entry": ("0 0 1.0\n1 1 2.0\n0 0 5.0\n",
                        "line 3: index (0, 0) repeated or outside shape (2, 2)"),
+    # 4 EiB, past the address space, and a size NumPy cannot address: both
+    # fail without allocating, whatever the overcommit setting.
+    "shape-past-address-space": (
+        "#shape 549755813888 1048576\n0 0 1.0\n",
+        "a matrix of shape (549755813888, 1048576) does not fit in memory"),
+    "shape-past-numpy": (
+        "#shape 1000000000000 1000000000000\n0 0 1.0\n",
+        "a matrix of shape (1000000000000, 1000000000000) does not fit in memory"),
 }
 
 
@@ -343,8 +351,7 @@ class TestVizMetrics:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0]) == {
-            "error": "ParseError",
-            "message": f"--input has {d} columns; the vMF density needs 2 <= d <= 100000"}
+            "error": "ParseError", "message": f"--input requires 2 <= d <= 100000, got {d}"}
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("k", [3, 2])
@@ -871,6 +878,23 @@ class TestUsageErrors:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_viz_epsilon_out_of_range_is_one_json_line(self, tmp_path, capsys, epsilon):
+        # As the table above, but viz reads its model first, so the directory
+        # holds that one file.
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 4), np.array([5.0, 5.0]))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))))
+        capsys.readouterr()
+        assert run(["viz", "--model", str(model), "--out", str(tmp_path / "means.ppm"),
+                    "--csv-out", str(tmp_path / "ordering.csv"), "--epsilon", epsilon]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert [json.loads(line) for line in err.splitlines()] == [{
+            "error": "ConfigError",
+            "message": f"epsilon must be finite and >= 0, got {float(epsilon)!r}"}]
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     @pytest.mark.parametrize("flag", ["--version", "--help"])
     def test_help_and_version_exit_zero(self, capsys, flag):

@@ -97,6 +97,27 @@ class TestLoadMatrix:
             assert err.value.line == 1
             assert "malformed shape comment" in str(err.value)
 
+    @pytest.mark.parametrize("shape", ["549755813888 1048576", "1000000000000 1000000000000"])
+    def test_triplet_too_big_for_memory(self, tmp_path, shape):
+        # 4 EiB, past the address space (MemoryError), and a size NumPy
+        # cannot address (ValueError): both fail without allocating.
+        p = tmp_path / "m.txt"
+        p.write_text(f"#shape {shape}\n0 0 1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(p, format="sparse-triplet")
+        rows, cols = shape.split()
+        assert str(err.value) == f"a matrix of shape ({rows}, {cols}) does not fit in memory"
+        assert err.value.line is None
+
+    def test_triplet_negative_index_without_shape(self, tmp_path):
+        # The shape inferred from the entries has no rows; the entry is
+        # reported before anything is allocated.
+        p = tmp_path / "m.txt"
+        p.write_text("-5 0 1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_matrix(p, format="sparse-triplet")
+        assert err.value.line == 1
+
     @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-triplet"])
     def test_non_utf8_line_rejected(self, tmp_path, fmt):
         p = tmp_path / "m.txt"

@@ -9,7 +9,13 @@ from scipy.special import logsumexp
 
 import sparsevmf.em
 from sparsevmf import special
-from sparsevmf.dataset import SimulationConfig, simulate_mixture
+from sparsevmf.dataset import (
+    SimulationConfig,
+    fit_result_from_dict,
+    fit_result_to_dict,
+    load_model,
+    simulate_mixture,
+)
 from sparsevmf.em import (
     FitOptions,
     FitStatus,
@@ -24,11 +30,8 @@ from sparsevmf.em import (
     _row_blocks,
     e_step,
     fit_em,
-    fit_result_from_dict,
-    fit_result_to_dict,
     hard_assign,
     init_random,
-    load_model,
     m_step,
     soft_threshold_mu,
 )
@@ -56,7 +59,7 @@ def random_params(rng, K, d, kappa_lo=2.0, kappa_hi=30.0, kappa_mode="free"):
     alpha = rng.dirichlet(np.ones(K))
     kappas = rng.uniform(kappa_lo, kappa_hi, size=K)
     if kappa_mode == "shared":
-        kappas = kappas[:1]
+        kappas = np.full(K, kappas[0])
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
 
@@ -1004,6 +1007,12 @@ class TestInvalidValuesRejected:
         with pytest.raises(ValueError, match="K x d"):
             MixtureParams(np.array([0.5, 0.5]), means, np.array([1.0]))
 
+    @pytest.mark.parametrize("mode", ["free", "shared"])
+    def test_mixture_params_one_kappa_for_two_components(self, mode):
+        # Only the model reader broadcasts a shared-mode file's one kappa.
+        with pytest.raises(ValueError, match="^kappas must hold K values$"):
+            MixtureParams(np.array([0.5, 0.5]), np.eye(2), np.array([7.0]), kappa_mode=mode)
+
     @pytest.mark.parametrize("d", [1, 100_001])
     def test_mixture_params_d_outside_domain(self, d):
         with pytest.raises(ValueError, match=f"^MixtureParams requires 2 <= d <= 100000, got {d}$"):
@@ -1199,8 +1208,8 @@ class TestPersistence:
         assert np.array_equal(back.params.kappas, params.kappas)
 
     def test_shared_kappa_scalar_with_another_k(self):
-        # MixtureParams broadcasts the scalar to the arrays' K; the file's K
-        # is then checked against it.
+        # The model reader broadcasts the scalar to the arrays' K; the file's
+        # K is then checked against it.
         params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 4),
                                np.array([7.0, 7.0]), kappa_mode="shared")
         from sparsevmf.em import FitResult

@@ -6,9 +6,8 @@ import pytest
 import sparsevmf.em
 import sparsevmf.path
 from sparsevmf.cli import _write_csv
-from sparsevmf.dataset import SimulationConfig, simulate_mixture
-from sparsevmf.em import (FitOptions, FitStatus, MixtureParams, e_step, fit_em,
-                          fit_result_to_dict, load_model, soft_threshold_mu)
+from sparsevmf.dataset import SimulationConfig, fit_result_to_dict, load_model, simulate_mixture
+from sparsevmf.em import FitOptions, FitStatus, MixtureParams, e_step, fit_em, soft_threshold_mu
 from sparsevmf.errors import NoIncrementAvailableError
 from sparsevmf.path import PathOptions, follow_path, next_beta, path_to_dict
 from sparsevmf.selection import best_of_restarts

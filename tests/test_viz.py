@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sparsevmf.cli import main
-from sparsevmf.em import FitResult, MixtureParams, fit_result_to_dict
+from sparsevmf.dataset import fit_result_to_dict
+from sparsevmf.em import FitResult, MixtureParams
 from sparsevmf.viz import (
     PALETTE,
     DimensionOrdering,
@@ -94,6 +95,12 @@ class TestOrderDimensions:
         m = np.array([[1.0, 1e-9, 0.0]])
         out = order_dimensions(mk_params(m), epsilon=1e-8)
         assert out.n.tolist() == [1, 0, 0]
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0])
+    def test_epsilon_out_of_range_rejected(self, epsilon):
+        # nan and inf would count no coordinate, and -1 every one.
+        with pytest.raises(ValueError, match="^epsilon must be finite and >= 0"):
+            order_dimensions(mk_params(np.eye(2, 3)), epsilon=epsilon)
 
     def test_matches_comparator_oracle(self):
         rng = np.random.default_rng(0)
