@@ -119,7 +119,7 @@ def _load_dataset(args, d: int | None = None) -> np.ndarray:
     return X
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     cfg = dataset.SimulationConfig(
         K=args.k, d=args.d, N=args.n,
         overlap_target=args.overlap, base_kappa=args.base_kappa,
@@ -131,10 +131,9 @@ def cmd_simulate(args) -> int:
     doc = dataset.ground_truth_to_dict(truth)
     doc["run"] = _run_meta(args)
     _write_json(args.truth_out, doc)
-    return 0
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     X = _load_dataset(args)
     opts = FitOptions(beta=args.beta, max_em_iters=args.max_em_iters,
                       em_tol=args.em_tol, kappa_mode=args.kappa_mode)
@@ -145,7 +144,6 @@ def cmd_fit(args) -> int:
     if args.trace_out:
         _write_csv(args.trace_out, [{"iteration": i, "penalized_log_likelihood": v}
                                     for i, v in enumerate(fit.trace)])
-    return 0
 
 
 def _path_options(args) -> PathOptions:
@@ -154,7 +152,7 @@ def _path_options(args) -> PathOptions:
     return PathOptions(max_steps=args.max_steps, epsilon=args.epsilon, fit_options=fit_opts)
 
 
-def cmd_path(args) -> int:
+def cmd_path(args):
     X = _load_dataset(args)
     path_opts = _path_options(args)
     dense = selection.best_of_restarts(X, args.k, args.restarts,
@@ -165,10 +163,9 @@ def cmd_path(args) -> int:
     _write_json(args.out, doc)
     if args.csv_out:
         _write_csv(args.csv_out, doc["steps"])
-    return 0
 
 
-def cmd_select(args) -> int:
+def cmd_select(args):
     X = _load_dataset(args)
     path_opts = _path_options(args)
     report = selection.select_model(
@@ -187,10 +184,9 @@ def cmd_select(args) -> int:
     _write_json(args.out, doc)
     if args.ic_csv:
         _write_csv(args.ic_csv, [{"K": k, **row} for k, row in sorted(report.dense_ic.items())])
-    return 0
 
 
-def cmd_skmeans(args) -> int:
+def cmd_skmeans(args):
     # Spherical k-means has no vMF density, so no domain on d.
     X = dataset.load_matrix(args.input, format=args.format)
     rng = np.random.default_rng(args.seed)
@@ -205,10 +201,9 @@ def cmd_skmeans(args) -> int:
         "converged": result.converged,
     }
     _write_json(args.out, doc)
-    return 0
 
 
-def cmd_viz(args) -> int:
+def cmd_viz(args):
     if bool(args.input) != bool(args.data_out):
         raise ValueError("viz: --input and --data-out must be given together")
     fit = dataset.load_model(args.model)
@@ -227,10 +222,9 @@ def cmd_viz(args) -> int:
         data_perm = viz.data_row_order(labels, row_perm)
         viz.render_pixel_map(X, ordering, data_perm, args.data_out,
                              mode="data", scale=args.scale)
-    return 0
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args):
     fit = dataset.load_model(args.model)
     truth = dataset.load_ground_truth(args.truth)
     if truth.params.d != fit.params.d:
@@ -249,7 +243,6 @@ def cmd_metrics(args) -> int:
         record["support_recall"] = recall
         record["support_matching"] = meta
     _write_json(args.out, record)
-    return 0
 
 
 def _add_common(p):
@@ -368,7 +361,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _apply_config_file(build_parser().parse_args(argv), argv)
-        return args.func(args)
+        args.func(args)
     except (SparseVmfError, OSError) as err:
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)
         sys.stderr.write("\n")
@@ -377,6 +370,7 @@ def main(argv=None) -> int:
         json.dump({"error": "ConfigError", "message": str(err)}, sys.stderr)
         sys.stderr.write("\n")
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -164,16 +164,19 @@ def _parse_sparse_triplet(path):
         if len(parts) != 3:
             raise ParseError(f"expected 'row col value', got {line!r}", line=lineno)
         try:
-            entries.append((lineno, int(parts[0]), int(parts[1]), float(parts[2])))
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(f"malformed triplet {line!r}", line=lineno)
+        if min(i, j) < 0:
+            raise ParseError(f"negative index ({i}, {j})", line=lineno)
+        entries.append((lineno, i, j, v))
     if not entries and shape is None:
         raise ParseError("empty file")
     if shape is None:
         shape = (max(e[1] for e in entries) + 1, max(e[2] for e in entries) + 1)
     seen = set()
     for lineno, i, j, v in entries:
-        if not (0 <= i < shape[0] and 0 <= j < shape[1]) or (i, j) in seen:
+        if i >= shape[0] or j >= shape[1] or (i, j) in seen:
             raise ParseError(f"index ({i}, {j}) repeated or outside shape {shape}", line=lineno)
         if not math.isfinite(v):
             raise ParseError("non-finite value", line=lineno)

@@ -28,12 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DegenerateUniformError,
-    EmptyComponentError,
-    InitFailureError,
-    ZeroMeanError,
-)
+from .errors import DegenerateFitError, InitFailureError
 from .special import KAPPA_CAP, _check_d, invert_bessel_ratio, log_vmf_normalizer
 
 __all__ = [
@@ -61,6 +56,9 @@ _EXP_ZERO_BELOW = -746.0
 
 
 class FitStatus(str, Enum):
+    """Why fit_em stopped. An M step raises each failed member as
+    DegenerateFitError(member, message)."""
+
     CONVERGED = "Converged"
     MAX_ITERS = "MaxIters"
     DEGENERATE_UNIFORM = "DegenerateUniform"
@@ -72,14 +70,6 @@ class FitStatus(str, Enum):
         """Whether EM stopped on a degenerate model: the fit is unusable, and
         restarts discard it and a path ends before it."""
         return self not in (FitStatus.CONVERGED, FitStatus.MAX_ITERS)
-
-
-# The failed status fit_em reports for each error an M step raises.
-_STATUS_OF_ERROR = {
-    ZeroMeanError: FitStatus.ZERO_MEAN,
-    DegenerateUniformError: FitStatus.DEGENERATE_UNIFORM,
-    EmptyComponentError: FitStatus.EMPTY_COMPONENT,
-}
 
 
 @dataclass
@@ -207,7 +197,7 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     resultants = np.stack([X[labels == k].sum(axis=0) for k in range(K)])
     try:
         kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode, refine=False)
-    except DegenerateUniformError as err:
+    except DegenerateFitError as err:
         raise InitFailureError(f"initialisation: {err}") from err
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
@@ -311,7 +301,8 @@ def soft_threshold_mu(r: np.ndarray, kappa, beta: float) -> np.ndarray:
     resultants at K kappas. When every coordinate of a row is thresholded
     away, its maximiser is sign(r_j) e_j at j = argmax_j |r_j| (lowest index
     on ties): since ||mu||_1 >= ||mu||_2 = 1, no unit vector scores above
-    kappa |r_j| - beta. Raises ZeroMeanError only when a row of r is zero.
+    kappa |r_j| - beta. Raises DegenerateFitError with status ZERO_MEAN only
+    when a row of r is zero.
     """
     rows = np.atleast_2d(r)
     abs_r = np.abs(rows)
@@ -328,7 +319,8 @@ def soft_threshold_mu(r: np.ndarray, kappa, beta: float) -> np.ndarray:
     for k in np.flatnonzero(empty):
         j = int(np.argmax(abs_r[k]))
         if abs_r[k, j] == 0.0:
-            raise ZeroMeanError("zero resultant: the directional mean is undefined")
+            raise DegenerateFitError(FitStatus.ZERO_MEAN,
+                                     "zero resultant: the directional mean is undefined")
         mu[k] = 0.0
         mu[k, j] = np.sign(rows[k, j])
     return mu.reshape(np.shape(r))
@@ -341,12 +333,14 @@ def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarra
     each solved under the cap: rho >= 1 - 1e-12 means all mass sits on one
     point and gives KAPPA_CAP.
 
-    Raises DegenerateUniformError when a rho is <= 0."""
+    Raises DegenerateFitError with status DEGENERATE_UNIFORM when a rho is
+    <= 0."""
     K, d = means.shape
 
     def solve(rho):
         if rho <= 0.0:
-            raise DegenerateUniformError(f"rho = {rho:g} <= 0: component drifting to uniform")
+            raise DegenerateFitError(FitStatus.DEGENERATE_UNIFORM,
+                                     f"rho = {rho:g} <= 0: component drifting to uniform")
         if rho >= 1.0 - 1e-12:
             return KAPPA_CAP
         return invert_bessel_ratio(d, rho, refine=refine)
@@ -369,7 +363,8 @@ def m_step(resp: Responsibilities, prev_params: MixtureParams,
     n = resp.tau.shape[0]
     col_sums = resp.tau.sum(axis=0)
     if col_sums.min() < 1e-12:
-        raise EmptyComponentError("component with vanishing total responsibility")
+        raise DegenerateFitError(FitStatus.EMPTY_COMPONENT,
+                                 "component with vanishing total responsibility")
     alpha = col_sums / n
     r = resp.resultants
     means = soft_threshold_mu(r, prev_params.kappas, opts.beta)
@@ -408,9 +403,8 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     as prev, and the result carries the E-step at its params. Neither init
     nor resp is written to.
 
-    Degenerate situations (zero mean, uniform drift, empty component) are not
-    raised: the result carries the corresponding status and the last valid
-    parameters.
+    A DegenerateFitError from an M step is not raised: the result carries its
+    status and the last valid parameters.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -451,8 +445,8 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
         try:
             # By keyword: perfbench's tracer reads the resp argument by name.
             params = m_step(resp=resp, prev_params=params, opts=opts)
-        except tuple(_STATUS_OF_ERROR) as err:
-            status = _STATUS_OF_ERROR[type(err)]
+        except DegenerateFitError as err:
+            status = err.status
             break
         resp = e_step(X, params, prev=resp)
     return FitResult(

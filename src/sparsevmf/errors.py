@@ -5,16 +5,14 @@ class SparseVmfError(Exception):
     """Base class for all sparsevmf errors."""
 
 
-class ZeroMeanError(SparseVmfError):
-    """A directional mean is undefined: its resultant is zero."""
+class DegenerateFitError(SparseVmfError):
+    """An M step reached a degenerate model; status is the failed em.FitStatus
+    that says which. fit_em returns that status in place of the error, so it
+    leaves only direct calls to m_step and soft_threshold_mu."""
 
-
-class DegenerateUniformError(SparseVmfError):
-    """A component is drifting to the uniform distribution (rho <= 0)."""
-
-
-class EmptyComponentError(SparseVmfError):
-    """A component has (numerically) zero total responsibility."""
+    def __init__(self, status, message):
+        super().__init__(message)
+        self.status = status
 
 
 class InitFailureError(SparseVmfError):

@@ -154,6 +154,7 @@ BAD_TRIPLETS = {
     "shape-without-rows": ("#shape 0 20\n", "line 1: malformed shape comment '#shape 0 20'"),
     "repeated-entry": ("0 0 1.0\n1 1 2.0\n0 0 5.0\n",
                        "line 3: index (0, 0) repeated or outside shape (2, 2)"),
+    "negative-index-without-shape": ("-5 0 1.0\n", "line 1: negative index (-5, 0)"),
     # 4 EiB, past the address space, and a size NumPy cannot address: both
     # fail without allocating, whatever the overcommit setting.
     "shape-past-address-space": (

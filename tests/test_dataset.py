@@ -110,13 +110,13 @@ class TestLoadMatrix:
         assert err.value.line is None
 
     def test_triplet_negative_index_without_shape(self, tmp_path):
-        # The shape inferred from the entries has no rows; the entry is
-        # reported before anything is allocated.
+        # Rejected on its own line, by its index: no shape is inferred from it.
         p = tmp_path / "m.txt"
         p.write_text("-5 0 1.0\n")
         with pytest.raises(ParseError) as err:
             load_matrix(p, format="sparse-triplet")
         assert err.value.line == 1
+        assert str(err.value) == "line 1: negative index (-5, 0)"
 
     @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-triplet"])
     def test_non_utf8_line_rejected(self, tmp_path, fmt):

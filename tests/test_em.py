@@ -35,13 +35,7 @@ from sparsevmf.em import (
     m_step,
     soft_threshold_mu,
 )
-from sparsevmf.errors import (
-    DegenerateUniformError,
-    EmptyComponentError,
-    InitFailureError,
-    ParseError,
-    ZeroMeanError,
-)
+from sparsevmf.errors import DegenerateFitError, InitFailureError, ParseError
 from sparsevmf.metrics import adjusted_rand_index
 from sparsevmf.vmf import KAPPA_CAP, sample
 
@@ -142,8 +136,10 @@ class TestInitRandom:
                 return np.arange(size)
 
         X = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8], [-0.6, -0.8]])
-        with pytest.raises(InitFailureError):
+        with pytest.raises(InitFailureError) as err:
             init_random(X, 2, FirstTwo())
+        assert isinstance(err.value.__cause__, DegenerateFitError)
+        assert err.value.__cause__.status is FitStatus.DEGENERATE_UNIFORM
 
 
 class TestEStep:
@@ -487,8 +483,9 @@ class TestSoftThreshold:
         assert mu.tolist() == [0.0, -1.0]
         # only a zero resultant leaves the mean undefined
         for beta in (0.0, 10.0):
-            with pytest.raises(ZeroMeanError):
+            with pytest.raises(DegenerateFitError) as err:
                 soft_threshold_mu(np.zeros(3), 1.0, beta)
+            assert err.value.status is FitStatus.ZERO_MEAN
 
     def test_over_penalized_tie_takes_lowest_index(self):
         mu = soft_threshold_mu(np.array([0.1, -0.5, 0.5, -0.5]), 2.0, 1.0)
@@ -548,7 +545,7 @@ def one_row_soft_threshold(r_k, kappa, beta):
     if norm == 0.0:
         j = int(np.argmax(abs_r))
         if abs_r[j] == 0.0:
-            raise ZeroMeanError("zero resultant")
+            raise DegenerateFitError(FitStatus.ZERO_MEAN, "zero resultant")
         mu = np.zeros_like(abs_r)
         mu[j] = np.sign(r_k[j])
         return mu
@@ -587,13 +584,34 @@ class TestSoftThresholdRows:
     def test_zero_row_raises(self):
         r = np.array([[1.0, 2.0], [0.0, 0.0], [0.5, 0.0]])
         for beta in (0.0, 10.0):
-            with pytest.raises(ZeroMeanError):
+            with pytest.raises(DegenerateFitError) as err:
                 soft_threshold_mu(r, np.ones(3), beta)
+            assert err.value.status is FitStatus.ZERO_MEAN
 
 
 class TestMStep:
     def _resp(self, X, params):
         return e_step(X, params)
+
+    def test_empty_component_raises(self):
+        # Component 1 holds no responsibility at all.
+        X = np.eye(3, 4)
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 4), np.array([5.0, 5.0]))
+        tau = np.array([[1.0, 0.0]] * 3)
+        resp = Responsibilities(tau, np.zeros(3), tau.T @ X)
+        with pytest.raises(DegenerateFitError) as err:
+            m_step(resp, params, FitOptions())
+        assert err.value.status is FitStatus.EMPTY_COMPONENT
+
+    @pytest.mark.parametrize("kappa_mode", ["free", "shared"])
+    def test_resultant_against_mean_raises(self, kappa_mode):
+        # <mu_1, r_1> < 0 gives rho_1 < 0, and so does the pooled
+        # sum_k <mu_k, r_k> < 0: the component drifts to uniform.
+        means = np.eye(2, 3)
+        r = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0]])
+        with pytest.raises(DegenerateFitError) as err:
+            _kappas_from_resultants(means, r, np.array([2.0, 2.0]), 4, kappa_mode, refine=True)
+        assert err.value.status is FitStatus.DEGENERATE_UNIFORM
 
     def test_beta_zero_closed_form(self):
         rng = np.random.default_rng(8)
@@ -918,15 +936,16 @@ class TestFitEmExits:
         return X, init_random(X, 3, np.random.default_rng(38))
 
     @staticmethod
-    def fit_recording(monkeypatch, X, init, opts, fail_at=None, error=None):
+    def fit_recording(monkeypatch, X, init, opts, fail_at=None, status=None):
         """fit_em from init, recording what each M step returned; with
-        fail_at, the M step raises error at that call (1-based)."""
+        fail_at, the M step raises DegenerateFitError(status) at that call
+        (1-based)."""
         returned = []
 
         def recording(**kwargs):
             if len(returned) + 1 == fail_at:
                 returned.append(None)
-                raise error(f"raised at call {fail_at}")
+                raise DegenerateFitError(status, f"raised at call {fail_at}")
             returned.append(m_step(**kwargs))
             return returned[-1]
 
@@ -962,16 +981,12 @@ class TestFitEmExits:
         assert fit.params is (returned[-1] if returned else init)
         self.assert_evaluated_at_params(X, fit, 0.2)
 
-    @pytest.mark.parametrize("error, status", [
-        (ZeroMeanError, FitStatus.ZERO_MEAN),
-        (DegenerateUniformError, FitStatus.DEGENERATE_UNIFORM),
-        (EmptyComponentError, FitStatus.EMPTY_COMPONENT),
-    ])
+    @pytest.mark.parametrize("status", [s for s in FitStatus if s.failed])
     @pytest.mark.parametrize("fail_at", [1, 3])
-    def test_failed_m_step(self, problem, monkeypatch, error, status, fail_at):
+    def test_failed_m_step(self, problem, monkeypatch, status, fail_at):
         X, init = problem
         fit, returned = self.fit_recording(monkeypatch, X, init, FitOptions(beta=0.2),
-                                           fail_at=fail_at, error=error)
+                                           fail_at=fail_at, status=status)
         assert fit.status is status
         assert fit.n_iters == len(fit.trace) == len(returned) == fail_at
         # The last valid params: those of the M step before the failed one.

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from sparsevmf.em import FitOptions, MixtureParams, Responsibilities, m_step
-from sparsevmf.errors import ZeroMeanError
+from sparsevmf.em import FitOptions, FitStatus, MixtureParams, Responsibilities, m_step
+from sparsevmf.errors import DegenerateFitError
 from sparsevmf.special import bessel_ratio
 from sparsevmf.vmf import KAPPA_CAP, _sample_tangent_weights, sample
 
@@ -61,8 +61,9 @@ class TestMleFit:
 
     def test_antipodal_zero_resultant(self):
         x = unit([1, 1, 0])
-        with pytest.raises(ZeroMeanError):
+        with pytest.raises(DegenerateFitError) as err:
             m_step_estimate(np.stack([x, -x]))
+        assert err.value.status is FitStatus.ZERO_MEAN
 
     def test_monte_carlo_consistency(self):
         rng = np.random.default_rng(11)
