@@ -57,13 +57,15 @@ _EXP_ZERO_BELOW = -746.0
 
 class FitStatus(str, Enum):
     """Why fit_em stopped. An M step raises each failed member as
-    DegenerateFitError(member, message)."""
+    DegenerateFitError(member, message), and a random start raises
+    EMPTY_COMPONENT or DEGENERATE_UNIFORM the same way."""
 
     CONVERGED = "Converged"
     MAX_ITERS = "MaxIters"
     DEGENERATE_UNIFORM = "DegenerateUniform"
     ZERO_MEAN = "ZeroMean"
     EMPTY_COMPONENT = "EmptyComponent"
+    COLLAPSED = "Collapsed"
 
     @property
     def failed(self) -> bool:
@@ -180,8 +182,9 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     """Random initialisation: K distinct observations as means, crisp
     assignment for alpha, and kappa solved from the crisp resultants.
 
-    Raises InitFailureError when a crisp cluster is empty or a resultant is
-    degenerate; callers retry with fresh draws.
+    Raises DegenerateFitError with status EMPTY_COMPONENT when a crisp
+    cluster is empty, or DEGENERATE_UNIFORM when a resultant is; callers
+    retry with fresh draws.
     """
     n = X.shape[0]
     if n < K:
@@ -192,13 +195,11 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     labels = np.argmax(_inner_products(means, X), axis=0)
     counts = np.bincount(labels, minlength=K)
     if np.any(counts == 0):
-        raise InitFailureError("empty crisp cluster during initialisation")
+        raise DegenerateFitError(FitStatus.EMPTY_COMPONENT,
+                                 "empty crisp cluster during initialisation")
     alpha = counts / n
     resultants = np.stack([X[labels == k].sum(axis=0) for k in range(K)])
-    try:
-        kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode, refine=False)
-    except DegenerateFitError as err:
-        raise InitFailureError(f"initialisation: {err}") from err
+    kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode, refine=False)
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
 
@@ -359,7 +360,11 @@ def m_step(resp: Responsibilities, prev_params: MixtureParams,
 
     Each block update maximises the expected complete-data objective Q with
     the other block fixed, so Q does not decrease. A single call does not
-    make the means and kappas jointly stationary; a converged fit_em does."""
+    make the means and kappas jointly stationary; a converged fit_em does.
+
+    A kappa solved at KAPPA_CAP raises DegenerateFitError with status
+    COLLAPSED: the likelihood is unbounded as a component concentrates on
+    one point, and the cap stops kappa but leaves the fit degenerate."""
     n = resp.tau.shape[0]
     col_sums = resp.tau.sum(axis=0)
     if col_sums.min() < 1e-12:
@@ -372,6 +377,9 @@ def m_step(resp: Responsibilities, prev_params: MixtureParams,
     # closed-form estimate alone leaves enough bias to break the monotone
     # ascent of the penalized log-likelihood.
     kappas = _kappas_from_resultants(means, r, col_sums, n, opts.kappa_mode, refine=True)
+    if kappas.max() >= KAPPA_CAP:
+        raise DegenerateFitError(FitStatus.COLLAPSED,
+                                 "kappa reached the cap: a component collapsed onto one direction")
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=opts.kappa_mode)
 
 
@@ -394,7 +402,9 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     log-likelihood drops below em_tol.
 
     Without init, init_random draws the start from rng: a Generator, or a
-    seed (None for fresh entropy) passed to np.random.default_rng.
+    seed (None for fresh entropy) passed to np.random.default_rng. A start
+    that raises DegenerateFitError is redrawn, and InitFailureError is raised
+    when MAX_INIT_RETRIES starts in a row fail.
 
     init, when given, must hold K components in opts.kappa_mode's mode.
     resp, given only with init, must be e_step(X, init): a warm start that
@@ -426,7 +436,7 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
             try:
                 init = init_random(X, K, rng, kappa_mode=opts.kappa_mode)
                 break
-            except InitFailureError as err:
+            except DegenerateFitError as err:
                 last_err = err
         if init is None:
             raise InitFailureError(f"initialisation failed {MAX_INIT_RETRIES} times: {last_err}")

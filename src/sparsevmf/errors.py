@@ -6,9 +6,10 @@ class SparseVmfError(Exception):
 
 
 class DegenerateFitError(SparseVmfError):
-    """An M step reached a degenerate model; status is the failed em.FitStatus
-    that says which. fit_em returns that status in place of the error, so it
-    leaves only direct calls to m_step and soft_threshold_mu."""
+    """A random start or an M step reached a degenerate model; status is the
+    failed em.FitStatus that says which. fit_em redraws such a start and
+    returns the status of such an M step in place of the error, so it leaves
+    only direct calls to init_random, m_step and soft_threshold_mu."""
 
     def __init__(self, status, message):
         super().__init__(message)
@@ -16,11 +17,7 @@ class DegenerateFitError(SparseVmfError):
 
 
 class InitFailureError(SparseVmfError):
-    """Random initialisation produced an empty cluster or a degenerate resultant."""
-
-
-class NoIncrementAvailableError(SparseVmfError):
-    """No coordinate satisfies kappa*|r| > beta: the path cannot advance."""
+    """Every random start of a fit failed, or every restart of a fit did."""
 
 
 class CannotSparsifyError(SparseVmfError):

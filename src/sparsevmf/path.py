@@ -9,7 +9,6 @@ import numpy as np
 
 from .em import (FitOptions, FitResult, FitStatus, MixtureParams, _penalized, e_step,
                  fit_em)
-from .errors import NoIncrementAvailableError
 from .metrics import sparsity
 
 __all__ = [
@@ -53,7 +52,7 @@ class PathResult:
     termination_reason: str  # MaxSteps | EmFailure | NoIncrementAvailable
 
 
-def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float) -> float:
+def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float) -> float | None:
     """Smallest beta > beta_prev guaranteed to zero at least one currently
     surviving mean coordinate on the next M step:
     beta_prev + min over {kappa_k |r_kj| - beta_prev > 0 : mu_kj != 0,
@@ -62,14 +61,13 @@ def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float) -> float:
     1-sparse mean, which the M step keeps at any beta: a beta that only they
     bound would zero nothing.
 
-    Raises NoIncrementAvailableError when every such kappa|r| <= beta_prev."""
+    Returns None when every such kappa|r| <= beta_prev: the path cannot
+    advance."""
     margins = params.kappas[:, None] * np.abs(r) - beta_prev
     nonzero = params.means != 0.0
     can_zero = nonzero & (nonzero.sum(axis=1) > 1)[:, None]
     positive = margins[(margins > 0) & can_zero]
-    if positive.size == 0:
-        raise NoIncrementAvailableError(f"no surviving coordinate exceeds beta = {beta_prev:g}")
-    return beta_prev + float(positive.min())
+    return beta_prev + float(positive.min()) if positive.size else None
 
 
 def _truncate_means(fit: FitResult, X: np.ndarray, epsilon: float) -> FitResult:
@@ -118,9 +116,8 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
         steps.append(PathStep(fit=replace(fit, resp=None), ic_values=ic))
         if len(steps) == path_opts.max_steps:
             break
-        try:
-            beta = next_beta(fit.params, fit.resp.resultants, fit.beta)
-        except NoIncrementAvailableError:
+        beta = next_beta(fit.params, fit.resp.resultants, fit.beta)
+        if beta is None:
             reason = "NoIncrementAvailable"
             break
         opts = replace(path_opts.fit_options, beta=beta)

@@ -17,6 +17,7 @@ from sparsevmf.dataset import (
     simulate_mixture,
 )
 from sparsevmf.em import (
+    MAX_INIT_RETRIES,
     FitOptions,
     FitStatus,
     MixtureParams,
@@ -66,7 +67,8 @@ class TestInitRandom:
             try:
                 params = init_random(X, 3, rng)
                 break
-            except InitFailureError:
+            except DegenerateFitError as err:
+                assert err.status is FitStatus.EMPTY_COMPONENT
                 continue
         assert params is not None
         assert np.allclose(np.sort(params.alpha), 1 / 3)
@@ -87,8 +89,8 @@ class TestInitRandom:
             try:
                 init_random(X, 4, np.random.default_rng(s))
                 ok += 1
-            except InitFailureError:
-                pass
+            except DegenerateFitError as err:
+                assert err.status in (FitStatus.EMPTY_COMPONENT, FitStatus.DEGENERATE_UNIFORM)
         assert ok >= 1
 
     def test_resultants_equal_add_at(self, monkeypatch):
@@ -136,10 +138,16 @@ class TestInitRandom:
                 return np.arange(size)
 
         X = np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, -0.8], [-0.6, -0.8]])
-        with pytest.raises(InitFailureError) as err:
+        with pytest.raises(DegenerateFitError) as err:
             init_random(X, 2, FirstTwo())
-        assert isinstance(err.value.__cause__, DegenerateFitError)
-        assert err.value.__cause__.status is FitStatus.DEGENERATE_UNIFORM
+        assert err.value.status is FitStatus.DEGENERATE_UNIFORM
+
+    def test_fit_em_raises_when_every_start_fails(self):
+        # Equal rows tie every inner product, so every start leaves cluster 1
+        # empty.
+        X = np.tile([0.6, 0.8], (4, 1))
+        with pytest.raises(InitFailureError, match=f"failed {MAX_INIT_RETRIES} times"):
+            fit_em(X, 2, FitOptions(), rng=0)
 
 
 class TestEStep:
@@ -613,6 +621,19 @@ class TestMStep:
             _kappas_from_resultants(means, r, np.array([2.0, 2.0]), 4, kappa_mode, refine=True)
         assert err.value.status is FitStatus.DEGENERATE_UNIFORM
 
+    @pytest.mark.parametrize("kappa_mode", ["free", "shared"])
+    def test_kappa_at_cap_raises(self, kappa_mode):
+        # Each component holds copies of one point: every rho, and the
+        # pooled one, is 1, and the solved kappa is the cap.
+        X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 3), np.array([5.0, 5.0]),
+                               kappa_mode=kappa_mode)
+        tau = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+        resp = Responsibilities(tau, np.zeros(3), tau.T @ X)
+        with pytest.raises(DegenerateFitError) as err:
+            m_step(resp, params, FitOptions(kappa_mode=kappa_mode))
+        assert err.value.status is FitStatus.COLLAPSED
+
     def test_beta_zero_closed_form(self):
         rng = np.random.default_rng(8)
         cfg = SimulationConfig(K=2, d=5, N=100, base_kappa=8.0, seed=20)
@@ -754,7 +775,17 @@ class TestFitEm:
         # best_of_restarts and follow_path both read this one definition.
         assert {s for s in FitStatus if s.failed} == {
             FitStatus.ZERO_MEAN, FitStatus.DEGENERATE_UNIFORM, FitStatus.EMPTY_COMPONENT,
+            FitStatus.COLLAPSED,
         }
+
+    def test_singleton_component_collapses(self):
+        # This start sends one component onto a single observation, where
+        # the likelihood is unbounded and kappa runs to the cap.
+        X, _ = simulate_mixture(SimulationConfig(K=3, d=200, N=2000, base_kappa=500, seed=0))
+        fit = fit_em(X, 3, FitOptions(), rng=10)
+        assert fit.status is FitStatus.COLLAPSED
+        assert fit.params.kappas.max() < KAPPA_CAP
+        assert np.bincount(hard_assign(fit.resp), minlength=3).min() == 1
 
     def test_separable_perfect_recovery(self):
         rng = np.random.default_rng(13)
@@ -1078,7 +1109,10 @@ class TestConcentrationRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fit = fit_em(X, 2, FitOptions(), rng=0)
-        assert np.all(fit.params.kappas == KAPPA_CAP)
+        # The start clamps a kappa at the cap; the first M step that solves
+        # one there fails the fit and leaves the start's params.
+        assert fit.status is FitStatus.COLLAPSED
+        assert fit.n_iters == 1 and fit.params.kappas.max() == KAPPA_CAP
         assert seen and max(seen) <= KAPPA_CAP
 
 
@@ -1186,8 +1220,9 @@ class TestPersistence:
         ({"kappa_mode": "shared", "kappa": [7.0, 7.0]},
          "kappa must be a finite number, got [7.0, 7.0]"),
         ({"d": 10**12}, "means_from_sparse requires 2 <= d <= 100000, got 1000000000000"),
-        ({"status": "Done"}, "status must be one of ['Converged', 'DegenerateUniform', "
-                             "'EmptyComponent', 'MaxIters', 'ZeroMean'], got 'Done'"),
+        ({"status": "Done"}, "status must be one of ['Collapsed', 'Converged', "
+                             "'DegenerateUniform', 'EmptyComponent', 'MaxIters', 'ZeroMean'], "
+                             "got 'Done'"),
     ], ids=["value-string", "index-bool", "short-pair", "free-scalar-kappa",
             "shared-list-kappa", "huge-d", "unknown-status"])
     def test_wrong_type_names_its_path(self, tmp_path, change, message):

@@ -8,7 +8,6 @@ import sparsevmf.path
 from sparsevmf.cli import _write_csv
 from sparsevmf.dataset import SimulationConfig, fit_result_to_dict, load_model, simulate_mixture
 from sparsevmf.em import FitOptions, FitStatus, MixtureParams, e_step, fit_em, soft_threshold_mu
-from sparsevmf.errors import NoIncrementAvailableError
 from sparsevmf.path import PathOptions, follow_path, next_beta, path_to_dict
 from sparsevmf.selection import best_of_restarts
 
@@ -48,15 +47,13 @@ class TestNextBeta:
         r = np.array([[0.3, 0.1], [0.5, 0.7]])
         assert next_beta(params, r, 0.1) == pytest.approx(0.5)
         one_sparse = MixtureParams(np.array([1.0]), np.array([[1.0, 0.0]]), np.array([1.0]))
-        with pytest.raises(NoIncrementAvailableError):
-            next_beta(one_sparse, np.array([[0.9, 0.3]]), 0.1)
+        assert next_beta(one_sparse, np.array([[0.9, 0.3]]), 0.1) is None
 
     def test_no_increment(self):
         params = MixtureParams(np.array([1.0]), np.array([[1.0, 0.0]]),
                                np.array([1.0]))
         r = np.array([[0.4, 0.2]])
-        with pytest.raises(NoIncrementAvailableError):
-            next_beta(params, r, 0.5)
+        assert next_beta(params, r, 0.5) is None
 
     def test_returns_beta_prev_plus_min_margin(self):
         # No floor on the step: the increment is the smallest margin, bit for

@@ -18,6 +18,7 @@ from sparsevmf.selection import (
     make_ic_fn,
     select_model,
 )
+from sparsevmf.special import KAPPA_CAP
 
 
 def params_with_means(means, kappa_mode="free"):
@@ -316,3 +317,14 @@ class TestSelectModel:
         X, _ = data
         with pytest.raises(ValueError):
             select_model(X, [], seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 3, 4, 5])
+    def test_collapsed_restart_does_not_pick_k(self, seed):
+        # On these datasets the best K = 4 restart puts one component on a
+        # single observation at kappa = KAPPA_CAP, an unbounded likelihood
+        # that BIC would pick. It is a failed fit, so K = 3 wins.
+        X, _ = simulate_mixture(SimulationConfig(K=3, d=500, N=400, base_kappa=300,
+                                                 sparsity=0.95, seed=seed))
+        rep = select_model(X, [2, 3, 4], seed=0)
+        assert rep.chosen_K["BIC"] == 3
+        assert all(f.params.kappas.max() < KAPPA_CAP for f in rep.dense_fits.values())
