@@ -56,9 +56,10 @@ _EXP_ZERO_BELOW = -746.0
 
 
 class FitStatus(str, Enum):
-    """Why fit_em stopped. An M step raises each failed member as
-    DegenerateFitError(member, message), and a random start raises
-    EMPTY_COMPONENT or DEGENERATE_UNIFORM the same way."""
+    """Why fit_em stopped. An M step raises each failed member but COLLAPSED
+    as DegenerateFitError(member, message), and a random start raises
+    EMPTY_COMPONENT or DEGENERATE_UNIFORM the same way. COLLAPSED is fit_em's
+    verdict on where EM ended."""
 
     CONVERGED = "Converged"
     MAX_ITERS = "MaxIters"
@@ -360,11 +361,7 @@ def m_step(resp: Responsibilities, prev_params: MixtureParams,
 
     Each block update maximises the expected complete-data objective Q with
     the other block fixed, so Q does not decrease. A single call does not
-    make the means and kappas jointly stationary; a converged fit_em does.
-
-    A kappa solved at KAPPA_CAP raises DegenerateFitError with status
-    COLLAPSED: the likelihood is unbounded as a component concentrates on
-    one point, and the cap stops kappa but leaves the fit degenerate."""
+    make the means and kappas jointly stationary; a converged fit_em does."""
     n = resp.tau.shape[0]
     col_sums = resp.tau.sum(axis=0)
     if col_sums.min() < 1e-12:
@@ -377,9 +374,6 @@ def m_step(resp: Responsibilities, prev_params: MixtureParams,
     # closed-form estimate alone leaves enough bias to break the monotone
     # ascent of the penalized log-likelihood.
     kappas = _kappas_from_resultants(means, r, col_sums, n, opts.kappa_mode, refine=True)
-    if kappas.max() >= KAPPA_CAP:
-        raise DegenerateFitError(FitStatus.COLLAPSED,
-                                 "kappa reached the cap: a component collapsed onto one direction")
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=opts.kappa_mode)
 
 
@@ -414,7 +408,11 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     nor resp is written to.
 
     A DegenerateFitError from an M step is not raised: the result carries its
-    status and the last valid parameters.
+    status and the last valid parameters. A fit that ends with a component at
+    KAPPA_CAP holding less than two observations' worth of responsibility
+    gets status COLLAPSED: the likelihood is unbounded as a component
+    concentrates on one point (Hathaway 1985), so the cap stops kappa but the
+    fit is degenerate. A tight component of more points keeps its status.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
@@ -459,6 +457,8 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
             status = err.status
             break
         resp = e_step(X, params, prev=resp)
+    if not status.failed and np.any((params.kappas >= KAPPA_CAP) & (resp.tau.sum(axis=0) < 2.0)):
+        status = FitStatus.COLLAPSED
     return FitResult(
         params=params,
         beta=opts.beta,

@@ -621,19 +621,6 @@ class TestMStep:
             _kappas_from_resultants(means, r, np.array([2.0, 2.0]), 4, kappa_mode, refine=True)
         assert err.value.status is FitStatus.DEGENERATE_UNIFORM
 
-    @pytest.mark.parametrize("kappa_mode", ["free", "shared"])
-    def test_kappa_at_cap_raises(self, kappa_mode):
-        # Each component holds copies of one point: every rho, and the
-        # pooled one, is 1, and the solved kappa is the cap.
-        X = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 3), np.array([5.0, 5.0]),
-                               kappa_mode=kappa_mode)
-        tau = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-        resp = Responsibilities(tau, np.zeros(3), tau.T @ X)
-        with pytest.raises(DegenerateFitError) as err:
-            m_step(resp, params, FitOptions(kappa_mode=kappa_mode))
-        assert err.value.status is FitStatus.COLLAPSED
-
     def test_beta_zero_closed_form(self):
         rng = np.random.default_rng(8)
         cfg = SimulationConfig(K=2, d=5, N=100, base_kappa=8.0, seed=20)
@@ -784,8 +771,23 @@ class TestFitEm:
         X, _ = simulate_mixture(SimulationConfig(K=3, d=200, N=2000, base_kappa=500, seed=0))
         fit = fit_em(X, 3, FitOptions(), rng=10)
         assert fit.status is FitStatus.COLLAPSED
-        assert fit.params.kappas.max() < KAPPA_CAP
+        assert fit.params.kappas.max() == KAPPA_CAP
         assert np.bincount(hard_assign(fit.resp), minlength=3).min() == 1
+
+    @pytest.mark.parametrize("kappa_mode", ["free", "shared"])
+    @pytest.mark.parametrize("sizes, status", [((1, 2), FitStatus.COLLAPSED),
+                                               ((2, 2), FitStatus.CONVERGED)],
+                             ids=["one-point", "two-points"])
+    def test_component_at_cap_collapses_on_one_point(self, kappa_mode, sizes, status):
+        # Each component holds copies of one point, so every rho, and the
+        # pooled one, is 1 and EM stays at the cap. Only a component on a
+        # single observation is collapsed.
+        X = np.repeat(np.eye(2, 3), sizes, axis=0)
+        init = MixtureParams(np.array(sizes) / sum(sizes), np.eye(2, 3),
+                             np.full(2, KAPPA_CAP), kappa_mode=kappa_mode)
+        fit = fit_em(X, 2, FitOptions(kappa_mode=kappa_mode), init=init)
+        assert fit.status is status
+        assert np.all(fit.params.kappas == KAPPA_CAP)
 
     def test_separable_perfect_recovery(self):
         rng = np.random.default_rng(13)
@@ -1109,10 +1111,9 @@ class TestConcentrationRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fit = fit_em(X, 2, FitOptions(), rng=0)
-        # The start clamps a kappa at the cap; the first M step that solves
-        # one there fails the fit and leaves the start's params.
-        assert fit.status is FitStatus.COLLAPSED
-        assert fit.n_iters == 1 and fit.params.kappas.max() == KAPPA_CAP
+        assert np.all(fit.params.kappas == KAPPA_CAP)
+        # Twenty points per component: tight, not collapsed.
+        assert fit.status is FitStatus.CONVERGED
         assert seen and max(seen) <= KAPPA_CAP
 
 
