@@ -72,12 +72,15 @@ def _apply_config_file(args, argv):
     and flags, abbreviated too, win. Unknown keys are rejected."""
     if not args.config:
         return args
-    with open(args.config) as fh:
-        text = fh.read()
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ValueError("config file: not UTF-8 text") from None
     try:
         values = json.loads(text)
         if not isinstance(values, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise ValueError("config file: must hold a JSON object")
     except json.JSONDecodeError:
         values = {}
         for line in text.splitlines():
@@ -149,7 +152,7 @@ def cmd_fit(args):
 def _path_options(args) -> PathOptions:
     fit_opts = FitOptions(max_em_iters=args.max_em_iters, em_tol=args.em_tol,
                           kappa_mode=args.kappa_mode)
-    return PathOptions(max_steps=args.max_steps, epsilon=args.epsilon, fit_options=fit_opts)
+    return PathOptions(max_steps=args.max_steps, fit_options=fit_opts)
 
 
 def cmd_path(args):
@@ -266,7 +269,6 @@ def _add_fit_opts(p):
 
 def _add_path_opts(p):
     p.add_argument("--max-steps", type=int, default=1000)
-    p.add_argument("--epsilon", type=float, default=1e-8)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -151,8 +151,8 @@ class FitOptions:
         # Each range test is written so that NaN fails it.
         if not 0 <= self.beta < np.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not self.max_em_iters >= 0:
-            raise ValueError("max_em_iters must be >= 0")
+        if not (isinstance(self.max_em_iters, (int, np.integer)) and self.max_em_iters >= 0):
+            raise ValueError(f"max_em_iters must be an integer >= 0, got {self.max_em_iters!r}")
         if not 0 < self.em_tol < np.inf:
             raise ValueError(f"em_tol must be finite and > 0, got {self.em_tol!r}")
 
@@ -162,9 +162,7 @@ class FitResult:
     """Outcome of fit_em. trace holds the penalized log-likelihood of each
     parameter point evaluated, the last at params. n_iters is len(trace) on
     every status but MaxIters, and len(trace) - 1 = max_em_iters on MaxIters,
-    whose last evaluation only records the pll at params. On a path step whose
-    means epsilon truncation changed, params and both likelihoods are after
-    the truncation and trace[-1] is the pll before it. resp is the E-step
+    whose last evaluation only records the pll at params. resp is the E-step
     at params; it is None on fits loaded from JSON and on the steps a path
     records."""
 

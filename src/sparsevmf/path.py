@@ -7,8 +7,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em import (FitOptions, FitResult, FitStatus, MixtureParams, _penalized, e_step,
-                 fit_em)
+from .em import FitOptions, FitResult, MixtureParams, e_step, fit_em
 from .metrics import sparsity
 
 __all__ = [
@@ -23,15 +22,11 @@ __all__ = [
 @dataclass
 class PathOptions:
     max_steps: int = 1000
-    epsilon: float = 1e-8
     fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
-        # Each range test is written so that NaN fails it.
-        if not self.max_steps >= 1:
-            raise ValueError("max_steps must be >= 1")
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon!r}")
+        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if self.fit_options.beta != 0.0:
             raise ValueError("fit_options.beta must be 0: the path sets beta at each step")
 
@@ -56,10 +51,9 @@ def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float) -> float |
     """Smallest beta > beta_prev guaranteed to zero at least one currently
     surviving mean coordinate on the next M step:
     beta_prev + min over {kappa_k |r_kj| - beta_prev > 0 : mu_kj != 0,
-    mu_k has another nonzero}. Coordinates already zero (by thresholding or
-    epsilon truncation) are left out, and so is the last coordinate of a
-    1-sparse mean, which the M step keeps at any beta: a beta that only they
-    bound would zero nothing.
+    mu_k has another nonzero}. Coordinates already zero are left out, and so
+    is the last coordinate of a 1-sparse mean, which the M step keeps at any
+    beta: a beta that only they bound would zero nothing.
 
     Returns None when every such kappa|r| <= beta_prev: the path cannot
     advance."""
@@ -70,36 +64,17 @@ def next_beta(params: MixtureParams, r: np.ndarray, beta_prev: float) -> float |
     return beta_prev + float(positive.min()) if positive.size else None
 
 
-def _truncate_means(fit: FitResult, X: np.ndarray, epsilon: float) -> FitResult:
-    """Zero mean coordinates below epsilon, renormalise, and re-evaluate the
-    likelihoods at the truncated parameters. A mean whose coordinates all
-    fall below epsilon would vanish: the fit then reports ZeroMean."""
-    means = fit.params.means.copy()
-    small = (np.abs(means) < epsilon) & (means != 0.0)
-    if not small.any():
-        return fit
-    means[small] = 0.0
-    norms = np.linalg.norm(means, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        return replace(fit, status=FitStatus.ZERO_MEAN)
-    params = replace(fit.params, means=means / norms)
-    resp = e_step(X, params, prev=fit.resp)
-    ll = resp.log_likelihood
-    return replace(fit, params=params, log_likelihood=ll,
-                   penalized_log_likelihood=_penalized(ll, params, fit.beta), resp=resp)
-
-
 def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
                 initial: FitResult, ic_fn=None) -> PathResult:
     """Follow the regularization path starting from a converged dense fit.
 
     Each step computes the next beta from the resultants of the previous
-    converged model, warm-restarts EM from that model and its E-step,
-    truncates mean coordinates below epsilon, and records the step without
-    its E-step. A start without its E-step (a fit loaded from JSON) gets one
-    before the first step. ic_fn, when given, maps a FitResult to a dict of
-    information-criterion values stored on the step. The start must be a
-    beta = 0 fit of K components in the kappa mode of path_opts.fit_options."""
+    converged model, warm-restarts EM from that model and its E-step, and
+    records fit_em's result as it is, without its E-step. A start without its
+    E-step (a fit loaded from JSON) gets one before the first step. ic_fn,
+    when given, maps a FitResult to a dict of information-criterion values
+    stored on the step. The start must be a beta = 0 fit of K components in
+    the kappa mode of path_opts.fit_options."""
     if initial.beta != 0.0:
         raise ValueError("path must start from a beta = 0 fit")
     if initial.params.K != K:
@@ -122,8 +97,6 @@ def follow_path(X: np.ndarray, K: int, path_opts: PathOptions,
             break
         opts = replace(path_opts.fit_options, beta=beta)
         fit = fit_em(X, K, opts, init=fit.params, resp=fit.resp)
-        if not fit.status.failed:
-            fit = _truncate_means(fit, X, path_opts.epsilon)
         if fit.status.failed:
             reason = "EmFailure"
             break

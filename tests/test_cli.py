@@ -207,23 +207,6 @@ class TestPathSelectSkmeans:
         assert "BIC" in doc["steps"][0]
         assert csv_out.read_text().startswith("step,beta,sparsity")
 
-    def test_path_large_epsilon_ends_with_em_failure(self, tmp_path):
-        data, truth = tmp_path / "data.csv", tmp_path / "truth.json"
-        assert run(["simulate", "--d", "6", "--k", "2", "--n", "150",
-                    "--base-kappa", "10", "--out", str(data),
-                    "--truth-out", str(truth), "--seed", "50"]) == 0
-        out = tmp_path / "path.json"
-        rc = run(["path", "--input", str(data), "--k", "2", "--epsilon", "0.9",
-                  "--max-steps", "4", "--restarts", "2", "--out", str(out)])
-        assert rc == 0
-
-        def reject(token):
-            raise ValueError(f"non-finite JSON number {token}")
-
-        doc = json.loads(out.read_text(), parse_constant=reject)
-        assert doc["termination_reason"] == "EmFailure"
-        assert [s["step"] for s in doc["steps"]] == [0]
-
     def test_select_flow(self, sim_files, tmp_path):
         data, _ = sim_files
         out = tmp_path / "sel.json"
@@ -760,14 +743,14 @@ class TestConfigFile:
     def test_typed_values(self, sim_files, tmp_path):
         data, _ = sim_files
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("max_steps = 2\nepsilon = 1e-6\n")
+        cfg.write_text("max_steps = 2\nem_tol = 1e-5\n")
         out = tmp_path / "p.json"
         rc = run(["path", "--input", str(data), "--k", "3", "--restarts", "1",
                   "--out", str(out), "--config", str(cfg)])
         assert rc == 0
         config = json.loads(out.read_text())["run"]["config"]
         assert config["max_steps"] == 2
-        assert config["epsilon"] == 1e-6
+        assert config["em_tol"] == 1e-5
 
     def test_removed_switch_is_unknown_key(self, sim_files, tmp_path, capsys):
         # The path ends on its own once every mean is 1-sparse, so there is
@@ -783,16 +766,19 @@ class TestConfigFile:
         assert "unknown key 'stop_at_max_sparsity'" in err["message"]
 
     def test_min_rel_increase_is_unknown_key(self, sim_files, tmp_path, capsys):
+        # Neither a floor on the step nor a zeroing threshold of its own: each
+        # path step is fit_em's fit at the smallest-margin beta.
         data, _ = sim_files
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("min_rel_increase = 0.1\n")
-        rc = run(["path", "--input", str(data), "--k", "3", "--restarts", "1",
-                  "--out", str(tmp_path / "p.json"), "--config", str(cfg)])
-        assert rc == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "ConfigError"
-        assert "unknown key 'min_rel_increase'" in err["message"]
-        assert not (tmp_path / "p.json").exists()
+        for key in ("min_rel_increase", "epsilon"):
+            cfg.write_text(f"{key} = 0.1\n")
+            rc = run(["path", "--input", str(data), "--k", "3", "--restarts", "1",
+                      "--out", str(tmp_path / "p.json"), "--config", str(cfg)])
+            assert rc == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert f"unknown key '{key}'" in err["message"]
+            assert not (tmp_path / "p.json").exists()
 
     @pytest.mark.parametrize("text, flag", [
         ("beta=abc\n", "--beta"),
@@ -849,7 +835,17 @@ class TestConfigFile:
         rc = run(["fit", "--input", str(tmp_path / "d.csv"), "--k", "2",
                   "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
         assert rc == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": "config file: must hold a JSON object"}
+
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_bytes(b"seed = 3\n\xff\n")
+        rc = run(["fit", "--input", str(tmp_path / "d.csv"), "--k", "2",
+                  "--out", str(tmp_path / "m.json"), "--config", str(cfg)])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigError", "message": "config file: not UTF-8 text"}
 
 
 SIMULATE = ["simulate", "--d", "5", "--k", "2", "--n", "20",
@@ -869,6 +865,11 @@ class TestUsageErrors:
         # The path steps by the smallest margin alone: there is no floor to set.
         pytest.param(["path", "--input", "d.csv", "--k", "2", "--min-rel-increase", "0.1",
                       "--out", "x.json"], id="min-rel-increase"),
+        # Nor a threshold that zeroes small coordinates after each fit.
+        pytest.param(["path", "--input", "d.csv", "--k", "2", "--epsilon", "0.05",
+                      "--out", "x.json"], id="path-epsilon"),
+        pytest.param(["select", "--input", "d.csv", "--k-min", "2", "--k-max", "3",
+                      "--epsilon", "0.05", "--out", "x.json"], id="select-epsilon"),
     ])
     def test_usage_error_is_one_json_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

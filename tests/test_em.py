@@ -1076,6 +1076,14 @@ class TestInvalidValuesRejected:
         with pytest.raises(ValueError, match="max_em_iters"):
             FitOptions(max_em_iters=-1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
+    def test_non_integer_max_em_iters(self, value):
+        # a count: len(trace) > max_em_iters is the MaxIters test
+        with pytest.raises(ValueError,
+                           match=f"^max_em_iters must be an integer >= 0, got {value!r}$"):
+            FitOptions(max_em_iters=value)
+        assert FitOptions(max_em_iters=np.int64(3)).max_em_iters == 3
+
 
 class TestConcentrationRange:
     def test_high_dimension_fit(self):

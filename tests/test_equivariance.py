@@ -1,10 +1,10 @@
 """Metamorphic tests: a fit from a fixed start is equivariant under relabelling
 the rows, the columns (with sign flips) and the components of the problem.
 
-They guard the index bookkeeping of sparse means, the masks of next_beta and
-the epsilon truncation. Rows and columns change the order of floating-point
-sums, so those fits agree to rounding; relabelling components only reorders
-independent per-component work, so those fits agree bitwise."""
+They guard the index bookkeeping of sparse means and the masks of next_beta.
+Rows and columns change the order of floating-point sums, so those fits agree
+to rounding; relabelling components only reorders independent per-component
+work, so those fits agree bitwise."""
 
 import numpy as np
 import pytest

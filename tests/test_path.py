@@ -16,6 +16,14 @@ def dense_fit(X, K, seed):
     return fit_em(X, K, FitOptions(beta=0.0), rng=seed)
 
 
+def assert_same_fit(a, b):
+    for name in ("alpha", "means", "kappas"):
+        assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
+    assert a.trace == b.trace
+    assert a.log_likelihood == b.log_likelihood
+    assert a.penalized_log_likelihood == b.penalized_log_likelihood
+
+
 @pytest.fixture(scope="module")
 def small_problem():
     cfg = SimulationConfig(K=2, d=6, N=150, base_kappa=10.0, sparsity=0.2, seed=50)
@@ -144,27 +152,28 @@ class TestFollowPath:
         assert len(res.steps) == 2
         assert res.termination_reason == "MaxSteps"
 
-    def test_truncation_leaves_no_tiny_coords(self, small_problem):
-        X, fit = small_problem
-        eps = 1e-3
-        res = follow_path(X, 2, PathOptions(max_steps=100, epsilon=eps), fit)
-        for step in res.steps[1:]:
-            m = step.fit.params.means
-            assert not np.any((np.abs(m) < eps) & (m != 0.0))
-            assert np.allclose(np.linalg.norm(m, axis=1), 1.0, atol=1e-10)
-
     def test_warm_equals_cold_at_each_beta(self, small_problem):
         X, fit = small_problem
         res = follow_path(X, 2, PathOptions(max_steps=5), fit)
         for prev, step in zip(res.steps, res.steps[1:]):
-            cold = fit_em(
-                X, 2, FitOptions(beta=step.fit.beta), init=prev.fit.params
-            )
-            # cold restart from the same predecessor model reproduces the
-            # pre-truncation fit; compare supports and likelihood
-            assert abs(cold.log_likelihood - step.fit.log_likelihood) < 1e-6 * max(
-                1.0, abs(step.fit.log_likelihood)
-            )
+            cold = fit_em(X, 2, FitOptions(beta=step.fit.beta), init=prev.fit.params)
+            # a path step is the cold restart from its predecessor, bit for bit
+            assert_same_fit(step.fit, cold)
+
+    def test_every_step_is_the_cold_fit_em_to_its_end(self):
+        # Tight clusters at d = 100, followed from 200 nonzeros down to two
+        # 1-sparse means: step 4 holds coordinates small enough that any
+        # zeroing rule applied after fit_em would change it.
+        cfg = SimulationConfig(K=2, d=100, N=600, base_kappa=1e4, sparsity=0.5, seed=1)
+        X, _ = simulate_mixture(cfg)
+        dense = best_of_restarts(X, 2, 3, FitOptions(), seed=1)
+        res = follow_path(X, 2, PathOptions(), dense)
+        assert res.termination_reason == "NoIncrementAvailable"
+        assert len(res.steps) == 107
+        for prev, step in zip(res.steps, res.steps[1:]):
+            assert step.fit.trace[-1] == step.fit.penalized_log_likelihood
+            cold = fit_em(X, 2, FitOptions(beta=step.fit.beta), init=prev.fit.params)
+            assert_same_fit(step.fit, cold)
 
     def test_deterministic(self, small_problem):
         X, fit = small_problem
@@ -197,8 +206,7 @@ class TestOneEStepPerPoint:
 
         monkeypatch.setattr(sparsevmf.em, "e_step", counting)
         monkeypatch.setattr(sparsevmf.path, "e_step", counting)
-        # an epsilon this small truncates nothing, so no step re-evaluates
-        res = follow_path(X, 2, PathOptions(max_steps=4, epsilon=1e-300), fit)
+        res = follow_path(X, 2, PathOptions(max_steps=4), fit)
         assert res.termination_reason == "MaxSteps"
         assert all(s.fit.status is FitStatus.CONVERGED for s in res.steps)
         # the first E-step of each warm start comes from the previous step
@@ -206,17 +214,16 @@ class TestOneEStepPerPoint:
 
     def test_recorded_steps_hold_no_resp(self, small_problem):
         X, fit = small_problem
-        res = follow_path(X, 2, PathOptions(max_steps=5, epsilon=1e-3), fit)
+        res = follow_path(X, 2, PathOptions(max_steps=5), fit)
         assert fit.resp is not None
         assert all(s.fit.resp is None for s in res.steps)
 
-    @pytest.mark.parametrize("epsilon", [1e-8, 1e-3])
-    def test_loaded_start_matches_fresh(self, small_problem, tmp_path, epsilon):
+    def test_loaded_start_matches_fresh(self, small_problem, tmp_path):
         X, fit = small_problem
         (tmp_path / "m.json").write_text(json.dumps(fit_result_to_dict(fit), indent=1))
         loaded = load_model(tmp_path / "m.json")
         assert loaded.resp is None
-        opts = PathOptions(max_steps=6, epsilon=epsilon)
+        opts = PathOptions(max_steps=6)
         fresh = follow_path(X, 2, opts, fit)
         again = follow_path(X, 2, opts, loaded)
         assert again.termination_reason == fresh.termination_reason
@@ -262,68 +269,19 @@ class TestResultantReuse:
         pairs = [(reused_dense, fresh_dense)]
         pairs += [(a.fit, b.fit) for a, b in zip(reused.steps, fresh.steps)]
         for a, b in pairs:
-            for name in ("alpha", "means", "kappas"):
-                assert np.array_equal(getattr(a.params, name), getattr(b.params, name))
-            assert a.log_likelihood == b.log_likelihood
-            assert a.penalized_log_likelihood == b.penalized_log_likelihood
+            assert_same_fit(a, b)
             assert a.beta == b.beta
             assert a.status is b.status
-            assert a.trace == b.trace
-
-
-class TestTruncatedStep:
-    """A step whose epsilon truncation zeroes coordinates is re-evaluated at
-    the truncated means, and the next step warm-starts from them."""
-
-    def test_truncated_step_is_evaluated_and_warm_starts_next(self, small_problem,
-                                                              monkeypatch):
-        X, fit = small_problem
-        eps = 0.05
-        inits = []
-
-        def recording(X, K, opts, init=None, rng=None, resp=None):
-            inits.append((init, resp))
-            return fit_em(X, K, opts, init=init, rng=rng, resp=resp)
-
-        monkeypatch.setattr(sparsevmf.path, "fit_em", recording)
-        res = follow_path(X, 2, PathOptions(max_steps=6, epsilon=eps), fit)
-        # trace[-1] is the pll before truncation, so it differs on a step
-        # that truncation changed.
-        truncated = [i for i, s in enumerate(res.steps[1:-1], 1)
-                     if s.fit.trace[-1] != s.fit.penalized_log_likelihood]
-        assert truncated
-        for i in truncated:
-            step = res.steps[i].fit
-            m = step.params.means
-            assert not np.any((np.abs(m) < eps) & (m != 0.0))
-            resp = e_step(X, step.params)
-            assert step.log_likelihood == resp.log_likelihood
-            assert step.penalized_log_likelihood == sparsevmf.em._penalized(
-                resp.log_likelihood, step.params, step.beta)
-            # step i + 1 comes from the fit_em call warm-started at step i
-            init, init_resp = inits[i]
-            assert init is step.params
-            assert init_resp.log_likelihood == resp.log_likelihood
-            assert np.array_equal(init_resp.resultants, resp.resultants)
 
 
 class TestLargeEpsilon:
-    def test_truncation_emptying_a_mean_ends_path(self, small_problem):
-        X, fit = small_problem
-        # every coordinate of a unit mean in d=6 lies below 0.9
-        assert np.all(np.abs(fit.params.means) < 0.9)
-        res = follow_path(X, 2, PathOptions(max_steps=4, epsilon=0.9), fit)
-        assert res.termination_reason == "EmFailure"
-        assert len(res.steps) == 1
-        for step in res.steps:
-            assert np.all(np.isfinite(step.fit.params.means))
-            assert np.isfinite(step.fit.log_likelihood)
-
-    @pytest.mark.parametrize("name", ["epsilon"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    # max_steps is a count: len(steps) == max_steps must be able to hold.
+    @pytest.mark.parametrize("name", ["max_steps"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])
     def test_non_finite_options_rejected(self, name, value):
-        with pytest.raises(ValueError, match=name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value!r}$"):
             PathOptions(**{name: value})
+        assert PathOptions(**{name: np.int64(3)}).max_steps == 3
 
     def test_nonzero_fit_options_beta_rejected(self):
         # follow_path sets beta at every step and needs a dense start, so the
@@ -375,7 +333,7 @@ class TestSavePath:
 
 class TestNoCreep:
     def test_every_step_moves_beta_or_zeroes(self):
-        # Epsilon-truncated coordinates used to bound next_beta, so runs of
+        # Coordinates already zero used to bound next_beta, so runs of
         # steps zeroed nothing while beta crept up by ~1e-13 relative.
         cfg = SimulationConfig(K=3, d=20, N=400, base_kappa=15.0, sparsity=0.5, seed=3)
         X, _ = simulate_mixture(cfg)
