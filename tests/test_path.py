@@ -218,12 +218,15 @@ class TestOneEStepPerPoint:
         assert fit.resp is not None
         assert all(s.fit.resp is None for s in res.steps)
 
-    def test_loaded_start_matches_fresh(self, small_problem, tmp_path):
+    # A tight and a loose EM tolerance: the path must not depend on the
+    # start's E-step being held, however many iterations each step takes.
+    @pytest.mark.parametrize("em_tol", [1e-8, 1e-3])
+    def test_loaded_start_matches_fresh(self, small_problem, tmp_path, em_tol):
         X, fit = small_problem
         (tmp_path / "m.json").write_text(json.dumps(fit_result_to_dict(fit), indent=1))
         loaded = load_model(tmp_path / "m.json")
         assert loaded.resp is None
-        opts = PathOptions(max_steps=6)
+        opts = PathOptions(max_steps=6, fit_options=FitOptions(em_tol=em_tol))
         fresh = follow_path(X, 2, opts, fit)
         again = follow_path(X, 2, opts, loaded)
         assert again.termination_reason == fresh.termination_reason
