@@ -211,7 +211,7 @@ def cmd_viz(args):
         raise ValueError("viz: --input and --data-out must be given together")
     fit = dataset.load_model(args.model)
     X = _load_dataset(args, fit.params.d) if args.input else None
-    ordering = viz.order_dimensions(fit.params, epsilon=args.epsilon)
+    ordering = viz.order_dimensions(fit.params)
     row_perm = viz.order_rows(fit.params)
     viz.render_pixel_map(fit.params.means, ordering, row_perm, args.out,
                          mode="means", scale=args.scale)
@@ -261,14 +261,14 @@ def _add_data_in(p):
 
 
 def _add_fit_opts(p):
-    p.add_argument("--kappa-mode", choices=["free", "shared"], default="free")
+    p.add_argument("--kappa-mode", choices=em.KAPPA_MODES, default="free")
     p.add_argument("--max-em-iters", type=int, default=500)
     p.add_argument("--em-tol", type=float, default=1e-6)
     p.add_argument("--restarts", type=int, default=10)
 
 
 def _add_path_opts(p):
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--max-steps", type=int, help="cap on the path's steps (default: none)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="dataset to render alongside the means")
     p.add_argument("--format", choices=["dense-csv", "sparse-triplet"], default="dense-csv")
     p.add_argument("--data-out", help="PPM image for the data rows")
-    p.add_argument("--epsilon", type=float, default=1e-8)
     p.add_argument("--scale", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_viz)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vmf
-from .em import FitResult, FitStatus, MixtureParams, _log_joint, e_step, hard_assign
+from .em import KAPPA_MODES, FitResult, FitStatus, MixtureParams, _log_joint, e_step, hard_assign
 from .errors import CannotSparsifyError, NotBracketedError, ParseError, ZeroRowError
 from .special import _check_d
 
@@ -565,7 +565,7 @@ def fit_result_from_dict(doc: dict) -> FitResult:
 # kappa's is picked by kappa_mode: K numbers in free mode, one in shared mode.
 # means is any list here: _params_from_doc checks its pairs once counted.
 _MODEL_FIELDS = {
-    "d": int, "kappa_mode": {"free", "shared"}, "kappa": {"free": [float], "shared": float},
+    "d": int, "kappa_mode": set(KAPPA_MODES), "kappa": {"free": [float], "shared": float},
     "alpha": [float], "means": [], "K": int, "beta": float,
     "log_likelihood": float, "penalized_log_likelihood": float, "n_iters": int,
     "status": {s.value for s in FitStatus},

@@ -32,6 +32,7 @@ from .errors import DegenerateFitError, InitFailureError
 from .special import KAPPA_CAP, _check_d, invert_bessel_ratio, log_vmf_normalizer
 
 __all__ = [
+    "KAPPA_MODES",
     "MixtureParams",
     "Responsibilities",
     "FitOptions",
@@ -44,6 +45,9 @@ __all__ = [
     "fit_em",
     "hard_assign",
 ]
+
+# One concentration per component, or one shared by all (see MixtureParams).
+KAPPA_MODES = ("free", "shared")
 
 # Random initialisations fit_em tries before it gives up.
 MAX_INIT_RETRIES = 50
@@ -93,7 +97,7 @@ class MixtureParams:
         self.alpha = np.asarray(self.alpha, dtype=float)
         self.means = np.asarray(self.means, dtype=float)
         self.kappas = np.asarray(self.kappas, dtype=float)
-        if self.kappa_mode not in ("free", "shared"):
+        if self.kappa_mode not in KAPPA_MODES:
             raise ValueError(f"unknown kappa_mode {self.kappa_mode!r}")
         k = self.alpha.shape[0]
         if self.means.ndim != 2 or self.means.shape[0] != k:
@@ -155,6 +159,8 @@ class FitOptions:
             raise ValueError(f"max_em_iters must be an integer >= 0, got {self.max_em_iters!r}")
         if not 0 < self.em_tol < np.inf:
             raise ValueError(f"em_tol must be finite and > 0, got {self.em_tol!r}")
+        if self.kappa_mode not in KAPPA_MODES:
+            raise ValueError(f"unknown kappa_mode {self.kappa_mode!r}")
 
 
 @dataclass

@@ -21,12 +21,17 @@ __all__ = [
 
 @dataclass
 class PathOptions:
-    max_steps: int = 1000
+    """max_steps caps the number of recorded steps, step 0 included; None
+    runs the path to its end, when next_beta finds no increment or a fit
+    fails. fit_options must have beta = 0: the path sets beta at each step."""
+
+    max_steps: int | None = None
     fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
-        if not (isinstance(self.max_steps, (int, np.integer)) and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        cap = self.max_steps
+        if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {cap!r}")
         if self.fit_options.beta != 0.0:
             raise ValueError("fit_options.beta must be 0: the path sets beta at each step")
 

@@ -26,7 +26,8 @@ __all__ = [
     "invert_bessel_ratio",
 ]
 
-# Top of the domain; caps kappa so a component cannot collapse onto one point.
+# Top of the domain; keeps kappa finite. A component that collapses onto one
+# point reaches it, and fit_em fails such a fit as Collapsed.
 KAPPA_CAP = 1e6
 
 # Top of the dimension domain, the highest d the accuracy tests cover.

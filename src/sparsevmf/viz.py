@@ -49,15 +49,13 @@ def data_row_order(labels: np.ndarray, comp_order: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
-def order_dimensions(params: MixtureParams, epsilon: float = 1e-8) -> DimensionOrdering:
+def order_dimensions(params: MixtureParams) -> DimensionOrdering:
     """Sort dimensions by (support count descending, binary column pattern
     lexicographic with components in alpha-descending order and 1 before 0,
-    total absolute weight descending), stably. |mu_kj| > epsilon, finite and
-    >= 0, puts j in mean k's support."""
-    if not 0 <= epsilon < np.inf:  # written so that NaN fails it
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    total absolute weight descending), stably. A nonzero mu_kj puts j in
+    mean k's support, as everywhere else in the package."""
     means = params.means
-    b_ordered = (np.abs(means) > epsilon).astype(int)[order_rows(params)]
+    b_ordered = (means != 0.0).astype(int)[order_rows(params)]
     n = b_ordered.sum(axis=0)
     weight = np.abs(means).sum(axis=0)
     # np.lexsort sorts by its last key first and is stable, so ties keep index order.

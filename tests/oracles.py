@@ -194,14 +194,14 @@ def pair_counting_ari(a, b) -> float:
 
 # ---------------------------------------------------------------- dimension order
 
-def comparator_dimension_order(means, alpha, epsilon=1e-8):
+def comparator_dimension_order(means, alpha):
     """Literal comparator sort for the pixel-map dimension ordering."""
     import functools
 
     means = np.asarray(means, dtype=float)
     K, d = means.shape
     row_order = sorted(range(K), key=lambda k: (-alpha[k], k))
-    b = (np.abs(means) > epsilon).astype(int)
+    b = (means != 0.0).astype(int)
     n = b.sum(axis=0)
     weight = np.abs(means).sum(axis=0)
 

@@ -436,7 +436,7 @@ def test_criterion_12_visualization(tmp_path):
         means /= np.linalg.norm(means, axis=1, keepdims=True)
         params = MixtureParams(rng.dirichlet(np.ones(K)), means, np.full(K, 5.0))
         got = order_dimensions(params).perm.tolist()
-        want = comparator_dimension_order(params.means, params.alpha, 1e-8)
+        want = comparator_dimension_order(params.means, params.alpha)
         if got != want:
             bad += 1
         last_params = params

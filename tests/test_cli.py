@@ -231,6 +231,10 @@ class TestPathSelectSkmeans:
                     "--truth-out", str(tmp_path / "t.json")]) == 0
         assert run(["path", "--input", str(data), "--k", "2",
                     "--out", str(tmp_path / "p.json")]) == 0
+        # With no --max-steps the path runs to its end.
+        doc = json.loads((tmp_path / "p.json").read_text())
+        assert doc["run"]["config"]["max_steps"] is None
+        assert doc["termination_reason"] == "NoIncrementAvailable"
         sel = tmp_path / "s.json"
         assert run(["select", "--input", str(data), "--k-min", "1", "--k-max", "3",
                     "--out", str(sel)]) == 0
@@ -870,6 +874,9 @@ class TestUsageErrors:
                       "--out", "x.json"], id="path-epsilon"),
         pytest.param(["select", "--input", "d.csv", "--k-min", "2", "--k-max", "3",
                       "--epsilon", "0.05", "--out", "x.json"], id="select-epsilon"),
+        # viz's support is the exact nonzeros: it has no threshold either.
+        pytest.param(["viz", "--model", "m.json", "--out", "x.ppm", "--epsilon", "0.05"],
+                     id="viz-epsilon"),
     ])
     def test_usage_error_is_one_json_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
@@ -880,23 +887,6 @@ class TestUsageErrors:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "ConfigError"
         assert not any(tmp_path.iterdir())
-
-    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
-    def test_viz_epsilon_out_of_range_is_one_json_line(self, tmp_path, capsys, epsilon):
-        # As the table above, but viz reads its model first, so the directory
-        # holds that one file.
-        params = MixtureParams(np.array([0.5, 0.5]), np.eye(2, 4), np.array([5.0, 5.0]))
-        model = tmp_path / "model.json"
-        model.write_text(json.dumps(fit_result_to_dict(FitResult(params, 0.0, -1.0, -1.0))))
-        capsys.readouterr()
-        assert run(["viz", "--model", str(model), "--out", str(tmp_path / "means.ppm"),
-                    "--csv-out", str(tmp_path / "ordering.csv"), "--epsilon", epsilon]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert [json.loads(line) for line in err.splitlines()] == [{
-            "error": "ConfigError",
-            "message": f"epsilon must be finite and >= 0, got {float(epsilon)!r}"}]
-        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     @pytest.mark.parametrize("flag", ["--version", "--help"])
     def test_help_and_version_exit_zero(self, capsys, flag):

@@ -1084,6 +1084,12 @@ class TestInvalidValuesRejected:
             FitOptions(max_em_iters=value)
         assert FitOptions(max_em_iters=np.int64(3)).max_em_iters == 3
 
+    def test_unknown_kappa_mode(self):
+        # Rejected when the options are built, not at the first MixtureParams
+        # a fit makes.
+        with pytest.raises(ValueError, match="^unknown kappa_mode 'Shared'$"):
+            FitOptions(kappa_mode="Shared")
+
 
 class TestConcentrationRange:
     def test_high_dimension_fit(self):

@@ -146,6 +146,12 @@ class TestFollowPath:
         assert res.termination_reason in ("MaxSteps", "EmFailure", "NoIncrementAvailable")
         assert len(res.steps) <= 200
 
+    def test_default_runs_to_the_end(self, small_problem):
+        X, fit = small_problem
+        assert PathOptions().max_steps is None
+        res = follow_path(X, 2, PathOptions(), fit)
+        assert res.termination_reason == "NoIncrementAvailable"
+
     def test_max_steps_reason(self, small_problem):
         X, fit = small_problem
         res = follow_path(X, 2, PathOptions(max_steps=2), fit)

@@ -328,3 +328,7 @@ class TestSelectModel:
         rep = select_model(X, [2, 3, 4], seed=0)
         assert rep.chosen_K["BIC"] == 3
         assert all(f.params.kappas.max() < KAPPA_CAP for f in rep.dense_fits.values())
+        # The default path runs to its end (about 1,460 steps here), past
+        # BIC's minimum, so BIC's model is near the 75 planted nonzeros.
+        assert rep.paths[3].termination_reason == "NoIncrementAvailable"
+        assert np.count_nonzero(rep.final_model.params.means) <= 100

@@ -91,16 +91,11 @@ class TestOrderDimensions:
         out = order_dimensions(mk_params(m))
         assert out.perm.tolist() == [0, 1, 2, 3]
 
-    def test_epsilon_excludes_small_coords(self):
+    def test_tiny_coordinate_is_in_support(self):
+        # Support is the exact nonzeros, as in the model file and the metrics.
         m = np.array([[1.0, 1e-9, 0.0]])
-        out = order_dimensions(mk_params(m), epsilon=1e-8)
-        assert out.n.tolist() == [1, 0, 0]
-
-    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0])
-    def test_epsilon_out_of_range_rejected(self, epsilon):
-        # nan and inf would count no coordinate, and -1 every one.
-        with pytest.raises(ValueError, match="^epsilon must be finite and >= 0"):
-            order_dimensions(mk_params(np.eye(2, 3)), epsilon=epsilon)
+        out = order_dimensions(mk_params(m))
+        assert out.n.tolist() == [1, 1, 0]
 
     def test_matches_comparator_oracle(self):
         rng = np.random.default_rng(0)
@@ -109,7 +104,7 @@ class TestOrderDimensions:
             d = int(rng.integers(3, 15))
             params = random_sparse_params(rng, K, d)
             out = order_dimensions(params)
-            oracle = comparator_dimension_order(params.means, params.alpha, 1e-8)
+            oracle = comparator_dimension_order(params.means, params.alpha)
             assert out.perm.tolist() == oracle, f"trial {trial}"
 
     def test_idempotent_on_reordered_matrix(self):
