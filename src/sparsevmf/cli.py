@@ -252,7 +252,7 @@ def _add_common(p):
     p.add_argument("--config", help="JSON or key=value config file (flags take precedence)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker bound; results do not depend on it")
+                   help="worker bound (>= 1); results do not depend on it")
 
 
 def _add_data_in(p):
@@ -362,6 +362,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _apply_config_file(build_parser().parse_args(argv), argv)
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         args.func(args)
     except (SparseVmfError, OSError) as err:
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)

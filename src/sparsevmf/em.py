@@ -13,12 +13,12 @@ arithmetic for K of a few (Goto & van de Geijn 2008 size packed panels to the
 cache the same way). The resultants add the blocks in order, so equal tau
 gives equal bits; when X fits in one block, each product is one BLAS call.
 
-exp(x) rounds to +0 for every x below -745.14, and NumPy's exp takes a slow
-path on such lanes. Both exps of the E-step set the lanes below -746 to 0
-without evaluating exp there, which gives the same bits. When each column of
-the log joint has one entry more than 746 above the rest, every other term
+exp(x) rounds to +0 for every x below -745.14. When each column of the log
+joint has one entry more than 746 above the rest, every other term
 underflows: then the log-sum-exp is the column maximum and tau is one-hot,
-and the E-step writes both down without evaluating exp.
+and the E-step writes both down without evaluating exp. Otherwise its exps
+and products round such terms to 0 or to subnormals, as intended, so the
+E-step ignores underflow whatever the caller's np.errstate says.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ MAX_INIT_RETRIES = 50
 # Bytes of X per row block of the E-step's products (see above).
 _BLOCK_BYTES = 256 * 1024
 
-# exp(x) is +0 for every x below this (see above).
+# exp(x) is +0 for every x below this (see above): the one-hot test.
 _EXP_ZERO_BELOW = -746.0
 
 
@@ -236,21 +236,6 @@ def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
     return inner
 
 
-def _exp_in_place(x: np.ndarray) -> np.ndarray:
-    """np.exp(x, out=x) for a C-contiguous x, bit for bit, that evaluates exp
-    only on the lanes not below _EXP_ZERO_BELOW and sets the rest to +0
-    (where exp is +0 anyway). NaN lanes are not below it and stay NaN."""
-    low = x < _EXP_ZERO_BELOW
-    if not low.any():
-        return np.exp(x, out=x)
-    keep = np.flatnonzero(np.logical_not(low, out=low))
-    flat = x.reshape(-1)  # a view, since x is C-contiguous
-    values = np.exp(flat[keep])
-    flat.fill(0.0)
-    flat[keep] = values
-    return x
-
-
 def _logsumexp_shifted(a: np.ndarray, a_max: np.ndarray, e: np.ndarray) -> np.ndarray:
     """log sum_k exp(a_ki) per column of a K x N array a, from its column
     maxima a_max and e = exp(a - a_max), which is overwritten; -inf for a
@@ -274,28 +259,29 @@ def e_step(X: np.ndarray, params: MixtureParams,
     prev, when given, must be an E-step on the same X: if the new tau is
     bitwise equal to prev.tau, the result shares prev.resultants instead of
     recomputing them, which would give the same bits."""
-    a = _log_joint(_inner_products(params.means, X), params)
-    a_max = a.max(axis=0)
-    shifted = a - a_max
-    low = shifted < _EXP_ZERO_BELOW
-    # Each column's maximum has a - a_max = 0 (NaN if a_max is not finite), so
-    # N lanes not low mean that it stands alone and every other term's exp is
-    # +0: s = 0 and m = 1 in the log-sum-exp, whose value is then 0.0 + a_max,
-    # and tau is exp(0) = 1 at the maxima and +0 elsewhere.
-    if low.size - np.count_nonzero(low) == a.shape[1] and np.isfinite(a_max).all():
-        log_marginals = 0.0 + a_max
-        tau = np.logical_not(low, out=low).astype(float)
-    else:
-        log_marginals = _logsumexp_shifted(a, a_max, _exp_in_place(shifted))
-        a -= log_marginals
-        tau = _exp_in_place(a)
-    if prev is not None and np.array_equal(tau, prev.tau.T):
-        resultants = prev.resultants
-    else:
-        first, *rest = _row_blocks(X)
-        resultants = tau[:, first] @ X[first]
-        for b in rest:
-            resultants += tau[:, b] @ X[b]
+    with np.errstate(under="ignore"):
+        a = _log_joint(_inner_products(params.means, X), params)
+        a_max = a.max(axis=0)
+        shifted = a - a_max
+        low = shifted < _EXP_ZERO_BELOW
+        # Each column's maximum has a - a_max = 0 (NaN if a_max is not finite),
+        # so N lanes not low mean that it stands alone and every other term's
+        # exp is +0: s = 0 and m = 1 in the log-sum-exp, whose value is then
+        # 0.0 + a_max, and tau is exp(0) = 1 at the maxima and +0 elsewhere.
+        if low.size - np.count_nonzero(low) == a.shape[1] and np.isfinite(a_max).all():
+            log_marginals = 0.0 + a_max
+            tau = np.logical_not(low, out=low).astype(float)
+        else:
+            log_marginals = _logsumexp_shifted(a, a_max, np.exp(shifted, out=shifted))
+            a -= log_marginals
+            tau = np.exp(a, out=a)
+        if prev is not None and np.array_equal(tau, prev.tau.T):
+            resultants = prev.resultants
+        else:
+            first, *rest = _row_blocks(X)
+            resultants = tau[:, first] @ X[first]
+            for b in rest:
+                resultants += tau[:, b] @ X[b]
     return Responsibilities(tau=tau.T, log_marginals=log_marginals, resultants=resultants)
 
 

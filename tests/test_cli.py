@@ -877,6 +877,11 @@ class TestUsageErrors:
         # viz's support is the exact nonzeros: it has no threshold either.
         pytest.param(["viz", "--model", "m.json", "--out", "x.ppm", "--epsilon", "0.05"],
                      id="viz-epsilon"),
+        # --threads bounds the workers, so it needs at least one.
+        pytest.param(["fit", "--input", "d.csv", "--k", "3", "--threads", "0",
+                      "--out", "x.json"], id="threads-zero"),
+        pytest.param(["fit", "--input", "d.csv", "--k", "3", "--threads", "-5",
+                      "--out", "x.json"], id="threads-negative"),
     ])
     def test_usage_error_is_one_json_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

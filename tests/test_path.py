@@ -253,25 +253,37 @@ class TestResultantReuse:
         cfg = SimulationConfig(K=3, d=20, N=300, base_kappa=2e4, sparsity=0.5, seed=60)
         X, truth = simulate_mixture(cfg)
         assert truth.params.kappas.min() >= 1e4
-        shared = []
+        # (one-hot branch taken, prev's resultants shared) per E-step of the
+        # path. The one-hot branch skips the log-sum-exp, and its tau has one
+        # nonzero entry per row.
+        on_path = []
+        log_sum_exps = []
+        logsumexp_shifted = sparsevmf.em._logsumexp_shifted
+        monkeypatch.setattr(sparsevmf.em, "_logsumexp_shifted",
+                            lambda *args: log_sum_exps.append(1) or logsumexp_shifted(*args))
 
         def run(e_step_fn):
             monkeypatch.setattr(sparsevmf.em, "e_step", e_step_fn)
             monkeypatch.setattr(sparsevmf.path, "e_step", e_step_fn)
             dense = best_of_restarts(X, 3, 3, FitOptions(), seed=61)
+            on_path.clear()
             return dense, follow_path(X, 3, PathOptions(max_steps=8), dense)
 
         def recording(X, params, prev=None):
+            before = len(log_sum_exps)
             resp = e_step(X, params, prev=prev)
-            shared.append(prev is not None and resp.resultants is prev.resultants)
+            one_hot = len(log_sum_exps) == before and np.count_nonzero(resp.tau) == X.shape[0]
+            on_path.append((one_hot, prev is not None and resp.resultants is prev.resultants))
             return resp
 
         def ignoring_prev(X, params, prev=None):
             return e_step(X, params)
 
         reused_dense, reused = run(recording)
+        # Every E-step on this path takes the one-hot branch and reuses the
+        # resultants: losing either fast path fails here.
+        assert on_path and all(one_hot and shared for one_hot, shared in on_path)
         fresh_dense, fresh = run(ignoring_prev)
-        assert any(shared)
         assert np.array_equal(reused_dense.resp.resultants, fresh_dense.resp.resultants)
         assert reused.termination_reason == fresh.termination_reason
         assert len(reused.steps) == len(fresh.steps) > 1
@@ -281,6 +293,29 @@ class TestResultantReuse:
             assert_same_fit(a, b)
             assert a.beta == b.beta
             assert a.status is b.status
+
+
+class TestStrictErrorState:
+    """The E-step's exps and products underflow to 0 on purpose: a caller's
+    np.errstate(all="raise") neither stops a fit or a path nor changes it."""
+
+    def test_tight_fit_and_path_match_default_state(self):
+        cfg = SimulationConfig(K=3, d=200, N=300, base_kappa=5e4, sparsity=0.5, seed=60)
+        X, _ = simulate_mixture(cfg)
+
+        def run():
+            dense = best_of_restarts(X, 3, 3, FitOptions(), seed=61)
+            return dense, follow_path(X, 3, PathOptions(max_steps=8), dense)
+
+        ref_dense, ref = run()
+        with np.errstate(all="raise"):
+            dense, res = run()
+        assert res.termination_reason == ref.termination_reason
+        assert len(res.steps) == len(ref.steps) > 1
+        assert_same_fit(dense, ref_dense)
+        for a, b in zip(res.steps, ref.steps):
+            assert_same_fit(a.fit, b.fit)
+            assert a.fit.beta == b.fit.beta
 
 
 class TestLargeEpsilon:
