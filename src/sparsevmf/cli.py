@@ -156,8 +156,8 @@ def _path_options(args) -> PathOptions:
 
 
 def cmd_path(args):
-    X = _load_dataset(args)
     path_opts = _path_options(args)
+    X = _load_dataset(args)
     dense = selection.best_of_restarts(X, args.k, args.restarts,
                                        path_opts.fit_options, seed=args.seed)
     result = follow_path(X, args.k, path_opts, dense, ic_fn=make_ic_fn(*X.shape))
@@ -169,8 +169,8 @@ def cmd_path(args):
 
 
 def cmd_select(args):
-    X = _load_dataset(args)
     path_opts = _path_options(args)
+    X = _load_dataset(args)
     report = selection.select_model(
         X, list(range(args.k_min, args.k_max + 1)), n_restarts=args.restarts,
         path_opts=path_opts, k_criterion=args.k_criterion,

@@ -204,7 +204,7 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
                                  "empty crisp cluster during initialisation")
     alpha = counts / n
     resultants = np.stack([X[labels == k].sum(axis=0) for k in range(K)])
-    kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode, refine=False)
+    kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode)
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
 
@@ -319,11 +319,11 @@ def soft_threshold_mu(r: np.ndarray, kappa, beta: float) -> np.ndarray:
 
 
 def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarray,
-                            n: int, kappa_mode: str, refine: bool) -> np.ndarray:
+                            n: int, kappa_mode: str) -> np.ndarray:
     """Concentrations from the K x d resultants r: rho_k = <mu_k, r_k> / w_k
     per component, or the pooled rho = sum_k <mu_k, r_k> / n in shared mode,
-    each solved under the cap: rho >= 1 - 1e-12 means all mass sits on one
-    point and gives KAPPA_CAP.
+    each solved by invert_bessel_ratio under the cap; rho >= 1, which only
+    rounding past 1 reaches, gives KAPPA_CAP.
 
     Raises DegenerateFitError with status DEGENERATE_UNIFORM when a rho is
     <= 0."""
@@ -333,9 +333,9 @@ def _kappas_from_resultants(means: np.ndarray, r: np.ndarray, weights: np.ndarra
         if rho <= 0.0:
             raise DegenerateFitError(FitStatus.DEGENERATE_UNIFORM,
                                      f"rho = {rho:g} <= 0: component drifting to uniform")
-        if rho >= 1.0 - 1e-12:
+        if rho >= 1.0:
             return KAPPA_CAP
-        return invert_bessel_ratio(d, rho, refine=refine)
+        return invert_bessel_ratio(d, rho)
 
     if kappa_mode == "shared":
         return np.full(K, solve(float(np.einsum("kj,kj->", means, r)) / n))
@@ -360,10 +360,7 @@ def m_step(resp: Responsibilities, prev_params: MixtureParams,
     alpha = col_sums / n
     r = resp.resultants
     means = soft_threshold_mu(r, prev_params.kappas, opts.beta)
-    # Newton-refined solve of the stationarity equation A_d(kappa) = rho; the
-    # closed-form estimate alone leaves enough bias to break the monotone
-    # ascent of the penalized log-likelihood.
-    kappas = _kappas_from_resultants(means, r, col_sums, n, opts.kappa_mode, refine=True)
+    kappas = _kappas_from_resultants(means, r, col_sums, n, opts.kappa_mode)
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=opts.kappa_mode)
 
 

@@ -23,7 +23,8 @@ __all__ = [
 class PathOptions:
     """max_steps caps the number of recorded steps, step 0 included; None
     runs the path to its end, when next_beta finds no increment or a fit
-    fails. fit_options must have beta = 0: the path sets beta at each step."""
+    fails. fit_options must have beta = 0, as the path sets beta at each
+    step, and max_em_iters >= 1, as a step with no EM iteration never moves."""
 
     max_steps: int | None = None
     fit_options: FitOptions = field(default_factory=FitOptions)
@@ -34,6 +35,8 @@ class PathOptions:
             raise ValueError(f"max_steps must be an integer >= 1, got {cap!r}")
         if self.fit_options.beta != 0.0:
             raise ValueError("fit_options.beta must be 0: the path sets beta at each step")
+        if self.fit_options.max_em_iters < 1:
+            raise ValueError("fit_options.max_em_iters must be >= 1: a path step needs an M step")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Numerically stable modified Bessel functions of the first kind and the
 quantities derived from them: the ratio A_d(kappa) = I_{d/2}(kappa)/I_{d/2-1}(kappa),
 the log normalizing constant of the von Mises-Fisher density, and the
-approximate inversion of the ratio used to estimate the concentration.
+inversion of the ratio that estimates the concentration.
 
 I_nu(x) comes from SciPy's scaled ive above _IVE_FLOOR; below it, from the
 leading power-series term at tiny x and the uniform asymptotic expansion
@@ -121,14 +121,12 @@ def log_vmf_normalizer(d: int, kappa: float) -> float:
     return s * math.log(kappa) - (s + 1.0) * math.log(2.0 * math.pi) - log_bessel_i(s, kappa)
 
 
-def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
-    """Estimate kappa such that A_d(kappa) = rbar.
-
-    Uses the closed-form approximation kappa = (rbar*d - rbar^3)/(1 - rbar^2),
-    capped at KAPPA_CAP. With refine=True, polishes it by Newton iterations on
-    A_d(kappa) - rbar = 0, clamped to KAPPA_CAP, until the relative step drops
-    below 1e-10 or |A_d(kappa) - rbar| stops shrinking (at most 50 iterations;
-    one when A_d(KAPPA_CAP) <= rbar).
+def invert_bessel_ratio(d: int, rbar: float) -> float:
+    """Solve A_d(kappa) = rbar by Newton iterations (Sra 2012), clamped to
+    KAPPA_CAP, from the capped closed form (rbar*d - rbar^3)/(1 - rbar^2) of
+    Banerjee et al. (2005), whose bias alone breaks EM's monotone ascent.
+    Stops when the relative step drops below 1e-10 or |A_d(kappa) - rbar|
+    stops shrinking (at most 50 iterations; one when A_d(KAPPA_CAP) <= rbar).
     """
     _check_d("invert_bessel_ratio", d)
     if not 0.0 <= rbar < 1.0:
@@ -139,8 +137,6 @@ def invert_bessel_ratio(d: int, rbar: float, refine: bool = False) -> float:
     if rbar == 0.0:
         return 0.0
     kappa = min((rbar * d - rbar**3) / (1.0 - rbar**2), KAPPA_CAP)
-    if not refine:
-        return kappa
     last_res = math.inf
     for _ in range(50):
         a = bessel_ratio(d, kappa)

@@ -324,7 +324,7 @@ def test_criterion_09_special_function_suite():
         d = int(rng.integers(2, 2000))
         kappa = float(np.exp(rng.uniform(np.log(0.1), np.log(1e4))))
         rbar = bessel_ratio(d, kappa)
-        back = invert_bessel_ratio(d, rbar, refine=True)
+        back = invert_bessel_ratio(d, rbar)
         worst_rt = max(worst_rt, abs(back - kappa) / kappa)
     rt_ok = worst_rt <= 1e-8
     cont = max(

@@ -882,6 +882,9 @@ class TestUsageErrors:
                       "--out", "x.json"], id="threads-zero"),
         pytest.param(["fit", "--input", "d.csv", "--k", "3", "--threads", "-5",
                       "--out", "x.json"], id="threads-negative"),
+        # A path step with no EM iteration would record its start unmoved.
+        pytest.param(["path", "--input", "d.csv", "--k", "3", "--max-em-iters", "0",
+                      "--out", "x.json"], id="path-max-em-iters-zero"),
     ])
     def test_usage_error_is_one_json_line(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

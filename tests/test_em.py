@@ -129,6 +129,24 @@ class TestInitRandom:
         counts = np.bincount(np.argmax(seen[0], axis=0), minlength=3)
         assert np.array_equal(params.alpha, counts / 1000)
 
+    @pytest.mark.parametrize("kappa_mode", ["free", "shared"])
+    def test_kappas_solve_crisp_rho(self, kappa_mode):
+        # A random start's kappas solve A_d(kappa) = rho to the M step's
+        # accuracy; the closed form alone is off by about 1e-3 relative.
+        cfg = SimulationConfig(K=3, d=20, N=600, base_kappa=15.0, seed=5)
+        X, _ = simulate_mixture(cfg)
+        d = X.shape[1]
+        for s in range(5):
+            params = init_random(X, 3, np.random.default_rng(s), kappa_mode)
+            labels = np.argmax(_inner_products(params.means, X), axis=0)
+            dots = np.array([params.means[k] @ X[labels == k].sum(axis=0) for k in range(3)])
+            if kappa_mode == "shared":
+                rhos = np.full(3, dots.sum() / X.shape[0])
+            else:
+                rhos = dots / np.bincount(labels, minlength=3)
+            for kappa, rho in zip(params.kappas, rhos):
+                assert abs(special.bessel_ratio(d, kappa) - rho) <= 1e-10 * rho
+
     def test_nonpositive_resultant_fails(self):
         # Means at rows 0 and 1: rows 2 and 3 join cluster 0, whose resultant
         # (-0.2, -1.6) has <mu_0, r_0> = -0.2 < 0.
@@ -594,7 +612,7 @@ class TestMStep:
         means = np.eye(2, 3)
         r = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0]])
         with pytest.raises(DegenerateFitError) as err:
-            _kappas_from_resultants(means, r, np.array([2.0, 2.0]), 4, kappa_mode, refine=True)
+            _kappas_from_resultants(means, r, np.array([2.0, 2.0]), 4, kappa_mode)
         assert err.value.status is FitStatus.DEGENERATE_UNIFORM
 
     def test_beta_zero_closed_form(self):
@@ -684,7 +702,7 @@ class TestMStep:
         for k in range(3):
             assert np.array_equal(out.means[k], soft_threshold_mu(r[k], params.kappas[k], 0.7))
         expected = _kappas_from_resultants(out.means, r, resp.tau.sum(axis=0), X.shape[0],
-                                           kappa_mode, refine=True)
+                                           kappa_mode)
         assert np.array_equal(out.kappas, expected)
 
     @pytest.mark.parametrize("kappa_mode", ["free", "shared"])
@@ -820,7 +838,7 @@ class TestFitEm:
 
         r = X.sum(axis=0)
         rbar = float(np.linalg.norm(r)) / X.shape[0]
-        kappa_star = invert_bessel_ratio(4, rbar, refine=True)
+        kappa_star = invert_bessel_ratio(4, rbar)
         params = MixtureParams(np.ones(1), (r / np.linalg.norm(r))[None, :],
                                np.array([kappa_star]))
         out = m_step(e_step(X, params), params, FitOptions())

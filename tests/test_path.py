@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -334,6 +335,13 @@ class TestLargeEpsilon:
             PathOptions(fit_options=FitOptions(beta=0.5))
         assert PathOptions(fit_options=FitOptions(beta=0.0)).fit_options.beta == 0.0
 
+    def test_zero_max_em_iters_rejected(self):
+        # With no EM iteration every step would hold its start's params while
+        # next_beta walked beta through all K*d margins.
+        with pytest.raises(ValueError, match="max_em_iters"):
+            PathOptions(fit_options=FitOptions(max_em_iters=0))
+        assert PathOptions(fit_options=FitOptions(max_em_iters=1)).fit_options.max_em_iters == 1
+
 
 class TestPathToDict:
     def test_one_record_per_step(self, small_problem):
@@ -375,13 +383,49 @@ class TestSavePath:
         assert float(rows[1]["beta"]) == res.steps[1].fit.beta
 
 
+def corpus_path(seed):
+    """A criterion 7/8 acceptance-corpus dataset's K = 3 path."""
+    cfg = SimulationConfig(K=3, d=20, N=500, overlap_target=0.025, sparsity=0.25, seed=seed)
+    X, _ = simulate_mixture(cfg)
+    return follow_path(X, 3, PathOptions(),
+                       best_of_restarts(X, 3, 5, FitOptions(), seed=seed - 100))
+
+
+def criterion_5_path():
+    tight = FitOptions(em_tol=1e-13, max_em_iters=5000)
+    cfg = SimulationConfig(K=4, d=10, N=500, base_kappa=5.37, sparsity=0.0, seed=4000)
+    X, _ = simulate_mixture(cfg)
+    return follow_path(X, 4, PathOptions(fit_options=tight),
+                       best_of_restarts(X, 4, 10, tight, seed=4001))
+
+
+def no_creep_path():
+    cfg = SimulationConfig(K=3, d=20, N=400, base_kappa=15.0, sparsity=0.5, seed=3)
+    X, _ = simulate_mixture(cfg)
+    return follow_path(X, 3, PathOptions(), best_of_restarts(X, 3, 10, FitOptions(), seed=1))
+
+
+class TestPathMonotone:
+    @pytest.mark.parametrize("make_path", [
+        *(pytest.param(partial(corpus_path, s), id=f"corpus-{s}") for s in range(100, 105)),
+        pytest.param(criterion_5_path, id="criterion-5"),
+        pytest.param(no_creep_path, id="no-creep"),
+    ])
+    def test_ll_falls_and_zeros_stay(self, make_path):
+        # Along a path beta only grows: the unpenalized log-likelihood never
+        # rises and a coordinate once zero never comes back, exactly.
+        res = make_path()
+        assert len(res.steps) > 10
+        for prev, step in zip(res.steps, res.steps[1:]):
+            assert step.fit.log_likelihood <= prev.fit.log_likelihood
+            assert not np.any((prev.fit.params.means == 0.0) & (step.fit.params.means != 0.0))
+
+
 class TestNoCreep:
     def test_every_step_moves_beta_or_zeroes(self):
         # Coordinates already zero used to bound next_beta, so runs of
         # steps zeroed nothing while beta crept up by ~1e-13 relative.
-        cfg = SimulationConfig(K=3, d=20, N=400, base_kappa=15.0, sparsity=0.5, seed=3)
-        X, _ = simulate_mixture(cfg)
-        res = follow_path(X, 3, PathOptions(), best_of_restarts(X, 3, 10, FitOptions(), seed=1))
+        res = no_creep_path()
         assert len(res.steps) > 20
         for prev, step in zip(res.steps, res.steps[1:]):
             crept = step.fit.beta - prev.fit.beta <= 1e-6 * prev.fit.beta

@@ -176,19 +176,15 @@ class TestInvertRatio:
     def test_zero_resultant(self):
         assert invert_bessel_ratio(100, 0.0) == 0.0
 
-    def test_closed_form_arithmetic(self):
-        # (0.5*100 - 0.125) / (1 - 0.25)
-        assert invert_bessel_ratio(100, 0.5) == pytest.approx(66.5, abs=1e-12)
-
     def test_refined_round_trip(self):
         r = bessel_ratio(10, 7.3)
-        kappa = invert_bessel_ratio(10, r, refine=True)
+        kappa = invert_bessel_ratio(10, r)
         assert kappa == pytest.approx(7.3, abs=1e-8)
 
     def test_round_trip_across_range(self):
         for d in (3, 10, 100, 1000):
             for r in (0.01, 0.1, 0.5, 0.9, 0.99):
-                kappa = invert_bessel_ratio(d, r, refine=True)
+                kappa = invert_bessel_ratio(d, r)
                 assert abs(bessel_ratio(d, kappa) - r) < 1e-8
 
     def test_newton_evaluations_bounded(self, monkeypatch):
@@ -205,7 +201,7 @@ class TestInvertRatio:
         for d in (2, 3, 4, 5, 8, 20, 200, 1000, 5000, 100000):
             for kappa in np.geomspace(1e-3, 1e6, 500):
                 calls.clear()
-                estimate = invert_bessel_ratio(d, bessel_ratio(d, kappa), refine=True)
+                estimate = invert_bessel_ratio(d, bessel_ratio(d, kappa))
                 worst = max(worst, len(calls))
                 assert estimate == pytest.approx(kappa, rel=1e-8)
         assert worst <= 5
@@ -217,39 +213,37 @@ class TestInvertRatio:
             invert_bessel_ratio(10, -0.1)
 
 
-def solve_kappa(d, rho, refine=False):
+def solve_kappa(d, rho):
     """em's rho -> kappa solve for one component whose rho is exactly rho."""
     mu = np.eye(1, d)
-    return float(em._kappas_from_resultants(mu, rho * mu, np.ones(1), 1, "free", refine)[0])
+    return float(em._kappas_from_resultants(mu, rho * mu, np.ones(1), 1, "free")[0])
 
 
 class TestKappaFromRho:
-    """The rho -> kappa rule of the M step: the cap near rho = 1, otherwise
-    invert_bessel_ratio, which stays under the cap."""
+    """The rho -> kappa rule of init_random and the M step: the cap at
+    rho >= 1, otherwise invert_bessel_ratio, which stays under the cap."""
 
     def test_cap_near_one(self, monkeypatch):
+        # A_d(KAPPA_CAP) <= 1 - 5e-7 for every d in the domain, so below 1 the
+        # solve itself gives the cap; only rounding past 1 skips it.
+        for d in (2, 3, 4, 5, 8, 20, 200, 1000, 5000, 20000, 100000):
+            assert bessel_ratio(d, KAPPA_CAP) <= 1.0 - 5e-7
+            for rho in (1.0 - 1e-12, 1.0 - 5e-13, 1.0 - 1e-13, np.nextafter(1.0, 0.0)):
+                assert solve_kappa(d, rho) == KAPPA_CAP
+
         def unreachable(*args, **kwargs):
-            raise AssertionError("invert_bessel_ratio called at rho near 1")
+            raise AssertionError("invert_bessel_ratio called at rho >= 1")
 
         monkeypatch.setattr(em, "invert_bessel_ratio", unreachable)
-        for rho in (1.0 - 1e-12, 1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-9):
-            for refine in (False, True):
-                assert solve_kappa(10, rho, refine) == KAPPA_CAP
+        for rho in (1.0, np.nextafter(1.0, 2.0), 1.0 + 1e-9):
+            assert solve_kappa(10, rho) == KAPPA_CAP
 
     def test_clamped_to_cap(self):
         # closed form (rho*3 - rho^3) / (1 - rho^2) is about 1e7 at rho = 1 - 1e-7
         rho = 1.0 - 1e-7
         assert invert_bessel_ratio(3, rho) == KAPPA_CAP
         assert solve_kappa(3, rho) == KAPPA_CAP
-        assert solve_kappa(3, rho, refine=True) == KAPPA_CAP
         assert solve_kappa(3, 0.99) == invert_bessel_ratio(3, 0.99)
-
-    def test_refine_passed_through(self):
-        rough = solve_kappa(10, 0.5)
-        refined = solve_kappa(10, 0.5, refine=True)
-        assert rough == invert_bessel_ratio(10, 0.5)
-        assert refined == invert_bessel_ratio(10, 0.5, refine=True)
-        assert rough != refined
 
     @pytest.mark.parametrize("d, rho", [(3, 1.0 - 1e-7), (5, 1.0 - 1e-10), (200, 0.99995),
                                         (200, 1.0 - 1e-11)])
@@ -264,5 +258,5 @@ class TestKappaFromRho:
 
         monkeypatch.setattr(special, "bessel_ratio", recording)
         assert bessel_ratio(d, KAPPA_CAP) <= rho
-        assert invert_bessel_ratio(d, rho, refine=True) == KAPPA_CAP
+        assert invert_bessel_ratio(d, rho) == KAPPA_CAP
         assert seen == [KAPPA_CAP]
