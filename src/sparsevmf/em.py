@@ -166,11 +166,11 @@ class FitOptions:
 @dataclass
 class FitResult:
     """Outcome of fit_em. trace holds the penalized log-likelihood of each
-    parameter point evaluated, the last at params. n_iters is len(trace) on
-    every status but MaxIters, and len(trace) - 1 = max_em_iters on MaxIters,
-    whose last evaluation only records the pll at params. resp is the E-step
-    at params; it is None on fits loaded from JSON and on the steps a path
-    records."""
+    parameter point evaluated, the last at params. n_iters is len(trace) - 1
+    on every status: the number of M steps that returned parameters. MaxIters
+    means the tolerance was not met after max_em_iters of them. resp is the
+    E-step at params; it is None on fits loaded from JSON and on the steps a
+    path records."""
 
     params: MixtureParams
     beta: float
@@ -431,11 +431,11 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     trace: list[float] = []
     while True:
         trace.append(_penalized(resp.log_likelihood, params, opts.beta))
-        if len(trace) > opts.max_em_iters:
-            status = FitStatus.MAX_ITERS
-            break
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= opts.em_tol * (abs(trace[-2]) + 1e-12):
             status = FitStatus.CONVERGED
+            break
+        if len(trace) > opts.max_em_iters:
+            status = FitStatus.MAX_ITERS
             break
         try:
             # By keyword: perfbench's tracer reads the resp argument by name.
@@ -452,7 +452,7 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
         log_likelihood=resp.log_likelihood,
         penalized_log_likelihood=trace[-1],
         trace=trace,
-        n_iters=len(trace) - (status is FitStatus.MAX_ITERS),
+        n_iters=len(trace) - 1,
         status=status,
         resp=resp,
     )

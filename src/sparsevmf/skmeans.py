@@ -22,7 +22,9 @@ class SkResult:
 def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
                 rng: np.random.Generator | None = None) -> SkResult:
     """Maximize the coherence sum_i <proto_{z_i}, x_i>, starting from K
-    distinct observations drawn by rng.
+    distinct observations drawn by rng. Each pass assigns at the current
+    prototypes and stops if the labels repeat (converged) or n_iters, the
+    prototype updates so far, is max_iters; otherwise it updates.
 
     Empty clusters are reseeded from the observation with the lowest
     coherence contribution. Assignment ties break to the lowest cluster index."""
@@ -38,16 +40,13 @@ def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
         rng = np.random.default_rng()
     prototypes = X[rng.choice(n, size=K, replace=False)]
     labels = None
-    converged = False
     n_iters = 0
-    for it in range(max_iters):
-        n_iters = it + 1
+    while True:
         sims = X @ prototypes.T
-        new_labels = np.argmax(sims, axis=1)
-        if labels is not None and np.array_equal(new_labels, labels):
-            converged = True
+        prev, labels = labels, np.argmax(sims, axis=1)
+        converged = prev is not None and np.array_equal(labels, prev)
+        if converged or n_iters == max_iters:
             break
-        labels = new_labels
         own_sim = sims[np.arange(n), labels]
         for k in range(K):
             members = labels == k
@@ -62,8 +61,7 @@ def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
             norm = np.linalg.norm(resultant)
             if norm > 0:
                 prototypes[k] = resultant / norm
-    sims = X @ prototypes.T
-    labels = np.argmax(sims, axis=1)
+        n_iters += 1
     coherence = float(sims[np.arange(n), labels].sum())
     return SkResult(prototypes=prototypes, labels=labels, coherence=coherence,
                     n_iters=n_iters, converged=converged)

@@ -79,7 +79,7 @@ def log_bessel_i(order: float, x: float) -> float:
         return math.log(v) + x
     if x * x < 4e-12 * (order + 1.0):
         # Leading term of the power series; the rest adds about x^2/(4(order+1)) < 1e-12.
-        return order * math.log(0.5 * x) - math.lgamma(order + 1.0)
+        return order * (math.log(x) - math.log(2.0)) - math.lgamma(order + 1.0)
     r, u = _debye(order, x)
     return r + order * math.log(x / (order + r)) - 0.5 * math.log(2.0 * math.pi * r) + math.log(u)
 
@@ -103,7 +103,8 @@ def bessel_ratio(d: int, kappa: float) -> float:
     r, u = _debye(nu, kappa)
     dr = (2.0 * nu + 1.0) / (rp + r)  # rp - r
     s = nu + 1.0 + rp
-    log_b = dr + math.log(kappa / s) + nu * math.log1p(-(1.0 + dr) / s) - 0.5 * math.log1p(dr / r)
+    log_b = (dr + math.log(kappa) - math.log(s) + nu * math.log1p(-(1.0 + dr) / s)
+             - 0.5 * math.log1p(dr / r))
     return kappa / (d + kappa * up / u * math.exp(log_b))
 
 

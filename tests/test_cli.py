@@ -155,6 +155,9 @@ BAD_TRIPLETS = {
     "repeated-entry": ("0 0 1.0\n1 1 2.0\n0 0 5.0\n",
                        "line 3: index (0, 0) repeated or outside shape (2, 2)"),
     "negative-index-without-shape": ("-5 0 1.0\n", "line 1: negative index (-5, 0)"),
+    "two-fields": ("0 0 1.0\n1 1\n", "line 2: expected 'row col value', got '1 1'"),
+    "non-numeric-index": ("0 0 1.0\n1 x 2.0\n", "line 2: malformed triplet '1 x 2.0'"),
+    "comments-only": ("# no entries\n# at all\n", "empty file"),
     # 4 EiB, past the address space, and a size NumPy cannot address: both
     # fail without allocating, whatever the overcommit setting.
     "shape-past-address-space": (
@@ -465,9 +468,9 @@ class TestCsvTables:
                     "--csv-out", str(t["order.csv"])]) == 0
 
         model = json.loads(t["model.json"].read_text())
-        assert model["status"] == "Converged"  # so the trace holds n_iters values
+        assert model["status"] == "Converged"  # so the trace holds n_iters + 1 values
         rows = _csv_rows(t["trace.csv"], "iteration,penalized_log_likelihood")
-        assert [int(r[0]) for r in rows] == list(range(model["n_iters"]))
+        assert [int(r[0]) for r in rows] == list(range(model["n_iters"] + 1))
         assert _same_value(rows[-1][1], model["penalized_log_likelihood"])
 
         steps = json.loads(t["path.json"].read_text())["steps"]
@@ -912,12 +915,20 @@ class TestUsageErrors:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ConfigError", "message": "K must be >= 1, got 0"}
 
+    # Simulations SimulationConfig rejects: no component or observation, an
+    # overlap target outside (0, 0.5), or every coordinate of a mean zeroed.
     @pytest.mark.parametrize("argv, message", [
-        (["simulate", "--k", "0", "--n", "10", "--d", "5"], "K must be >= 1, got 0"),
-        (["simulate", "--k", "2", "--n", "0", "--d", "5"], "N must be >= 1, got 0"),
+        (["simulate", "--k", "0", "--n", "10", "--d", "5", "--base-kappa", "5"],
+         "K must be >= 1, got 0"),
+        (["simulate", "--k", "2", "--n", "0", "--d", "5", "--base-kappa", "5"],
+         "N must be >= 1, got 0"),
+        (["simulate", "--k", "2", "--n", "20", "--d", "10", "--overlap", "0.5"],
+         "overlap_target must be in (0, 0.5)"),
+        (["simulate", "--k", "2", "--n", "10", "--d", "5", "--base-kappa", "5",
+          "--sparsity", "1"], "sparsity must be in [0, 1)"),
     ])
     def test_impossible_simulation_size_exits_two(self, tmp_path, capsys, argv, message):
-        rc = run([*argv, "--base-kappa", "5", "--out", str(tmp_path / "x.csv"),
+        rc = run([*argv, "--out", str(tmp_path / "x.csv"),
                   "--truth-out", str(tmp_path / "x.json")])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)

@@ -857,7 +857,7 @@ class TestFitEm:
 
         monkeypatch.setattr(sparsevmf.em, "m_step", recording)
         fit = fit_em(X, 2, FitOptions(beta=0.3), rng=35)
-        assert len(calls) == fit.n_iters - 1 > 0
+        assert len(calls) == fit.n_iters == len(fit.trace) - 1 > 0
         for args, kwargs in calls:
             assert args == ()
             assert kwargs["resp"].tau.shape == (80, 2)
@@ -990,7 +990,7 @@ class TestFitEmExits:
         opts = FitOptions(beta=0.2)
         fit, returned = self.fit_recording(monkeypatch, X, init, opts)
         assert fit.status is FitStatus.CONVERGED
-        assert fit.n_iters == len(fit.trace) == len(returned) + 1 > 3
+        assert fit.n_iters == len(fit.trace) - 1 == len(returned) > 2
         assert fit.params is returned[-1]
         t = fit.trace
         assert abs(t[-1] - t[-2]) <= opts.em_tol * (abs(t[-2]) + 1e-12)
@@ -1008,6 +1008,19 @@ class TestFitEmExits:
         assert fit.params is (returned[-1] if returned else init)
         self.assert_evaluated_at_params(X, fit, 0.2)
 
+    def test_cap_at_the_converged_count(self):
+        # The tolerance is tested before the cap, so a fit capped at the M
+        # steps it converged in stops the same way.
+        X, _ = simulate_mixture(SimulationConfig(K=3, d=20, N=500, overlap_target=0.025,
+                                                 sparsity=0.25, seed=0))
+        free = fit_em(X, 3, FitOptions(), rng=1)
+        capped = fit_em(X, 3, FitOptions(max_em_iters=len(free.trace) - 1), rng=1)
+        assert free.status is capped.status is FitStatus.CONVERGED
+        assert capped.n_iters == free.n_iters == len(free.trace) - 1 > 1
+        assert capped.trace == free.trace
+        for name in ("alpha", "means", "kappas"):
+            assert np.array_equal(getattr(capped.params, name), getattr(free.params, name))
+
     @pytest.mark.parametrize("status", [s for s in FitStatus if s.failed])
     @pytest.mark.parametrize("fail_at", [1, 3])
     def test_failed_m_step(self, problem, monkeypatch, status, fail_at):
@@ -1015,7 +1028,7 @@ class TestFitEmExits:
         fit, returned = self.fit_recording(monkeypatch, X, init, FitOptions(beta=0.2),
                                            fail_at=fail_at, status=status)
         assert fit.status is status
-        assert fit.n_iters == len(fit.trace) == len(returned) == fail_at
+        assert fit.n_iters == len(fit.trace) - 1 == len(returned) - 1 == fail_at - 1
         # The last valid params: those of the M step before the failed one.
         assert fit.params is (returned[-2] if fail_at > 1 else init)
         self.assert_evaluated_at_params(X, fit, 0.2)

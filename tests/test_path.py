@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -191,6 +192,29 @@ class TestFollowPath:
             assert a.fit.beta == b.fit.beta
             assert np.array_equal(a.fit.params.means, b.fit.params.means)
 
+    def test_failed_fit_ends_the_path(self, small_problem, monkeypatch):
+        # A step whose fit fails ends the path with EmFailure, unrecorded.
+        X, fit = small_problem
+        plain = follow_path(X, 2, PathOptions(max_steps=5), fit)
+        failed = []
+
+        def failing_third(*args, **kwargs):
+            result = fit_em(*args, **kwargs)
+            if len(failed) == 2:
+                result = replace(result, status=FitStatus.EMPTY_COMPONENT)
+            failed.append(result)
+            return result
+
+        monkeypatch.setattr(sparsevmf.path, "fit_em", failing_third)
+        res = follow_path(X, 2, PathOptions(max_steps=5), fit)
+        assert res.termination_reason == "EmFailure"
+        assert len(failed) == len(res.steps) == 3
+        for a, b in zip(res.steps, plain.steps[:3]):
+            assert_same_fit(a.fit, b.fit)
+            assert (a.fit.beta, a.fit.status, a.fit.n_iters) == (b.fit.beta, b.fit.status,
+                                                                b.fit.n_iters)
+        assert all(s.fit.params is not failed[-1].params for s in res.steps)
+
     def test_ic_fn_recorded(self, small_problem):
         X, fit = small_problem
         res = follow_path(
@@ -217,7 +241,7 @@ class TestOneEStepPerPoint:
         assert res.termination_reason == "MaxSteps"
         assert all(s.fit.status is FitStatus.CONVERGED for s in res.steps)
         # the first E-step of each warm start comes from the previous step
-        assert len(calls) == sum(s.fit.n_iters - 1 for s in res.steps[1:])
+        assert len(calls) == sum(s.fit.n_iters for s in res.steps[1:])
 
     def test_recorded_steps_hold_no_resp(self, small_problem):
         X, fit = small_problem
@@ -319,7 +343,7 @@ class TestStrictErrorState:
             assert a.fit.beta == b.fit.beta
 
 
-class TestLargeEpsilon:
+class TestPathOptions:
     # max_steps is a count: len(steps) == max_steps must be able to hold.
     @pytest.mark.parametrize("name", ["max_steps"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsevmf.dataset import SimulationConfig, simulate_mixture
 from sparsevmf.em import soft_threshold_mu
 from sparsevmf.metrics import adjusted_rand_index
 from sparsevmf.skmeans import skmeans_fit
@@ -52,6 +53,38 @@ class TestSkmeans:
             # normalized resultant, i.e. the skmeans prototype
             mu = soft_threshold_mu(r, kappa=2.0, beta=0.0)
             assert np.allclose(mu, res.prototypes[k], atol=1e-12)
+
+    def test_cap_at_the_update_count(self):
+        # n_iters counts prototype updates and the repeat test comes before
+        # the cap: capped at n_iters, a run converges the same way, while one
+        # update fewer stops short of the final prototypes.
+        X, _ = simulate_mixture(SimulationConfig(K=3, d=20, N=500, overlap_target=0.025,
+                                                 sparsity=0.25, seed=0))
+        res = skmeans_fit(X, 3, rng=np.random.default_rng(1))
+        capped = skmeans_fit(X, 3, max_iters=res.n_iters, rng=np.random.default_rng(1))
+        assert res.converged and capped.converged
+        assert capped.n_iters == res.n_iters
+        assert np.array_equal(capped.labels, res.labels)
+        assert np.array_equal(capped.prototypes, res.prototypes)
+        short = skmeans_fit(X, 3, max_iters=res.n_iters - 1, rng=np.random.default_rng(1))
+        assert not short.converged
+        assert not np.array_equal(short.prototypes, res.prototypes)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_empty_cluster_reseeded_from_worst_served_row(self, seed):
+        X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        # The start: duplicate rows tie to the lowest index, leaving one
+        # cluster empty at the first assignment.
+        start = X[np.random.default_rng(seed).choice(4, size=3, replace=False)]
+        sims = X @ start.T
+        labels = np.argmax(sims, axis=1)
+        (empty,) = np.setdiff1d(np.arange(3), labels)
+        worst = int(np.argmin(sims[np.arange(4), labels]))
+        res = skmeans_fit(X, 3, rng=np.random.default_rng(seed))
+        assert res.converged
+        assert np.bincount(res.labels, minlength=3).min() >= 1
+        assert np.array_equal(res.prototypes[empty], X[worst])
+        assert res.labels[worst] == empty
 
     def test_unit_norm_prototypes(self):
         rng = np.random.default_rng(8)

@@ -23,6 +23,10 @@ HIGH_D_POINTS = [(5000, 4000.0), (8000, 4000.0), (10002, 1e4), (100000, 1.0), (1
 # there the power series' leading term takes over from the uniform expansion.
 TINY_X_POINTS = [(1.0, 1e-300), (1.0, 1e-200), (5.0, 1e-60), (10.0, 1e-30), (19.0, 1e-14)]
 
+# Subnormal kappa, from the smallest positive double up to just below the
+# smallest normal one; 0.5 * kappa and kappa / s round or underflow there.
+SUBNORMAL_KAPPAS = [5e-324, 1e-323, 1.1497e-320, 1e-320, 1e-315, 2.2e-308]
+
 
 class TestAboveCap:
     @pytest.mark.parametrize("kappa", [np.nextafter(KAPPA_CAP, np.inf), 1e7, 2.4e10, math.inf,
@@ -84,6 +88,13 @@ class TestLogBesselI:
         ref = mp_log_bessel_i(order, x)
         assert abs(got - ref) / abs(ref) < 1e-12
 
+    @pytest.mark.parametrize("order", [0.5, 1.0, 7.5, 59.5, 2499.0, 49999.0])
+    def test_subnormal_argument_against_high_precision(self, order):
+        for x in SUBNORMAL_KAPPAS:
+            got = log_bessel_i(order, x)
+            ref = mp_log_bessel_i(order, x)
+            assert abs(got - ref) / abs(ref) < 1e-12, x
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             log_bessel_i(-1.0, 1.0)
@@ -122,6 +133,13 @@ class TestBesselRatio:
         got = bessel_ratio(d, kappa)
         ref = mp_bessel_ratio(d, kappa)
         assert abs(got - ref) / ref < 1e-10
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 15, 100, 5000, 10**4, 10**5])
+    def test_subnormal_kappa_inside_domain(self, d):
+        # kappa >= 0 is the domain: no subnormal kappa raises or leaves [0, 1)
+        for kappa in SUBNORMAL_KAPPAS:
+            assert 0.0 <= bessel_ratio(d, kappa) < 1.0, kappa
+            assert math.isfinite(log_vmf_normalizer(d, kappa)), kappa
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
