@@ -5,8 +5,10 @@ M step is one conditional-maximisation cycle (ECM, Meng & Rubin 1993): it
 soft-thresholds each mean at the previous kappa, then re-solves kappa at the
 new means, and the penalized log-likelihood still ascends.
 
-The E-step's two products of X (N x d) with K-row matrices, the inner
-products <mu_k, x_i> and the resultants tau^T X, run over row blocks of
+Every product of X (N x d) with a K-row matrix is one of two blocked
+kernels: _inner_products, the K x N inner products <mu_k, x_i>, and
+_resultants, the K x d resultants tau X of K x N weights. They serve e_step,
+init_random (one-hot weights) and skmeans_fit, and run over row blocks of
 max(1, 256 KiB // (8 d)) rows, 163 at d = 200: OpenBLAS packs the whole X
 operand of a product, and past L2 the packed copy costs more than the
 arithmetic for K of a few (Goto & van de Geijn 2008 size packed panels to the
@@ -203,7 +205,7 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
         raise DegenerateFitError(FitStatus.EMPTY_COMPONENT,
                                  "empty crisp cluster during initialisation")
     alpha = counts / n
-    resultants = np.stack([X[labels == k].sum(axis=0) for k in range(K)])
+    resultants = _resultants((labels == np.arange(K)[:, None]).astype(float), X)
     kappas = _kappas_from_resultants(means, resultants, counts, n, kappa_mode)
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode=kappa_mode)
 
@@ -222,6 +224,16 @@ def _inner_products(means: np.ndarray, X: np.ndarray) -> np.ndarray:
     for b in _row_blocks(X):
         np.matmul(means, X[b].T, out=inner[:, b])
     return inner
+
+
+def _resultants(tau: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """K x d resultants tau X of K x N weights tau, the row blocks of X added
+    in order."""
+    first, *rest = _row_blocks(X)
+    resultants = tau[:, first] @ X[first]
+    for b in rest:
+        resultants += tau[:, b] @ X[b]
+    return resultants
 
 
 def _log_joint(inner: np.ndarray, params: MixtureParams) -> np.ndarray:
@@ -278,10 +290,7 @@ def e_step(X: np.ndarray, params: MixtureParams,
         if prev is not None and np.array_equal(tau, prev.tau.T):
             resultants = prev.resultants
         else:
-            first, *rest = _row_blocks(X)
-            resultants = tau[:, first] @ X[first]
-            for b in rest:
-                resultants += tau[:, b] @ X[b]
+            resultants = _resultants(tau, X)
     return Responsibilities(tau=tau.T, log_marginals=log_marginals, resultants=resultants)
 
 

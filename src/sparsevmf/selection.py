@@ -98,9 +98,9 @@ class SelectionReport:
 def best_of_restarts(X: np.ndarray, K: int, n_restarts: int, opts: FitOptions,
                      seed: int = 0) -> FitResult:
     """Run n_restarts random initialisations and keep the best penalized
-    log-likelihood among non-failed fits. n_restarts must be >= 1."""
-    if n_restarts < 1:
-        raise ValueError(f"n_restarts must be >= 1, got {n_restarts}")
+    log-likelihood among non-failed fits. n_restarts must be an integer >= 1."""
+    if not (isinstance(n_restarts, (int, np.integer)) and n_restarts >= 1):
+        raise ValueError(f"n_restarts must be an integer >= 1, got {n_restarts!r}")
     best = None
     errors = []
     for r in range(n_restarts):

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .em import _inner_products, _resultants
+
 __all__ = ["SkResult", "skmeans_fit"]
 
 
@@ -26,14 +28,17 @@ def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
     prototypes and stops if the labels repeat (converged) or n_iters, the
     prototype updates so far, is max_iters; otherwise it updates.
 
-    Empty clusters are reseeded from the observation with the lowest
-    coherence contribution. Assignment ties break to the lowest cluster index."""
+    An update first reseeds each empty cluster, in index order, with the
+    observation of lowest coherence contribution not yet moved, then sets
+    every prototype to the normalized resultant of its cluster under those
+    labels (a zero resultant keeps its prototype), so a converged run is at
+    its fixed point. Assignment ties break to the lowest cluster index."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
+        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
     if n < K:
         raise ValueError("need at least K observations")
     if rng is None:
@@ -42,26 +47,21 @@ def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
     labels = None
     n_iters = 0
     while True:
-        sims = X @ prototypes.T
-        prev, labels = labels, np.argmax(sims, axis=1)
+        sims = _inner_products(prototypes, X)
+        prev, labels = labels, np.argmax(sims, axis=0)
         converged = prev is not None and np.array_equal(labels, prev)
         if converged or n_iters == max_iters:
             break
-        own_sim = sims[np.arange(n), labels]
+        own_sim = sims[labels, np.arange(n)]
         for k in range(K):
-            members = labels == k
-            if not members.any():
-                # Reseed from the worst-served observation.
+            if not np.any(labels == k):
                 worst = int(np.argmin(own_sim))
-                prototypes[k] = X[worst]
                 labels[worst] = k
-                own_sim[worst] = 1.0
-                continue
-            resultant = X[members].sum(axis=0)
-            norm = np.linalg.norm(resultant)
-            if norm > 0:
-                prototypes[k] = resultant / norm
+                own_sim[worst] = np.inf
+        resultants = _resultants((labels == np.arange(K)[:, None]).astype(float), X)
+        norms = np.linalg.norm(resultants, axis=1, keepdims=True)
+        np.divide(resultants, norms, out=prototypes, where=norms > 0)
         n_iters += 1
-    coherence = float(sims[np.arange(n), labels].sum())
+    coherence = float(sims[labels, np.arange(n)].sum())
     return SkResult(prototypes=prototypes, labels=labels, coherence=coherence,
                     n_iters=n_iters, converged=converged)

@@ -987,7 +987,7 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "ConfigError",
-                                      "message": "max_iters must be >= 0, got -2"}
+                                      "message": "max_iters must be an integer >= 0, got -2"}
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

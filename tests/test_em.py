@@ -27,6 +27,7 @@ from sparsevmf.em import (
     _log_joint,
     _logsumexp_shifted,
     _penalized,
+    _resultants,
     _row_blocks,
     e_step,
     fit_em,
@@ -92,9 +93,9 @@ class TestInitRandom:
                 assert err.status in (FitStatus.EMPTY_COMPONENT, FitStatus.DEGENERATE_UNIFORM)
         assert ok >= 1
 
-    def test_resultants_equal_add_at(self, monkeypatch):
-        # Each crisp cluster's rows add in row order, as np.add.at adds them,
-        # so the resultants are bitwise equal.
+    def test_resultants_are_blocked_onehot_products(self, monkeypatch):
+        # The crisp resultants are _resultants of the one-hot weights, bit for
+        # bit, and so are e_step's resultants when its tau is that one-hot.
         seen = []
 
         def record(means, r, *args, **kwargs):
@@ -107,10 +108,17 @@ class TestInitRandom:
             X = rng.standard_normal((n, d))
             X /= np.linalg.norm(X, axis=1, keepdims=True)
             params = init_random(X, K, rng)
-            labels = np.argmax(X @ params.means.T, axis=1)
-            ref = np.zeros((K, d))
-            np.add.at(ref, labels, X)
-            assert seen[-1].tobytes() == ref.tobytes()
+            labels = np.argmax(_inner_products(params.means, X), axis=0)
+            onehot = (labels == np.arange(K)[:, None]).astype(float)
+            assert seen[-1].tobytes() == _resultants(onehot, X).tobytes()
+            with monkeypatch.context() as m:
+                # A log joint 1000 below the maximum off the labels: e_step's
+                # tau is then exactly the one-hot.
+                m.setattr(sparsevmf.em, "_log_joint",
+                          lambda inner, params: np.where(onehot == 1.0, 0.0, -1000.0))
+                resp = e_step(X, params)
+            assert np.array_equal(resp.tau.T, onehot)
+            assert seen[-1].tobytes() == resp.resultants.tobytes()
 
     def test_labels_from_blocked_inner_products(self, monkeypatch):
         # The crisp labels are the argmax of the e_step's blocked <mu_k, x_i>.

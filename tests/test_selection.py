@@ -212,10 +212,13 @@ class TestBestOfRestarts:
             best_of_restarts(X, 3, 2, FitOptions(beta=0.0), seed=7)
         assert str(err.value) == "all 2 restarts failed: ['no start', 'EmptyComponent']"
 
-    @pytest.mark.parametrize("n_restarts", [0, -1])
+    @pytest.mark.parametrize("n_restarts", [0, -1, 2.5, float("nan")])
     def test_no_restart_rejected(self, n_restarts):
-        with pytest.raises(ValueError, match="n_restarts"):
+        message = f"^n_restarts must be an integer >= 1, got {n_restarts!r}$"
+        with pytest.raises(ValueError, match=message):
             best_of_restarts(np.eye(3, 4), 2, n_restarts, FitOptions())
+        with pytest.raises(ValueError, match=message):
+            select_model(np.eye(3, 4), [2], n_restarts)
 
 
 @pytest.fixture(scope="module")

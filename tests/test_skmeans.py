@@ -8,13 +8,25 @@ from sparsevmf.skmeans import skmeans_fit
 from sparsevmf.vmf import sample
 
 
+def fit(X, K, **kwargs):
+    """skmeans_fit, checking that a converged run is at its fixed point: each
+    prototype is the normalized resultant of the rows its final labels give it."""
+    res = skmeans_fit(X, K, **kwargs)
+    if res.converged:
+        X = np.asarray(X, dtype=float)
+        for k in range(K):
+            r = X[res.labels == k].sum(axis=0)
+            assert np.allclose(res.prototypes[k], r / np.linalg.norm(r), rtol=0, atol=1e-12)
+    return res
+
+
 class TestSkmeans:
     def test_orthogonal_recovery(self):
         rng = np.random.default_rng(0)
         mus = np.eye(3, 8)
         X = np.vstack([sample(m, 60.0, 50, rng) for m in mus])
         truth = np.repeat(np.arange(3), 50)
-        res = skmeans_fit(X, 3, rng=np.random.default_rng(1))
+        res = fit(X, 3, rng=np.random.default_rng(1))
         assert res.converged
         assert adjusted_rand_index(truth, res.labels) == 1.0
         aligned = np.abs(res.prototypes @ mus.T)
@@ -23,7 +35,7 @@ class TestSkmeans:
     def test_k1_is_normalized_resultant(self):
         rng = np.random.default_rng(2)
         X = sample(np.eye(1, 5)[0], 4.0, 100, rng)
-        res = skmeans_fit(X, 1, rng=np.random.default_rng(3))
+        res = fit(X, 1, rng=np.random.default_rng(3))
         r = X.sum(axis=0)
         assert np.allclose(res.prototypes[0], r / np.linalg.norm(r), atol=1e-12)
         assert res.coherence == pytest.approx(float((X @ res.prototypes[0]).sum()))
@@ -34,7 +46,7 @@ class TestSkmeans:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((80, 6))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        runs = [skmeans_fit(X, 4, max_iters=m, rng=np.random.default_rng(5))
+        runs = [fit(X, 4, max_iters=m, rng=np.random.default_rng(5))
                 for m in range(1, 30)]
         assert runs[-1].converged
         coherence = np.array([r.coherence for r in runs])
@@ -44,7 +56,7 @@ class TestSkmeans:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((60, 5))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        res = skmeans_fit(X, 3, rng=np.random.default_rng(7))
+        res = fit(X, 3, rng=np.random.default_rng(7))
         assert res.converged
         for k in range(3):
             members = res.labels == k
@@ -60,13 +72,13 @@ class TestSkmeans:
         # update fewer stops short of the final prototypes.
         X, _ = simulate_mixture(SimulationConfig(K=3, d=20, N=500, overlap_target=0.025,
                                                  sparsity=0.25, seed=0))
-        res = skmeans_fit(X, 3, rng=np.random.default_rng(1))
-        capped = skmeans_fit(X, 3, max_iters=res.n_iters, rng=np.random.default_rng(1))
+        res = fit(X, 3, rng=np.random.default_rng(1))
+        capped = fit(X, 3, max_iters=res.n_iters, rng=np.random.default_rng(1))
         assert res.converged and capped.converged
         assert capped.n_iters == res.n_iters
         assert np.array_equal(capped.labels, res.labels)
         assert np.array_equal(capped.prototypes, res.prototypes)
-        short = skmeans_fit(X, 3, max_iters=res.n_iters - 1, rng=np.random.default_rng(1))
+        short = fit(X, 3, max_iters=res.n_iters - 1, rng=np.random.default_rng(1))
         assert not short.converged
         assert not np.array_equal(short.prototypes, res.prototypes)
 
@@ -80,17 +92,29 @@ class TestSkmeans:
         labels = np.argmax(sims, axis=1)
         (empty,) = np.setdiff1d(np.arange(3), labels)
         worst = int(np.argmin(sims[np.arange(4), labels]))
-        res = skmeans_fit(X, 3, rng=np.random.default_rng(seed))
+        res = fit(X, 3, rng=np.random.default_rng(seed))
         assert res.converged
         assert np.bincount(res.labels, minlength=3).min() >= 1
         assert np.array_equal(res.prototypes[empty], X[worst])
         assert res.labels[worst] == empty
 
+    def test_reseed_ends_at_fixed_point(self):
+        # The first assignment gives rows 2 and 3 to cluster 1 and leaves
+        # cluster 2 empty; row 2 is reseeded into it. Every prototype is then
+        # updated from those final labels, so prototype 1 is row 3 alone and
+        # the coherence is 4.
+        X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.6, 0.8]])
+        res = fit(X, 3, rng=np.random.default_rng(2))
+        assert res.converged
+        assert np.array_equal(res.labels, [0, 0, 2, 1])
+        assert np.array_equal(res.prototypes[1], [0.6, 0.8])
+        assert res.coherence == 4.0
+
     def test_unit_norm_prototypes(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((40, 7))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        res = skmeans_fit(X, 5, rng=np.random.default_rng(9))
+        res = fit(X, 5, rng=np.random.default_rng(9))
         assert np.allclose(np.linalg.norm(res.prototypes, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_given_init(self):
@@ -98,8 +122,8 @@ class TestSkmeans:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((50, 4))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
-        a = skmeans_fit(X, 3, rng=np.random.default_rng(11))
-        b = skmeans_fit(X, 3, rng=np.random.default_rng(11))
+        a = fit(X, 3, rng=np.random.default_rng(11))
+        b = fit(X, 3, rng=np.random.default_rng(11))
         assert np.array_equal(a.labels, b.labels)
         assert np.array_equal(a.prototypes, b.prototypes)
 
@@ -108,11 +132,18 @@ class TestSkmeans:
             skmeans_fit(np.eye(2), 3)
 
     def test_negative_max_iters(self):
-        with pytest.raises(ValueError, match="^max_iters must be >= 0, got -2$"):
+        with pytest.raises(ValueError, match="^max_iters must be an integer >= 0, got -2$"):
             skmeans_fit(np.eye(2), 2, max_iters=-2)
+
+    @pytest.mark.parametrize("max_iters", [1.5, float("nan")])
+    def test_non_integer_max_iters(self, max_iters):
+        # The update count never equals such a cap, so a run would ignore it.
+        with pytest.raises(ValueError) as err:
+            skmeans_fit(np.eye(2), 2, max_iters=max_iters)
+        assert str(err.value) == f"max_iters must be an integer >= 0, got {max_iters!r}"
 
     def test_zero_max_iters_keeps_initial_prototypes(self):
         X = np.eye(3)
-        res = skmeans_fit(X, 2, max_iters=0, rng=np.random.default_rng(0))
+        res = fit(X, 2, max_iters=0, rng=np.random.default_rng(0))
         assert res.n_iters == 0 and not res.converged
         assert np.array_equal(res.labels, np.argmax(X @ res.prototypes.T, axis=1))
