@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, dataset, em, metrics, selection, skmeans, viz
 from .em import FitOptions
-from .errors import ParseError, SparseVmfError
+from .errors import ParseError, SparseVmfError, _check_count
 from .path import PathOptions, follow_path, path_to_dict
 from .selection import CRITERIA, make_ic_fn
 from .special import _check_d
@@ -192,8 +192,7 @@ def cmd_select(args):
 def cmd_skmeans(args):
     # Spherical k-means has no vMF density, so no domain on d.
     X = dataset.load_matrix(args.input, format=args.format)
-    rng = np.random.default_rng(args.seed)
-    result = skmeans.skmeans_fit(X, args.k, max_iters=args.max_iters, rng=rng)
+    result = skmeans.skmeans_fit(X, args.k, max_iters=args.max_iters, rng=args.seed)
     doc = {
         "run": _run_meta(args),
         "K": args.k,
@@ -362,8 +361,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _apply_config_file(build_parser().parse_args(argv), argv)
-        if args.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        _check_count("--threads", args.threads, 1)
         args.func(args)
     except (SparseVmfError, OSError) as err:
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)

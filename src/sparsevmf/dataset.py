@@ -15,7 +15,7 @@ import numpy as np
 
 from . import vmf
 from .em import KAPPA_MODES, FitResult, FitStatus, MixtureParams, _log_joint, e_step, hard_assign
-from .errors import CannotSparsifyError, NotBracketedError, ParseError, ZeroRowError
+from .errors import CannotSparsifyError, NotBracketedError, ParseError, ZeroRowError, _check_count
 from .special import _check_d
 
 __all__ = [
@@ -47,6 +47,8 @@ CALIBRATION_SAMPLES = 100_000
 
 @dataclass
 class SimulationConfig:
+    """K, N >= 1 and d (2 <= d <= 1e5) must be integers, Python or NumPy."""
+
     K: int
     d: int
     N: int
@@ -58,10 +60,10 @@ class SimulationConfig:
 
     def __post_init__(self):
         # Each range test is written so that NaN fails it.
-        for name in ("K", "N"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        _check_count("K", self.K, 1)
+        _check_count("N", self.N, 1)
         _check_d("SimulationConfig", self.d)
+        _check_count("d", self.d, 2)
         if (self.overlap_target is None) == (self.base_kappa is None):
             raise ValueError("exactly one of overlap_target / base_kappa must be given")
         if self.overlap_target is not None and not 0.0 < self.overlap_target < 0.5:
@@ -235,6 +237,7 @@ def greedy_max_separation(candidates: np.ndarray, K: int) -> np.ndarray:
     smallest. Ties break to the lowest candidate index."""
     candidates = np.asarray(candidates, dtype=float)
     m = candidates.shape[0]
+    _check_count("K", K, 1)
     if m < K:
         raise ValueError(f"need at least K={K} candidates, got {m}")
     if K == m:
@@ -263,8 +266,6 @@ def sparsify_means(means: np.ndarray, sparsity: float, rng: np.random.Generator)
     n_zero = int(np.floor(sparsity * d))
     if n_zero >= d:
         raise CannotSparsifyError("sparsity would zero every coordinate")
-    if n_zero == 0:
-        return means / np.linalg.norm(means, axis=1, keepdims=True)
     for _ in range(100):
         out = means.copy()
         for k in range(K):
@@ -298,8 +299,7 @@ def estimate_overlap(truth: MixtureParams, n_samples: int,
                      rng: np.random.Generator) -> float:
     """Misclassification rate of crisp assignment under the true parameters,
     estimated on n_samples fresh draws from the mixture."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_count("n_samples", n_samples, 1)
     X, labels = sample_mixture(truth, n_samples, rng)
     pred = hard_assign(e_step(X, truth))
     return float(np.mean(pred != labels))

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateFitError, InitFailureError
+from .errors import DegenerateFitError, InitFailureError, _check_count
 from .special import KAPPA_CAP, _check_d, invert_bessel_ratio, log_vmf_normalizer
 
 __all__ = [
@@ -157,8 +157,7 @@ class FitOptions:
         # Each range test is written so that NaN fails it.
         if not 0 <= self.beta < np.inf:
             raise ValueError(f"beta must be finite and >= 0, got {self.beta!r}")
-        if not (isinstance(self.max_em_iters, (int, np.integer)) and self.max_em_iters >= 0):
-            raise ValueError(f"max_em_iters must be an integer >= 0, got {self.max_em_iters!r}")
+        _check_count("max_em_iters", self.max_em_iters, 0)
         if not 0 < self.em_tol < np.inf:
             raise ValueError(f"em_tol must be finite and > 0, got {self.em_tol!r}")
         if self.kappa_mode not in KAPPA_MODES:
@@ -194,6 +193,7 @@ def init_random(X: np.ndarray, K: int, rng: np.random.Generator,
     retry with fresh draws.
     """
     n = X.shape[0]
+    _check_count("K", K, 1)
     if n < K:
         raise ValueError("need at least K observations")
     idx = rng.choice(n, size=K, replace=False)
@@ -412,8 +412,7 @@ def fit_em(X: np.ndarray, K: int, opts: FitOptions,
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
+    _check_count("K", K, 1)
     if n < K:
         raise ValueError("need at least K observations")
     if resp is not None and init is None:

@@ -1,4 +1,12 @@
-"""Exception hierarchy for sparsevmf."""
+"""Exception hierarchy for sparsevmf, and the one rule for count arguments."""
+
+import numbers
+
+
+def _check_count(name, value, low):
+    """The rule for every count argument: an integer, Python or NumPy, >= low."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class SparseVmfError(Exception):

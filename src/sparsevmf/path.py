@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .em import FitOptions, FitResult, MixtureParams, e_step, fit_em
+from .errors import _check_count
 from .metrics import sparsity
 
 __all__ = [
@@ -30,13 +31,11 @@ class PathOptions:
     fit_options: FitOptions = field(default_factory=FitOptions)
 
     def __post_init__(self):
-        cap = self.max_steps
-        if cap is not None and not (isinstance(cap, (int, np.integer)) and cap >= 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {cap!r}")
+        if self.max_steps is not None:
+            _check_count("max_steps", self.max_steps, 1)
         if self.fit_options.beta != 0.0:
             raise ValueError("fit_options.beta must be 0: the path sets beta at each step")
-        if self.fit_options.max_em_iters < 1:
-            raise ValueError("fit_options.max_em_iters must be >= 1: a path step needs an M step")
+        _check_count("fit_options.max_em_iters", self.fit_options.max_em_iters, 1)
 
 
 @dataclass

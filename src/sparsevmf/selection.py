@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import FitOptions, FitResult, MixtureParams, fit_em
-from .errors import InitFailureError
+from .errors import InitFailureError, _check_count
 from .path import PathOptions, follow_path
 from .special import _check_d
 
@@ -99,8 +99,7 @@ def best_of_restarts(X: np.ndarray, K: int, n_restarts: int, opts: FitOptions,
                      seed: int = 0) -> FitResult:
     """Run n_restarts random initialisations and keep the best penalized
     log-likelihood among non-failed fits. n_restarts must be an integer >= 1."""
-    if not (isinstance(n_restarts, (int, np.integer)) and n_restarts >= 1):
-        raise ValueError(f"n_restarts must be an integer >= 1, got {n_restarts!r}")
+    _check_count("n_restarts", n_restarts, 1)
     best = None
     errors = []
     for r in range(n_restarts):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import _inner_products, _resultants
+from .errors import _check_count
 
 __all__ = ["SkResult", "skmeans_fit"]
 
@@ -22,11 +23,12 @@ class SkResult:
 
 
 def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
-                rng: np.random.Generator | None = None) -> SkResult:
+                rng: np.random.Generator | int | None = None) -> SkResult:
     """Maximize the coherence sum_i <proto_{z_i}, x_i>, starting from K
-    distinct observations drawn by rng. Each pass assigns at the current
-    prototypes and stops if the labels repeat (converged) or n_iters, the
-    prototype updates so far, is max_iters; otherwise it updates.
+    distinct observations drawn by rng, a Generator or a seed as in fit_em.
+    K >= 1 and max_iters >= 0 must be integers. Each pass assigns at the
+    current prototypes and stops if the labels repeat (converged) or n_iters,
+    the prototype updates so far, is max_iters; otherwise it updates.
 
     An update first reseeds each empty cluster, in index order, with the
     observation of lowest coherence contribution not yet moved, then sets
@@ -35,14 +37,11 @@ def skmeans_fit(X: np.ndarray, K: int, max_iters: int = 300,
     its fixed point. Assignment ties break to the lowest cluster index."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if not (isinstance(max_iters, (int, np.integer)) and max_iters >= 0):
-        raise ValueError(f"max_iters must be an integer >= 0, got {max_iters!r}")
+    _check_count("K", K, 1)
+    _check_count("max_iters", max_iters, 0)
     if n < K:
         raise ValueError("need at least K observations")
-    if rng is None:
-        rng = np.random.default_rng()
+    rng = np.random.default_rng(rng)
     prototypes = X[rng.choice(n, size=K, replace=False)]
     labels = None
     n_iters = 0

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .em import MixtureParams
+from .errors import _check_count
 
 __all__ = [
     "DimensionOrdering",
@@ -74,8 +75,7 @@ def render_pixel_map(matrix: np.ndarray, dim_ordering: DimensionOrdering,
     through the palette by dimension group."""
     if mode not in ("means", "data"):
         raise ValueError(f"unknown mode {mode!r}")
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
+    _check_count("scale", scale, 1)
     matrix = np.asarray(matrix, dtype=float)
     m = matrix[np.ix_(np.asarray(row_perm), dim_ordering.perm)]
     rows, cols = m.shape
@@ -94,9 +94,6 @@ def render_pixel_map(matrix: np.ndarray, dim_ordering: DimensionOrdering,
         f"P6\n# sparsevmf palette v{PALETTE_VERSION} maxabs={maxabs!r} mode={mode}\n"
         f"{img.shape[1]} {img.shape[0]}\n255\n"
     )
-    try:
-        with open(out_path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(img.tobytes())
-    except OSError as err:
-        raise OSError(f"cannot write pixel map to {out_path}: {err}") from err
+    with open(out_path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(img.tobytes())

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from .errors import _check_count
 from .special import KAPPA_CAP, _check_d, _check_kappa
 
 __all__ = ["KAPPA_CAP", "sample"]
@@ -56,8 +57,7 @@ def sample(mu: np.ndarray, kappa: float, n: int, rng: np.random.Generator) -> np
     if abs(np.linalg.norm(mu) - 1.0) > 1e-10:
         raise ValueError("mu must be unit-norm")
     _check_kappa("sample", kappa)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_count("n", n, 1)
     d = mu.shape[0]
     t = _sample_tangent_weights(kappa, d, n, rng)
     # Uniform tangent directions: Gaussian draws orthogonalized against mu.

@@ -376,8 +376,25 @@ class TestVizMetrics:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert json.loads(err[0]) == {"error": "ConfigError",
-                                      "message": f"scale must be >= 1, got {scale}"}
+                                      "message": f"scale must be an integer >= 1, got {scale}"}
         assert not out.exists()
+
+    def test_unwritable_out_exits_one_like_fit(self, sim_files, tmp_path, capsys):
+        # An output that cannot be written exits 1, named by its OSError
+        # subclass, in viz as in fit.
+        data, _ = sim_files
+        model = self._fit_model(data, tmp_path)
+        missing = tmp_path / "nodir"
+        capsys.readouterr()
+        kinds = []
+        for argv in (["fit", "--input", str(data), "--k", "3", "--out", str(missing / "m.json")],
+                     ["viz", "--model", str(model), "--out", str(missing / "m.ppm")]):
+            assert run(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1
+            kinds.append(json.loads(err[0])["error"])
+        assert kinds == ["FileNotFoundError"] * 2
+        assert not missing.exists()
 
     def test_skmeans_takes_one_column(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -913,15 +930,15 @@ class TestUsageErrors:
                   "--out", str(tmp_path / "m.json")])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ConfigError", "message": "K must be >= 1, got 0"}
+        assert err == {"error": "ConfigError", "message": "K must be an integer >= 1, got 0"}
 
     # Simulations SimulationConfig rejects: no component or observation, an
     # overlap target outside (0, 0.5), or every coordinate of a mean zeroed.
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--k", "0", "--n", "10", "--d", "5", "--base-kappa", "5"],
-         "K must be >= 1, got 0"),
+         "K must be an integer >= 1, got 0"),
         (["simulate", "--k", "2", "--n", "0", "--d", "5", "--base-kappa", "5"],
-         "N must be >= 1, got 0"),
+         "N must be an integer >= 1, got 0"),
         (["simulate", "--k", "2", "--n", "20", "--d", "10", "--overlap", "0.5"],
          "overlap_target must be in (0, 0.5)"),
         (["simulate", "--k", "2", "--n", "10", "--d", "5", "--base-kappa", "5",
@@ -975,7 +992,7 @@ class TestUsageErrors:
                   "--out", str(tmp_path / "o.json")])
         assert rc == 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ConfigError", "message": "K must be >= 1, got 0"}
+        assert err == {"error": "ConfigError", "message": "K must be an integer >= 1, got 0"}
 
     def test_skmeans_negative_max_iters_exits_two(self, sim_files, tmp_path, capsys):
         data, _ = sim_files

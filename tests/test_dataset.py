@@ -199,6 +199,14 @@ class TestLoadMatrix:
             save_matrix(X, p, format=fmt)
             assert np.array_equal(load_matrix(p, format=fmt, normalize=False), X)
 
+    def test_unknown_format(self, tmp_path):
+        p = tmp_path / "m.csv"
+        save_matrix(np.eye(2), p)
+        with pytest.raises(ValueError, match="^unknown format 'csv'$"):
+            load_matrix(p, format="csv")
+        with pytest.raises(ValueError, match="^unknown format 'csv'$"):
+            save_matrix(np.eye(2), tmp_path / "n.csv", format="csv")
+
 
 class TestGreedySeparation:
     def test_orthogonal_set_dominates(self):
@@ -215,8 +223,15 @@ class TestGreedySeparation:
         assert np.array_equal(greedy_max_separation(c, 4), c)
 
     def test_too_few_candidates(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least K=4 candidates, got 3$"):
             greedy_max_separation(np.eye(3), 4)
+
+    @pytest.mark.parametrize("K", [0, 2.5])
+    def test_K_is_a_count(self, K):
+        # Without the check, K = 0 would pick a pair and K = 2.5 three vectors.
+        with pytest.raises(ValueError) as err:
+            greedy_max_separation(np.eye(4), K)
+        assert str(err.value) == f"K must be an integer >= 1, got {K!r}"
 
     def test_beats_random_subsets(self):
         rng = np.random.default_rng(2)
@@ -237,10 +252,13 @@ class TestGreedySeparation:
 
 class TestSparsify:
     def test_zero_sparsity_is_identity(self):
+        # Zeroing no coordinate renormalises each mean and draws nothing.
         rng = np.random.default_rng(3)
         m = rng.standard_normal((2, 6))
-        m /= np.linalg.norm(m, axis=1, keepdims=True)
-        assert np.allclose(sparsify_means(m, 0.0, rng), m)
+        state = rng.bit_generator.state
+        out = sparsify_means(m, 0.0, rng)
+        assert out.tobytes() == (m / np.linalg.norm(m, axis=1, keepdims=True)).tobytes()
+        assert rng.bit_generator.state == state
 
     def test_half_sparsity_counts(self):
         rng = np.random.default_rng(4)
@@ -298,6 +316,18 @@ class TestSimulate:
         assert np.array_equal(X1, X2)
         assert np.array_equal(t1.labels, t2.labels)
         assert np.array_equal(t1.params.means, t2.params.means)
+
+    @pytest.mark.parametrize("value", [2.5, np.nan, np.float64(3.0)])
+    @pytest.mark.parametrize("name, low", [("K", 1), ("N", 1), ("d", 2)])
+    def test_counts_must_be_integers(self, name, low, value):
+        counts = {"K": 2, "N": 10, "d": 5, name: value}
+        with pytest.raises(ValueError) as err:
+            SimulationConfig(**counts, base_kappa=1.0)
+        rule = f"{name} must be an integer >= {low}, got {value!r}"
+        if name == "d" and np.isnan(value):
+            # d meets the vMF domain check first, which NaN fails.
+            rule = "SimulationConfig requires 2 <= d <= 100000, got nan"
+        assert str(err.value) == rule
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -419,6 +449,18 @@ class TestCalibrateOverlap:
             # smallest kappa of the bracket misassigns at most the other
             # component's 1e-6 share, far below the 49.9% target.
             calibrate_overlap(means, 0.499, np.array([0.999999, 1e-6]), rng)
+
+    @pytest.mark.parametrize("target", [0.0, 0.5, np.nan])
+    def test_target_outside_range(self, target):
+        with pytest.raises(ValueError, match=r"^target must be in \(0, 0.5\)$"):
+            calibrate_overlap(np.eye(2, 5), target, np.full(2, 0.5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_samples", [0, 2.5, np.nan, np.float64(3.0)])
+    def test_overlap_sample_count(self, n_samples):
+        params = MixtureParams(np.full(2, 0.5), np.eye(2, 5), np.full(2, 4.0))
+        with pytest.raises(ValueError) as err:
+            estimate_overlap(params, n_samples, np.random.default_rng(0))
+        assert str(err.value) == f"n_samples must be an integer >= 1, got {n_samples!r}"
 
 
 class TestReducedOverlap:

@@ -1076,6 +1076,31 @@ class TestInvalidValuesRejected:
         with pytest.raises(ValueError, match="^kappas must hold K values$"):
             MixtureParams(np.array([0.5, 0.5]), np.eye(2), np.array([7.0]), kappa_mode=mode)
 
+    @pytest.mark.parametrize("kappas, mode, message", [
+        ([2.0, 2.0], "Shared", "unknown kappa_mode 'Shared'"),
+        ([0.0, 2.0], "free", f"kappas must lie in (0, {KAPPA_CAP:g}]"),
+        ([2.0, 2 * KAPPA_CAP], "free", f"kappas must lie in (0, {KAPPA_CAP:g}]"),
+        ([2.0, 3.0], "shared", "shared mode requires a single kappa value"),
+    ])
+    def test_mixture_params_kappa_rules(self, kappas, mode, message):
+        with pytest.raises(ValueError) as err:
+            MixtureParams(np.array([0.5, 0.5]), np.eye(2), np.array(kappas), kappa_mode=mode)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("K", [0, 2.5, np.nan, np.float64(2.0), 4])
+    @pytest.mark.parametrize("start", ["fit_em", "init_random"])
+    def test_K_is_a_count_up_to_N(self, start, K):
+        # A non-integer K would reach NumPy's choice as a size; N = 3 < 4.
+        X = np.eye(3)
+        with pytest.raises(ValueError) as err:
+            if start == "fit_em":
+                fit_em(X, K, FitOptions())
+            else:
+                init_random(X, K, np.random.default_rng(0))
+        message = ("need at least K observations" if K == 4
+                   else f"K must be an integer >= 1, got {K!r}")
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("d", [1, 100_001])
     def test_mixture_params_d_outside_domain(self, d):
         with pytest.raises(ValueError, match=f"^MixtureParams requires 2 <= d <= 100000, got {d}$"):

@@ -35,7 +35,8 @@ class TestSkmeans:
     def test_k1_is_normalized_resultant(self):
         rng = np.random.default_rng(2)
         X = sample(np.eye(1, 5)[0], 4.0, 100, rng)
-        res = fit(X, 1, rng=np.random.default_rng(3))
+        # Any start gives it, so the default rng (fresh entropy) serves.
+        res = fit(X, 1)
         r = X.sum(axis=0)
         assert np.allclose(res.prototypes[0], r / np.linalg.norm(r), atol=1e-12)
         assert res.coherence == pytest.approx(float((X @ res.prototypes[0]).sum()))
@@ -118,18 +119,27 @@ class TestSkmeans:
         assert np.allclose(np.linalg.norm(res.prototypes, axis=1), 1.0, atol=1e-12)
 
     def test_deterministic_given_init(self):
-        # The initial prototypes are drawn from rng: one seed, one result.
+        # The initial prototypes are drawn from rng: one seed, one result,
+        # whether rng is the seed itself or a Generator made from it.
         rng = np.random.default_rng(10)
         X = rng.standard_normal((50, 4))
         X /= np.linalg.norm(X, axis=1, keepdims=True)
         a = fit(X, 3, rng=np.random.default_rng(11))
-        b = fit(X, 3, rng=np.random.default_rng(11))
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.prototypes, b.prototypes)
+        for b in (fit(X, 3, rng=np.random.default_rng(11)), fit(X, 3, rng=11)):
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.prototypes, b.prototypes)
+            assert a.n_iters == b.n_iters
 
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need at least K observations$"):
             skmeans_fit(np.eye(2), 3)
+
+    @pytest.mark.parametrize("K", [0, 2.5, np.nan, np.float64(2.0)])
+    def test_non_integer_K(self, K):
+        # 2.5 and NaN would reach NumPy's choice as a size.
+        with pytest.raises(ValueError) as err:
+            skmeans_fit(np.eye(2), K)
+        assert str(err.value) == f"K must be an integer >= 1, got {K!r}"
 
     def test_negative_max_iters(self):
         with pytest.raises(ValueError, match="^max_iters must be an integer >= 0, got -2$"):

@@ -192,7 +192,7 @@ class TestRenderPixelMap:
         params = mk_params(np.eye(2, 2) + 0.1)
         out = order_dimensions(params)
         p = tmp_path / "x.ppm"
-        with pytest.raises(ValueError, match=f"^scale must be >= 1, got {scale}$"):
+        with pytest.raises(ValueError, match=f"^scale must be an integer >= 1, got {scale}$"):
             render_pixel_map(params.means, out, np.arange(2), p, scale=scale)
         assert not p.exists()
 

@@ -33,6 +33,12 @@ class TestParams:
         with pytest.raises(ValueError, match="vector"):
             sample(mu, 1.0, 5, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [0, 2.5, np.nan, np.float64(3.0)])
+    def test_rejects_n_that_is_not_a_count(self, n):
+        with pytest.raises(ValueError) as err:
+            sample(np.array([1.0, 0.0]), 1.0, n, np.random.default_rng(0))
+        assert str(err.value) == f"n must be an integer >= 1, got {n!r}"
+
     @pytest.mark.parametrize("d", [1, 100_001])
     def test_rejects_length_outside_domain(self, d):
         with pytest.raises(ValueError, match=f"^sample requires 2 <= d <= 100000, got {d}$"):
