@@ -180,7 +180,7 @@ def cmd_select(args):
         "run": _run_meta(args),
         "dense_ic": {str(k): v for k, v in report.dense_ic.items()},
         "chosen_K": report.chosen_K,
-        "best_steps": {str(k): v for k, v in report.best_steps.items()},
+        "best_steps": report.best_steps,
         "skipped": {str(k): v for k, v in report.skipped.items()},
         "final_model": dataset.fit_result_to_dict(report.final_model),
     }

@@ -192,9 +192,9 @@ def _parse_sparse_triplet(path):
     return X
 
 
-def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> np.ndarray:
-    """Load a dense CSV or sparse triplet matrix; optionally normalise rows
-    to unit norm (zero rows are rejected with their indices).
+def load_matrix(path, format: str = "dense-csv") -> np.ndarray:
+    """Load a dense CSV or sparse triplet matrix and normalise its rows to
+    unit norm (zero rows are rejected with their indices).
 
     Malformed content (non-UTF-8 text, nan or inf values, a triplet index
     repeated or outside the matrix) raises ParseError with the file line number,
@@ -205,12 +205,11 @@ def load_matrix(path, format: str = "dense-csv", normalize: bool = True) -> np.n
         X = _parse_sparse_triplet(path)
     else:
         raise ValueError(f"unknown format {format!r}")
-    if normalize:
-        norms = np.linalg.norm(X, axis=1)
-        zero_rows = np.nonzero(norms == 0)[0]
-        if zero_rows.size:
-            raise ZeroRowError(zero_rows.tolist())
-        X /= norms[:, None]
+    norms = np.linalg.norm(X, axis=1)
+    zero_rows = np.nonzero(norms == 0)[0]
+    if zero_rows.size:
+        raise ZeroRowError(zero_rows.tolist())
+    X /= norms[:, None]
     return X
 
 
@@ -284,7 +283,8 @@ def sparsify_means(means: np.ndarray, sparsity: float, rng: np.random.Generator)
 
 
 def sample_mixture(params: MixtureParams, n: int, rng: np.random.Generator):
-    """Draw n labeled observations from the mixture."""
+    """Draw n labeled observations from the mixture; n must be an integer >= 0."""
+    _check_count("n", n, 0)
     labels = rng.choice(params.K, size=n, p=params.alpha)
     X = np.empty((n, params.d))
     for k in range(params.K):
@@ -314,18 +314,8 @@ def _rescale_for_separability(means: np.ndarray, kappas: np.ndarray) -> np.ndarr
     return 2.0 * kappas / (1.0 - cross)
 
 
-def _build_truth_params(means, base_kappa, alpha, rng, jitter_sd_frac):
-    K = means.shape[0]
-    if jitter_sd_frac > 0:
-        kappas = np.empty(K)
-        for k in range(K):
-            while True:  # truncate the jitter at 0
-                v = rng.normal(base_kappa, jitter_sd_frac * base_kappa)
-                if v > 0:
-                    kappas[k] = v
-                    break
-    else:
-        kappas = np.full(K, base_kappa)
+def _build_truth_params(means, kappas, alpha):
+    """The planted MixtureParams: kappas rescaled for separability, capped."""
     kappas = np.minimum(_rescale_for_separability(means, kappas), vmf.KAPPA_CAP)
     return MixtureParams(alpha=alpha, means=means, kappas=kappas, kappa_mode="free")
 
@@ -400,7 +390,7 @@ def calibrate_overlap(means: np.ndarray, target: float, alpha: np.ndarray,
     error = _reduced_overlap(means, alpha, CALIBRATION_SAMPLES, rng)
 
     def error_at(base_kappa):
-        return error(_build_truth_params(means, base_kappa, alpha, rng, jitter_sd_frac=0.0))
+        return error(_build_truth_params(means, np.full(len(means), base_kappa), alpha))
 
     lo, hi = 0.01, 1e4
     err_lo = error_at(lo)
@@ -440,7 +430,13 @@ def simulate_mixture(cfg: SimulationConfig) -> tuple[np.ndarray, GroundTruth]:
         base_kappa = cfg.base_kappa
     else:
         base_kappa = calibrate_overlap(means, cfg.overlap_target, alpha, rng)
-    params = _build_truth_params(means, base_kappa, alpha, rng, KAPPA_JITTER_SD_FRAC)
+    kappas = np.empty(cfg.K)
+    for k in range(cfg.K):
+        while True:  # truncate the jitter at 0
+            kappas[k] = rng.normal(base_kappa, KAPPA_JITTER_SD_FRAC * base_kappa)
+            if kappas[k] > 0:
+                break
+    params = _build_truth_params(means, kappas, alpha)
     X, labels = sample_mixture(params, cfg.N, rng)
     return X, GroundTruth(params=params, labels=labels)
 

@@ -89,7 +89,7 @@ class SelectionReport:
     dense_ic: dict            # K -> {criterion kind -> IC of the dense fit}
     dense_fits: dict          # K -> FitResult at beta = 0
     paths: dict               # K* -> PathResult; K* = chosen_K[k_criterion] only
-    best_steps: dict          # K* -> {criterion kind -> step index minimizing it}
+    best_steps: dict          # criterion kind -> index of K*'s path step minimizing it
     skipped: dict             # K -> reason string
     chosen_K: dict            # criterion kind -> K*
     final_model: FitResult    # beta_criterion-best step of the k_criterion K*'s path
@@ -126,7 +126,10 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
     """Two-stage selection: fit the dense model (best of restarts) for every
     candidate K and pick K* from the information criterion on those fits;
     then follow K*'s path alone, and the final model is its criterion-best
-    step. paths and best_steps hold K* only."""
+    step. paths holds K* only. An unknown criterion name raises ValueError
+    before the first fit."""
+    for kind in (k_criterion, beta_criterion):
+        Criterion(kind)  # an unknown name raises ValueError here, not after the fits
     X = np.asarray(X, dtype=float)
     if not len(K_candidates):
         raise ValueError("K_candidates must be nonempty")
@@ -157,7 +160,7 @@ def select_model(X: np.ndarray, K_candidates, n_restarts: int = 10,
         dense_ic=dense_ic,
         dense_fits=dense_fits,
         paths={kstar: path},
-        best_steps={kstar: best},
+        best_steps=best,
         skipped=skipped,
         chosen_K=chosen_K,
         final_model=path.steps[best[beta_criterion]].fit,

@@ -6,6 +6,7 @@ import pytest
 from sparsevmf.cli import main
 from sparsevmf.dataset import GroundTruth, fit_result_to_dict, ground_truth_to_dict, load_model
 from sparsevmf.em import FitResult, MixtureParams
+from sparsevmf.selection import CRITERIA
 from sparsevmf.viz import order_dimensions
 
 
@@ -221,7 +222,9 @@ class TestPathSelectSkmeans:
         doc = json.loads(out.read_text())
         assert set(doc["chosen_K"]) == {"AIC", "BIC", "RIC", "RICc", "EBIC"}
         assert doc["final_model"]["K"] == doc["chosen_K"]["BIC"]
-        assert list(doc["best_steps"]) == [str(doc["chosen_K"]["BIC"])]
+        # K*'s path step that each criterion picks
+        assert list(doc["best_steps"]) == list(CRITERIA)
+        assert all(type(i) is int and i >= 0 for i in doc["best_steps"].values())
         assert "seed" not in doc["final_model"]
         assert ic_csv.read_text().startswith("K,AIC,BIC,RIC,RICc,EBIC")
 

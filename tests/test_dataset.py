@@ -1,14 +1,18 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 from oracles import scan_dense_csv
 
+import sparsevmf.dataset
 import sparsevmf.vmf
 from sparsevmf.dataset import (
     SimulationConfig,
     _build_truth_params,
+    _parse_dense_csv,
+    _parse_sparse_triplet,
     _reduced_overlap,
     calibrate_overlap,
     estimate_overlap,
@@ -34,7 +38,7 @@ class TestLoadMatrix:
     def test_dense_csv_normalized(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,0\n0,1\n1,1\n")
-        X = load_matrix(p, format="dense-csv", normalize=True)
+        X = load_matrix(p, format="dense-csv")
         s = 1.0 / np.sqrt(2.0)
         assert np.allclose(X, [[1, 0], [0, 1], [s, s]])
         assert X.shape == (3, 2)
@@ -42,26 +46,26 @@ class TestLoadMatrix:
     def test_header_detected(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("a,b\n1,0\n0,1\n")
-        X = load_matrix(p, normalize=False)
+        X = _parse_dense_csv(p)
         assert X.shape[0] == 2
 
     def test_sparse_triplet(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("0 0 2.0\n1 1 3.0\n")
-        X = load_matrix(p, format="sparse-triplet", normalize=True)
+        X = load_matrix(p, format="sparse-triplet")
         assert np.allclose(X, np.eye(2))
 
     def test_triplet_shape_comment(self, tmp_path):
         p = tmp_path / "m.txt"
         p.write_text("#shape 3 4\n0 0 1.0\n1 3 1.0\n2 2 5.0\n")
-        X = load_matrix(p, format="sparse-triplet", normalize=False)
+        X = _parse_sparse_triplet(p)
         assert X.shape == (3, 4)
 
     def test_zero_row_error(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text("1,0\n0,0\n0,1\n")
         with pytest.raises(ZeroRowError) as err:
-            load_matrix(p, normalize=True)
+            load_matrix(p)
         assert err.value.rows == [1]
 
     def test_parse_error_has_line(self, tmp_path):
@@ -172,10 +176,10 @@ class TestLoadMatrix:
             expected = scan_dense_csv(p)
         except ParseError as err:
             with pytest.raises(ParseError) as got:
-                load_matrix(p, normalize=False)
+                _parse_dense_csv(p)
             assert (str(got.value), got.value.line) == (str(err), err.line)
         else:
-            X = load_matrix(p, normalize=False)
+            X = _parse_dense_csv(p)
             assert X.shape == expected.shape
             assert np.array_equal(X, expected)
 
@@ -185,7 +189,7 @@ class TestLoadMatrix:
         save_matrix(X, p)
         expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in X)
         assert p.read_text() == expected
-        Y = load_matrix(p, normalize=False)
+        Y = _parse_dense_csv(p)
         assert Y.dtype == X.dtype and Y.shape == X.shape
         assert Y.tobytes() == X.tobytes()
 
@@ -194,10 +198,15 @@ class TestLoadMatrix:
         X = rng.standard_normal((5, 4))
         X[X < 0.3] = 0.0
         X[:, 0] = 1.0  # keep rows nonzero
-        for fmt in ("dense-csv", "sparse-triplet"):
+        for fmt, parse in (("dense-csv", _parse_dense_csv),
+                           ("sparse-triplet", _parse_sparse_triplet)):
             p = tmp_path / f"m-{fmt}"
             save_matrix(X, p, format=fmt)
-            assert np.array_equal(load_matrix(p, format=fmt, normalize=False), X)
+            # The parse gives back the saved bits; load_matrix then divides
+            # each row by its norm.
+            assert np.array_equal(parse(p), X)
+            assert np.array_equal(load_matrix(p, format=fmt),
+                                  X / np.linalg.norm(X, axis=1, keepdims=True))
 
     def test_unknown_format(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -274,6 +283,21 @@ class TestSparsify:
         m /= np.linalg.norm(m, axis=1, keepdims=True)
         out = sparsify_means(m, 0.15, rng)
         assert np.all(np.count_nonzero(out, axis=1) == 85)
+
+    def test_sparsity_one_zeroes_every_coordinate(self):
+        with pytest.raises(CannotSparsifyError, match="^sparsity would zero every coordinate$"):
+            sparsify_means(np.eye(3), 1.0, np.random.default_rng(0))
+
+    def test_retries_when_a_mean_is_zeroed(self):
+        # Half of d = 2 zeroes one coordinate of each mean. Under seed 0 the
+        # first try zeroes e_1's only nonzero coordinate, so a second try runs.
+        replay = np.random.default_rng(0)
+        first = [replay.choice(2, size=1, replace=False)[0] for _ in range(2)]
+        assert first[1] == 1
+        rng = np.random.default_rng(0)
+        out = sparsify_means(np.eye(2), 0.5, rng)
+        assert np.array_equal(out, np.eye(2))
+        assert rng.bit_generator.state != replay.bit_generator.state
 
     def test_cannot_sparsify_when_distinctness_impossible(self):
         rng = np.random.default_rng(6)
@@ -435,11 +459,30 @@ class TestCalibrateOverlap:
         alpha = np.full(3, 1.0 / 3.0)
         target = 0.05
         kappa = calibrate_overlap(means, target, alpha, rng)
-        from sparsevmf.dataset import _build_truth_params
-
-        params = _build_truth_params(means, kappa, alpha, rng, jitter_sd_frac=0.0)
+        params = _build_truth_params(means, np.full(3, kappa), alpha)
         err = estimate_overlap(params, 50_000, rng)
         assert abs(err - target) < 0.5 * target
+
+    def test_returns_last_midpoint_after_40_bisections(self, monkeypatch):
+        # The error rates are multiples of 1 / CALIBRATION_SAMPLES = 1e-5, so
+        # none falls within 10% of a 1e-9 target: the bisection runs out.
+        def run():
+            rng = np.random.default_rng(25)
+            g = rng.standard_normal((60, 20))
+            means = greedy_max_separation(g / np.linalg.norm(g, axis=1, keepdims=True), 3)
+            return calibrate_overlap(means, 1e-9, np.full(3, 1.0 / 3.0), rng)
+
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _build_truth_params(*args)
+
+        monkeypatch.setattr(sparsevmf.dataset, "_build_truth_params", counting)
+        kappa = run()
+        assert len(calls) == 2 + 40  # both ends of the bracket, then 40 midpoints
+        assert math.isfinite(kappa) and 0.01 < kappa < 1e4
+        assert run() == kappa
 
     def test_not_bracketed(self):
         rng = np.random.default_rng(24)
@@ -481,7 +524,7 @@ class TestReducedOverlap:
         means = greedy_max_separation(g / np.linalg.norm(g, axis=1, keepdims=True), K)
         means = sparsify_means(means, sparsity, rng)
         alpha = np.arange(1, K + 1) / (K * (K + 1) / 2)
-        params = _build_truth_params(means, base_kappa, alpha, rng, jitter_sd_frac=0.0)
+        params = _build_truth_params(means, np.full(K, base_kappa), alpha)
         n_red, n_full = 100_000, (4_000 if d > 200 else 20_000)
         reduced = _reduced_overlap(means, alpha, n_red, rng)(params)
         full = estimate_overlap(params, n_full, rng)
@@ -535,6 +578,18 @@ class TestReducedOverlap:
 
 
 class TestSampleMixture:
+    @pytest.mark.parametrize("n", [-1, 2.5, np.nan, np.float64(3.0)])
+    def test_n_is_a_count(self, n):
+        params = MixtureParams(np.full(2, 0.5), np.eye(2, 6), np.full(2, 50.0))
+        with pytest.raises(ValueError) as err:
+            sample_mixture(params, n, np.random.default_rng(0))
+        assert str(err.value) == f"n must be an integer >= 0, got {n!r}"
+
+    def test_zero_draws(self):
+        params = MixtureParams(np.full(2, 0.5), np.eye(2, 6), np.full(2, 50.0))
+        X, labels = sample_mixture(params, 0, np.random.default_rng(0))
+        assert X.shape == (0, 6) and labels.shape == (0,)
+
     def test_labels_follow_alpha(self):
         rng = np.random.default_rng(30)
         params = MixtureParams(np.array([0.8, 0.2]), np.eye(2, 6), np.array([50.0, 50.0]))

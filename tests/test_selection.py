@@ -236,7 +236,7 @@ class TestSelectModel:
         rep = select_model(X, [3], n_restarts=3,
                           path_opts=PathOptions(max_steps=10), seed=62)
         assert set(rep.chosen_K.values()) == {3}
-        assert rep.final_model is rep.paths[3].steps[rep.best_steps[3]["BIC"]].fit
+        assert rep.final_model is rep.paths[3].steps[rep.best_steps["BIC"]].fit
 
     def test_chosen_k_is_argmin(self, data):
         X, _ = data
@@ -245,7 +245,8 @@ class TestSelectModel:
         for kind, kstar in rep.chosen_K.items():
             vals = {K: rep.dense_ic[K][kind] for K in rep.dense_ic}
             assert vals[kstar] == min(vals.values())
-        assert set(rep.paths) == set(rep.best_steps) == {rep.chosen_K["BIC"]}
+        assert set(rep.paths) == {rep.chosen_K["BIC"]}
+        assert set(rep.best_steps) == set(CRITERIA)
 
     def test_only_k_criterion_choice_has_a_path(self, data):
         X, _ = data
@@ -253,7 +254,7 @@ class TestSelectModel:
         rep = select_model(X, [2, 3, 4], n_restarts=3, path_opts=opts,
                            k_criterion="AIC", seed=63)
         kstar = rep.chosen_K["AIC"]
-        assert set(rep.paths) == set(rep.best_steps) == {kstar}
+        assert set(rep.paths) == {kstar}
         # K*'s path is the one follow_path gives from K*'s dense fit
         path = follow_path(X, kstar, opts, rep.dense_fits[kstar], ic_fn=make_ic_fn(*X.shape))
         bic = [s.ic_values["BIC"] for s in path.steps]
@@ -267,7 +268,7 @@ class TestSelectModel:
         rep = select_model(X, [3], n_restarts=3,
                           path_opts=PathOptions(max_steps=12), seed=64)
         path = rep.paths[3]
-        for kind, idx in rep.best_steps[3].items():
+        for kind, idx in rep.best_steps.items():
             vals = [s.ic_values[kind] for s in path.steps]
             assert vals[idx] == min(vals)
 
@@ -276,7 +277,7 @@ class TestSelectModel:
         rep = select_model(X, [3], n_restarts=3,
                           path_opts=PathOptions(max_steps=12), seed=65)
         kstar = rep.chosen_K["BIC"]
-        idx = rep.best_steps[kstar]["BIC"]
+        idx = rep.best_steps["BIC"]
         assert rep.final_model is rep.paths[kstar].steps[idx].fit
 
     def test_final_model_follows_beta_criterion(self, data):
@@ -289,7 +290,7 @@ class TestSelectModel:
         assert rep.final_model is steps[aic.index(min(aic))].fit
         # AIC penalises each parameter less than BIC here, so it keeps a
         # denser step: the report holds the AIC choice, not the BIC one.
-        assert rep.best_steps[kstar]["AIC"] != rep.best_steps[kstar]["BIC"]
+        assert rep.best_steps["AIC"] != rep.best_steps["BIC"]
 
     def test_failed_k_is_skipped(self, data, monkeypatch):
         X, _ = data
@@ -315,6 +316,21 @@ class TestSelectModel:
         monkeypatch.setattr(sparsevmf.selection, "fit_em", no_start)
         with pytest.raises(InitFailureError, match="every candidate K failed"):
             select_model(X, [2, 3], n_restarts=1, seed=63)
+
+    @pytest.mark.parametrize("knob", ["k_criterion", "beta_criterion"])
+    def test_unknown_criterion_raises_before_any_fit(self, data, monkeypatch, knob):
+        X, _ = data
+        fits = []
+
+        def counting(*args, **kwargs):
+            fits.append(args)
+            return fit_em(*args, **kwargs)
+
+        monkeypatch.setattr(sparsevmf.selection, "fit_em", counting)
+        with pytest.raises(ValueError) as err:
+            select_model(X, [2], n_restarts=1, seed=0, **{knob: "XIC"})
+        assert str(err.value) == "unknown criterion 'XIC'"
+        assert fits == []
 
     def test_empty_candidates(self, data):
         X, _ = data
