@@ -23,7 +23,8 @@ from .special import _check_d
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
-    skip = {"func", "config"}
+    # --threads bounds the CSV workers only: no output depends on it.
+    skip = {"func", "config", "threads"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
@@ -112,7 +113,7 @@ def _apply_config_file(args, argv):
 def _load_dataset(args, d: int | None = None) -> np.ndarray:
     """The --input matrix, row-normalised. A column count outside the vMF
     domain, or given a model's d another column count, raises ParseError."""
-    X = dataset.load_matrix(args.input, format=args.format)
+    X = dataset.load_matrix(args.input, format=args.format, workers=args.threads)
     try:
         _check_d("--input", X.shape[1])
     except ValueError as err:
@@ -130,7 +131,7 @@ def cmd_simulate(args):
         alpha=None if args.alpha is None else np.array(args.alpha),
     )
     X, truth = dataset.simulate_mixture(cfg)
-    dataset.save_matrix(X, args.out, format=args.format)
+    dataset.save_matrix(X, args.out, format=args.format, workers=args.threads)
     doc = dataset.ground_truth_to_dict(truth)
     doc["run"] = _run_meta(args)
     _write_json(args.truth_out, doc)
@@ -191,7 +192,7 @@ def cmd_select(args):
 
 def cmd_skmeans(args):
     # Spherical k-means has no vMF density, so no domain on d.
-    X = dataset.load_matrix(args.input, format=args.format)
+    X = dataset.load_matrix(args.input, format=args.format, workers=args.threads)
     result = skmeans.skmeans_fit(X, args.k, max_iters=args.max_iters, rng=args.seed)
     doc = {
         "run": _run_meta(args),
@@ -250,8 +251,9 @@ def cmd_metrics(args):
 def _add_common(p):
     p.add_argument("--config", help="JSON or key=value config file (flags take precedence)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker bound (>= 1); results do not depend on it")
+    p.add_argument("--threads", type=int,
+                   help="bound on the processes that read or write a dense CSV (>= 1; "
+                        "default: the CPUs available); no output depends on it")
 
 
 def _add_data_in(p):
@@ -361,7 +363,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = _apply_config_file(build_parser().parse_args(argv), argv)
-        _check_count("--threads", args.threads, 1)
+        if args.threads is not None:
+            _check_count("--threads", args.threads, 1)
         args.func(args)
     except (SparseVmfError, OSError) as err:
         json.dump({"error": type(err).__name__, "message": str(err)}, sys.stderr)

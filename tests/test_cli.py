@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import sparsevmf.dataset
 from sparsevmf.cli import main
 from sparsevmf.dataset import GroundTruth, fit_result_to_dict, ground_truth_to_dict, load_model
 from sparsevmf.em import FitResult, MixtureParams
@@ -46,6 +47,25 @@ class TestSimulate:
         b = json.loads(outs[1][1])
         assert a == b
         assert a["run"]["config_hash"] == b["run"]["config_hash"]
+
+    def test_outputs_do_not_depend_on_threads(self, tmp_path, monkeypatch):
+        # A part per byte: the CSV is written and read in as many parts as
+        # --threads allows, and no output, run block included, tells.
+        monkeypatch.setattr(sparsevmf.dataset, "_PART_BYTES", 1)
+        files = {}
+        for threads in ("1", "3"):
+            d = tmp_path / threads
+            d.mkdir()
+            monkeypatch.chdir(d)
+            assert run(["simulate", "--d", "6", "--k", "2", "--n", "40", "--base-kappa", "8",
+                        "--out", "data.csv", "--truth-out", "truth.json", "--seed", "3",
+                        "--threads", threads]) == 0
+            assert run(["fit", "--input", "data.csv", "--k", "2", "--restarts", "2",
+                        "--out", "model.json", "--trace-out", "trace.csv",
+                        "--threads", threads]) == 0
+            files[threads] = {f.name: f.read_bytes() for f in d.iterdir()}
+        assert files["1"] == files["3"]
+        assert "threads" not in json.loads(files["1"]["model.json"])["run"]["config"]
 
     def test_one_component(self, tmp_path):
         data, truth = tmp_path / "data.csv", tmp_path / "truth.json"

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -32,6 +34,33 @@ from sparsevmf.errors import (
     ParseError,
     ZeroRowError,
 )
+
+
+# Dense-CSV texts on which the bulk parse must agree with the line scan.
+DENSE_CSV_TEXTS = [
+    "1,2\n\n3,4\n\n",            # blank lines
+    "1,2\n \t \n3,4\n",          # a line of only whitespace
+    "1,2\r\n3,4\r\n",            # CRLF line endings
+    "1,2\r3,4\r",                # CR line endings
+    " 1 , 2 \n3 ,\t4\n",          # spaces around fields
+    "a,b\n1,2\n3,4\n",            # header
+    "a,b\n",                      # only a header
+    "",                            # empty file
+    "\na,b\n1,2\n",               # blank line 1, header on line 2
+    "1,2,\n3,4,\n",                # trailing comma on every line
+    "1,2\n3,4,\n",                 # trailing comma after the first row
+    "1,2\n3\n4,5\n",              # ragged row
+    "1,2\nnan,4\n",
+    "1,2\n3,inf\n",
+    "1,2\n-Infinity,4\n",
+    "1,2\n1e400,4\n",
+    "1_0,2\n3,4\n",
+    "\u0661,2\n3,4\n",             # a non-ASCII digit
+    "1,2\n#3,4\n",                 # a line starting with '#'
+    "#x,y\n1,2\n",
+    "5\n\n-6e-3\n",                # one column
+    b"1,2\n3,\xff4\n",              # not UTF-8
+]
 
 
 class TestLoadMatrix:
@@ -145,30 +174,7 @@ class TestLoadMatrix:
             load_matrix(p, format=fmt)
         assert err.value.line == line
 
-    @pytest.mark.parametrize("text", [
-        "1,2\n\n3,4\n\n",            # blank lines
-        "1,2\n \t \n3,4\n",          # a line of only whitespace
-        "1,2\r\n3,4\r\n",            # CRLF line endings
-        "1,2\r3,4\r",                # CR line endings
-        " 1 , 2 \n3 ,\t4\n",          # spaces around fields
-        "a,b\n1,2\n3,4\n",            # header
-        "a,b\n",                      # only a header
-        "",                            # empty file
-        "\na,b\n1,2\n",               # blank line 1, header on line 2
-        "1,2,\n3,4,\n",                # trailing comma on every line
-        "1,2\n3,4,\n",                 # trailing comma after the first row
-        "1,2\n3\n4,5\n",              # ragged row
-        "1,2\nnan,4\n",
-        "1,2\n3,inf\n",
-        "1,2\n-Infinity,4\n",
-        "1,2\n1e400,4\n",
-        "1_0,2\n3,4\n",
-        "\u0661,2\n3,4\n",             # a non-ASCII digit
-        "1,2\n#3,4\n",                 # a line starting with '#'
-        "#x,y\n1,2\n",
-        "5\n\n-6e-3\n",                # one column
-        b"1,2\n3,\xff4\n",              # not UTF-8
-    ])
+    @pytest.mark.parametrize("text", DENSE_CSV_TEXTS)
     def test_dense_csv_agrees_with_line_scan(self, tmp_path, text):
         p = tmp_path / "m.csv"
         p.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -215,6 +221,225 @@ class TestLoadMatrix:
             load_matrix(p, format="csv")
         with pytest.raises(ValueError, match="^unknown format 'csv'$"):
             save_matrix(np.eye(2), tmp_path / "n.csv", format="csv")
+
+
+@pytest.fixture()
+def fork_pids(monkeypatch):
+    """The pids of the children os.fork starts during the test; on teardown,
+    none of them (nor any other child) is left unreaped."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture()
+def split(monkeypatch, fork_pids):
+    """Dense-CSV I/O splits into as many parts as workers allows: one part
+    per byte of input."""
+    monkeypatch.setattr(sparsevmf.dataset, "_PART_BYTES", 1)
+    return fork_pids
+
+
+def _in_child(parent_pid):
+    return os.getpid() != parent_pid
+
+
+# Nine 8-byte lines split, at workers=3, into lines 1-4, 5-7 and 8-9.
+NINE = ["1.5,2.5\n"] * 9
+
+
+def _nine(**lines):
+    """NINE, as bytes, with the lines numbered by the keywords (l6=...)
+    replaced by lines of the same length, so the split stays as named."""
+    out = list(NINE)
+    for key, line in lines.items():
+        assert len(line) == 8, line
+        out[int(key[1:]) - 1] = line
+    return b"".join(line if isinstance(line, bytes) else line.encode() for line in out)
+
+
+@pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+                    reason="the split needs os.fork and os.sched_getaffinity")
+class TestDenseCsvSplit:
+    """load_matrix and save_matrix split a dense CSV into parts, each after
+    the first in a forked child; no result depends on the split."""
+
+    def test_nine_lines_split_as_named(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes(_nine())
+        assert sparsevmf.dataset._line_parts(p, 72, 3) == [(0, 32), (32, 56), (56, 72)]
+
+    @pytest.mark.parametrize("text", DENSE_CSV_TEXTS + [
+        _nine(l6="x,25.50\n"),                       # non-numeric, part 2
+        _nine(l9="1.5,nan\n"),                       # non-finite, part 3
+        _nine(l5="1,2,3.5\n", l6="1,2,3.5\n", l7="1,2,3.5\n"),  # part 2 has 3 columns
+        _nine(l8="1,2,3.5\n", l9="1,2,3.5\n"),       # part 3 has 3 columns
+        _nine(l6="1,2,3.5\n"),                       # ragged row in part 2
+        _nine(l6="       \n"),                       # whitespace only, part 2
+        "1.5,2.5\n" * 7 + "\n" * 16,                # part 3 holds blank lines only
+        _nine(l5="a,bcdef\n"),                       # a header-like line in part 2
+        _nine(l9="1,1e400\n"),                       # overflow, part 3
+        _nine(l8="1.5000\r\n", l9="2.5000\r\n"),     # part 3 has 1 column
+        _nine(l9=b"1.5,\xff55\n"),                   # not UTF-8, part 3
+        _nine(),
+    ])
+    def test_agrees_with_line_scan(self, tmp_path, split, text):
+        p = tmp_path / "m.csv"
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        try:
+            expected = scan_dense_csv(p)
+        except ParseError as err:
+            with pytest.raises(ParseError) as got:
+                _parse_dense_csv(p, workers=3)
+            assert (str(got.value), got.value.line) == (str(err), err.line)
+        else:
+            X = _parse_dense_csv(p, workers=3)
+            assert X.shape == expected.shape
+            assert np.array_equal(X, expected)
+
+    def test_parts_are_forked(self, tmp_path, split):
+        p = tmp_path / "m.csv"
+        p.write_bytes(_nine())
+        assert np.array_equal(_parse_dense_csv(p, workers=3), np.full((9, 2), [1.5, 2.5]))
+        assert len(split) == 2
+        save_matrix(np.ones((3, 2)), tmp_path / "o.csv", workers=3)
+        assert len(split) == 4
+
+    def test_writer_bytes(self, tmp_path, split):
+        X = np.array([[-0.0, 5e-324, 1e-5], [1e16, 1 / 3, 1e-300]])
+        p = tmp_path / "m.csv"
+        save_matrix(X, p, workers=3)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in X)
+        assert p.read_bytes() == expected.encode()
+        assert len(split) == 1  # two rows: two parts
+        assert _parse_dense_csv(p, workers=3).tobytes() == X.tobytes()
+
+    def test_round_trip_does_not_depend_on_workers(self, tmp_path, fork_pids):
+        # 3.2 MB of values, about 8 MB of CSV: both sides split at the
+        # default part size.
+        X = np.random.default_rng(41).standard_normal((2000, 200))
+        files, parsed = [], []
+        for workers in (1, 2):
+            p = tmp_path / f"m{workers}.csv"
+            save_matrix(X, p, workers=workers)
+            files.append(p.read_bytes())
+            parsed.append(_parse_dense_csv(p, workers=workers))
+        assert len(fork_pids) == 2
+        assert files[0] == files[1]
+        assert parsed[0].tobytes() == parsed[1].tobytes() == X.tobytes()
+
+    def test_parse_error_in_a_child_reaps_it(self, tmp_path, split):
+        p = tmp_path / "m.csv"
+        p.write_bytes(_nine(l9="1.5,xyz\n"))
+        with pytest.raises(ParseError, match="^line 9: non-numeric"):
+            _parse_dense_csv(p, workers=3)
+        assert len(split) == 2
+        with pytest.raises(ChildProcessError):  # both children reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_without_result_is_redone(self, tmp_path, split, monkeypatch):
+        parent = os.getpid()
+        loadtxt, lines = sparsevmf.dataset._loadtxt, sparsevmf.dataset._csv_lines
+
+        def dying_loadtxt(source):
+            if _in_child(parent):
+                os._exit(1)
+            return loadtxt(source)
+
+        def dying_lines(X):
+            if _in_child(parent):
+                os._exit(1)
+            return lines(X)
+
+        monkeypatch.setattr(sparsevmf.dataset, "_loadtxt", dying_loadtxt)
+        monkeypatch.setattr(sparsevmf.dataset, "_csv_lines", dying_lines)
+        X = np.random.default_rng(3).standard_normal((9, 4))
+        p = tmp_path / "m.csv"
+        save_matrix(X, p, workers=3)
+        assert p.read_text() == "".join(",".join(map(repr, row)) + "\n" for row in X.tolist())
+        assert _parse_dense_csv(p, workers=3).tobytes() == X.tobytes()
+        assert len(split) == 4
+
+    def test_result_of_a_failed_child_is_discarded(self, tmp_path, split, monkeypatch):
+        # Each child sends its part and, when writing, a line too many, then
+        # exits 3: the parent drops what it received and does the part again.
+        parent, lines, exit_ = os.getpid(), sparsevmf.dataset._csv_lines, os._exit
+
+        def lines_and_more(X):
+            yield from lines(X)
+            if _in_child(parent):
+                yield b"9,9,9,9\n"
+
+        monkeypatch.setattr(sparsevmf.dataset, "_csv_lines", lines_and_more)
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
+        X = np.random.default_rng(4).standard_normal((9, 4))
+        p = tmp_path / "m.csv"
+        save_matrix(X, p, workers=3)
+        assert p.read_text() == "".join(",".join(map(repr, row)) + "\n" for row in X.tolist())
+        assert _parse_dense_csv(p, workers=3).tobytes() == X.tobytes()
+
+    def test_failed_fork_runs_the_part_here(self, tmp_path, split, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        X = np.random.default_rng(5).standard_normal((9, 4))
+        p = tmp_path / "m.csv"
+        save_matrix(X, p, workers=3)
+        assert _parse_dense_csv(p, workers=3).tobytes() == X.tobytes()
+
+    def test_serial_while_another_thread_runs(self, tmp_path, split):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(10,))
+        thread.start()
+        try:
+            p = tmp_path / "m.csv"
+            save_matrix(np.ones((9, 2)), p, workers=3)
+            assert load_matrix(p, workers=3).shape == (9, 2)
+        finally:
+            stop.set()
+            thread.join(10)
+        assert not thread.is_alive()
+        assert split == []
+
+    @pytest.mark.parametrize("workers", [0, 2.5])
+    def test_workers_is_a_count(self, tmp_path, workers):
+        p = tmp_path / "m.csv"
+        p.write_text("1,2\n")
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+            load_matrix(p, workers=workers)
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+            save_matrix(np.ones((1, 2)), tmp_path / "o.csv", workers=workers)
+        assert not (tmp_path / "o.csv").exists()
+
+
+class TestSaveMatrixChecks:
+    """save_matrix refuses, before it opens the file, a matrix load_matrix
+    would refuse to read back."""
+
+    @pytest.mark.parametrize("fmt", ["dense-csv", "sparse-triplet"])
+    @pytest.mark.parametrize("X,message", [
+        ([[np.nan, 1.0], [1.0, 2.0]], "^X holds a non-finite value$"),
+        ([[1.0, 2.0], [np.inf, 1.0]], "^X holds a non-finite value$"),
+        ([1.0, 2.0], r"^X must be a 2-D matrix with at least one row and column, got shape \(2,\)$"),
+        (np.empty((0, 3)), r"^X must be .* got shape \(0, 3\)$"),
+        (np.empty((2, 0)), r"^X must be .* got shape \(2, 0\)$"),
+    ], ids=["nan", "inf", "one-dimensional", "no-rows", "no-columns"])
+    def test_rejected_and_no_file(self, tmp_path, fmt, X, message):
+        p = tmp_path / "m.txt"
+        with pytest.raises(ValueError, match=message):
+            save_matrix(X, p, format=fmt)
+        assert not p.exists()
 
 
 class TestGreedySeparation:
